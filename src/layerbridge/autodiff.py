@@ -285,7 +285,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(np.transpose(x.data, axes))
-    inverse = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
+    inverse = tuple(int(i) for i in np.argsort(axes))
 
     def rule(g):
         return (np.transpose(g, inverse),)

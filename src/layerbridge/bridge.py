@@ -204,17 +204,6 @@ class LayerWiseAligner:
         return FusedKV(pairs=pairs, mask=stack.mask)
 
 
-def fuse(aligner: LayerWiseAligner, stack: LayerStack, layer_index: int) -> tuple[Tensor, Tensor]:
-    """Fused (K, V) for one decoder layer from states 0..n-1. 1-based index."""
-    return aligner.fuse_one(stack, layer_index, subset=None)
-
-
-def fuse_subset(aligner: LayerWiseAligner, stack: LayerStack, layer_index: int,
-                subset: LayerSubset) -> tuple[Tensor, Tensor]:
-    """As ``fuse`` but mixing only over ``subset``'s states (0..n allowed)."""
-    return aligner.fuse_one(stack, layer_index, subset=subset)
-
-
 def aligner_weight_matrix(aligner: LayerWiseAligner) -> np.ndarray:
     """Softmax of each decoder layer's logits over the default mixing range:
     an [m, n] matrix whose rows sum to 1, uniform 1/n at init."""

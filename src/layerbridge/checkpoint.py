@@ -10,6 +10,7 @@ never leaves a partial checkpoint behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -91,30 +92,32 @@ def load_checkpoint(
         header = json.loads(blob[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise IngestionError(f"{path}: corrupt checkpoint header: {err}") from err
-    if expected_digest is not None and header["config_digest"] != expected_digest and not force:
+    try:
+        digest = header["config_digest"]
+        stage, step = header["stage"], header["step"]
+        table = [
+            (str(e["name"]), tuple(int(n) for n in e["shape"]), int(e["offset"]))
+            for e in header["tensors"]
+        ]
+    except (KeyError, TypeError, ValueError) as err:
+        raise IngestionError(f"{path}: malformed checkpoint header: {err!r}") from err
+    if expected_digest is not None and digest != expected_digest and not force:
         raise ConfigError(
             f"{path}: checkpoint was written under config digest "
-            f"{header['config_digest']}, expected {expected_digest}; pass force to override"
+            f"{digest}, expected {expected_digest}; pass force to override"
         )
     payload = blob[header_end:]
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        name = entry["name"]
+    for name, shape, start in table:
         if name in tensors:
             raise IngestionError(f"{path}: duplicate tensor {name!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 4 * count
+        if start < 0 or min(shape, default=0) < 0:
+            raise IngestionError(f"{path}: negative offset or extent for tensor {name!r}")
+        end = start + 4 * math.prod(shape)
         if end > len(payload):
             raise IngestionError(f"{path}: truncated payload for tensor {name!r}")
         tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
-    return Checkpoint(
-        config_digest=header["config_digest"],
-        stage=header["stage"],
-        step=header["step"],
-        tensors=tensors,
-    )
+    return Checkpoint(config_digest=digest, stage=stage, step=step, tensors=tensors)
 
 
 def checkpoint_from_params(

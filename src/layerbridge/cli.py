@@ -131,18 +131,16 @@ def cmd_train(args) -> int:
     plan = plan_for_stage(config, stage)
     ckpt_path = out_dir / "checkpoint.bin"
     trace_path = out_dir / f"trace_stage{args.stage}.csv"
-    step_box = {"count": 0}
 
-    def on_epoch_end(epoch: int, epoch_loss: float) -> None:
+    def on_epoch_end(epoch: int, epoch_loss: float, steps: int) -> None:
         save_checkpoint(
             ckpt_path,
-            checkpoint_from_params(model.trainable_params(), digest, stage, step_box["count"]),
+            checkpoint_from_params(model.trainable_params(), digest, stage, steps),
         )
 
     examples = corpus.stage1 if stage == "translation" else corpus.stage2
     train = train_stage1 if stage == "translation" else train_stage2
     result = train(model, plan, examples, corpus.vocab, on_epoch_end=on_epoch_end)
-    step_box["count"] = result.steps
 
     save_checkpoint(
         ckpt_path,

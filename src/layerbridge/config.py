@@ -204,5 +204,4 @@ def plan_for_stage(config: RunConfig, stage: str) -> TrainPlan:
         seed=config.seed,
         clip_norm=sc.clip_norm,
         trace_every=sc.trace_every,
-        ablations=config.ablations,
     )

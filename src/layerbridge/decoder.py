@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bridge import FusedKV
 from .errors import ConfigError, ContractError, NumericError
-from .nn import Linear, attention, causal_bias, padding_bias, glorot
+from .nn import Linear, attention, causal_bias, feed_forward, init_layer, padding_bias, self_attention
 
 STAGE_TRANSLATION = "translation"
 STAGE_TASK = "task"
@@ -131,24 +131,7 @@ class Decoder:
         frozen = dict(requires_grad=False)
         self.tok_emb = Tensor(rng.normal(0, c.emb_scale, size=(c.vocab_size, c.d_dec)).astype(np.float32), **frozen)
         self.pos_emb = Tensor(rng.normal(0, c.pos_scale, size=(c.max_positions, c.d_dec)).astype(np.float32), **frozen)
-        self.layers = []
-        for _ in range(c.n_layers):
-            self.layers.append(
-                {
-                    "ln1_gain": Tensor(np.ones(c.d_dec, dtype=np.float32), **frozen),
-                    "ln1_bias": Tensor(np.zeros(c.d_dec, dtype=np.float32), **frozen),
-                    "wq": Tensor(glorot(rng, c.d_dec, c.d_dec), **frozen),
-                    "wk": Tensor(glorot(rng, c.d_dec, c.d_dec), **frozen),
-                    "wv": Tensor(glorot(rng, c.d_dec, c.d_dec), **frozen),
-                    "wo": Tensor(glorot(rng, c.d_dec, c.d_dec), **frozen),
-                    "ln2_gain": Tensor(np.ones(c.d_dec, dtype=np.float32), **frozen),
-                    "ln2_bias": Tensor(np.zeros(c.d_dec, dtype=np.float32), **frozen),
-                    "ff1_w": Tensor(glorot(rng, c.d_dec, c.d_ff), **frozen),
-                    "ff1_b": Tensor(np.zeros(c.d_ff, dtype=np.float32), **frozen),
-                    "ff2_w": Tensor(glorot(rng, c.d_ff, c.d_dec), **frozen),
-                    "ff2_b": Tensor(np.zeros(c.d_dec, dtype=np.float32), **frozen),
-                }
-            )
+        self.layers = [init_layer(rng, c.d_dec, c.d_ff) for _ in range(c.n_layers)]
         self.final_ln_gain = Tensor(np.ones(c.d_dec, dtype=np.float32), **frozen)
         self.final_ln_bias = Tensor(np.zeros(c.d_dec, dtype=np.float32), **frozen)
         # head columns need unit-order norms: after the final layer norm the
@@ -208,138 +191,65 @@ class Decoder:
         if valid is None:
             valid = np.ones((batch, dec_len), dtype=bool)
         sa_bias = causal_bias(dec_len) + padding_bias(valid)
-        ca_bias = padding_bias(fused.mask) if fused is not None else None
 
         x = ad.add(t0, Tensor(self.pos_emb.data[:dec_len][None]))
         state = DecoderState(states=[t0], valid=valid)
-        for i, layer in enumerate(self.layers, start=1):
-            normed = ad.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
-            q = ad.matmul(normed, layer["wq"])
-            sa = ad.matmul(
-                attention(
-                    q,
-                    ad.matmul(normed, layer["wk"]),
-                    ad.matmul(normed, layer["wv"]),
-                    c.n_heads,
-                    bias=sa_bias,
-                ),
-                layer["wo"],
-            )
-            if fused is not None:
-                h_k, h_v = fused.pairs[i - 1]
-                ca = ad.matmul(
-                    attention(
-                        q,
-                        ad.matmul(h_k, layer["wk"]),
-                        ad.matmul(h_v, layer["wv"]),
-                        c.n_heads,
-                        bias=ca_bias,
-                    ),
-                    layer["wo"],
-                )
-                if dynamic_gates is not None:
-                    gate = dynamic_gates.gate_for(i, x)
-                else:
-                    gate = gates.values[i - 1]
-                gated = ad.mul(ca, gate)
-                x = ad.add(ad.add(x, sa), gated)
-                gate_mag = np.abs(gate.data if gate.ndim == 3 else gate.data.reshape(1, 1, 1))
-                state.ca_norms.append(
-                    (gate_mag * np.linalg.norm(ca.data, axis=-1, keepdims=True)).reshape(batch, dec_len)
-                )
-            else:
-                x = ad.add(x, sa)
-                state.ca_norms.append(np.zeros((batch, dec_len)))
-            state.sa_norms.append(np.linalg.norm(sa.data, axis=-1))
-            normed2 = ad.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
-            ff = ad.matmul(ad.relu(ad.add(ad.matmul(normed2, layer["ff1_w"]), layer["ff1_b"])), layer["ff2_w"])
-            x = ad.add(x, ad.add(ff, layer["ff2_b"]))
-            if not np.all(np.isfinite(x.data)):
-                raise NumericError(f"non-finite activations leaving decoder layer {i}")
+        for i in range(1, c.n_layers + 1):
+            x, sa_norm, ca_norm = self.block(i, x, sa_bias, fused, gates, dynamic_gates)
+            state.sa_norms.append(sa_norm)
+            state.ca_norms.append(ca_norm)
             state.states.append(x)
         final = ad.layer_norm(x, self.final_ln_gain, self.final_ln_bias)
         logits = self.head(final)
         return logits, state
 
+    def block(
+        self,
+        index: int,
+        x: Tensor,
+        sa_bias: np.ndarray,
+        fused: FusedKV | None,
+        gates: GateVector | None,
+        dynamic_gates: DynamicGates | None = None,
+    ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+        """One gated block (1-based ``index``): x + SA + g * CA, then the FFN.
 
-def assemble_input(
-    decoder: Decoder,
-    stage: str,
-    i_map: Tensor | None,
-    user_tokens: np.ndarray | None = None,
-) -> Tensor:
-    """Build the decoder's input embedding sequence T_0 for one stage.
-
-    Translation layout: [embed(bos); soft prompt; embed(sep)]. Task layout
-    appends embed(user_tokens). A ``None`` soft prompt (adapter ablated)
-    drops that block. Positional embeddings are added inside ``forward``,
-    not here. Supervised target embeddings are appended by the trainer after
-    assembly; this function never sees them.
-    """
-    if stage not in (STAGE_TRANSLATION, STAGE_TASK):
-        raise ConfigError(f"unknown stage {stage!r}")
-    if stage == STAGE_TASK and user_tokens is None:
-        raise ContractError("task stage requires user_tokens")
-    if i_map is not None:
-        batch = i_map.shape[0]
-    elif user_tokens is not None:
-        batch = np.asarray(user_tokens).shape[0]
-    else:
-        batch = 1
-    c = decoder.config
-    bos = decoder.embed_tokens(np.full((batch, 1), c.bos_id, dtype=np.int64))
-    sep = decoder.embed_tokens(np.full((batch, 1), c.sep_id, dtype=np.int64))
-    parts = [bos]
-    if i_map is not None:
-        parts.append(i_map)
-    parts.append(sep)
-    if stage == STAGE_TASK:
-        parts.append(decoder.embed_tokens(user_tokens))
-    return ad.concat(parts, axis=1)
-
-
-def ga_layer(decoder: Decoder, layer_index: int, t_prev: Tensor, h_k: Tensor, h_v: Tensor,
-             gate: Tensor, enc_valid: np.ndarray | None = None) -> Tensor:
-    """One attention-plus-feedforward block in isolation (1-based index).
-
-    Exposed for oracle tests; ``forward`` runs the same computation inline.
-    """
-    c = decoder.config
-    layer = decoder.layers[layer_index - 1]
-    batch, dec_len, _ = t_prev.shape
-    sa_bias = causal_bias(dec_len)
-    ca_bias = padding_bias(enc_valid) if enc_valid is not None else None
-    normed = ad.layer_norm(t_prev, layer["ln1_gain"], layer["ln1_bias"])
-    q = ad.matmul(normed, layer["wq"])
-    sa = ad.matmul(
-        attention(q, ad.matmul(normed, layer["wk"]), ad.matmul(normed, layer["wv"]), c.n_heads, bias=sa_bias),
-        layer["wo"],
-    )
-    ca = ad.matmul(
-        attention(q, ad.matmul(h_k, layer["wk"]), ad.matmul(h_v, layer["wv"]), c.n_heads, bias=ca_bias),
-        layer["wo"],
-    )
-    x = ad.add(ad.add(t_prev, sa), ad.mul(ca, gate))
-    normed2 = ad.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
-    ff = ad.matmul(ad.relu(ad.add(ad.matmul(normed2, layer["ff1_w"]), layer["ff1_b"])), layer["ff2_w"])
-    out = ad.add(x, ad.add(ff, layer["ff2_b"]))
-    if not np.all(np.isfinite(out.data)):
-        raise NumericError(f"non-finite activations leaving decoder layer {layer_index}")
-    return out
-
-
-def ga_layer_dynamic(decoder: Decoder, layer_index: int, t_prev: Tensor, h_k: Tensor,
-                     h_v: Tensor, dynamic_gates: DynamicGates,
-                     enc_valid: np.ndarray | None = None) -> Tensor:
-    """Gated block with the per-position tanh gate instead of the scalar."""
-    gate = dynamic_gates.gate_for(layer_index, t_prev)
-    return ga_layer(decoder, layer_index, t_prev, h_k, h_v, gate, enc_valid)
-
-
-def decoder_forward(decoder: Decoder, t0: Tensor, fused: FusedKV | None, gates: GateVector | None,
-                    valid: np.ndarray | None = None,
-                    dynamic_gates: DynamicGates | None = None) -> tuple[Tensor, DecoderState]:
-    return decoder.forward(t0, fused, gates, valid=valid, dynamic_gates=dynamic_gates)
+        Returns (block output, per-token SA output norms, per-token CA output
+        norms with the gate factor applied). Cross-attention reads
+        ``fused.pairs[index - 1]`` through the layer's own projections,
+        reusing the self-attention queries; with ``fused=None`` the block is
+        self-attention only and the CA norms are zero.
+        """
+        layer = self.layers[index - 1]
+        batch, dec_len, _ = x.shape
+        sa, q = self_attention(layer, x, self.config.n_heads, sa_bias)
+        if fused is not None:
+            h_k, h_v = fused.pairs[index - 1]
+            ca = ad.matmul(
+                attention(
+                    q,
+                    ad.matmul(h_k, layer["wk"]),
+                    ad.matmul(h_v, layer["wv"]),
+                    self.config.n_heads,
+                    bias=padding_bias(fused.mask),
+                ),
+                layer["wo"],
+            )
+            if dynamic_gates is not None:
+                gate = dynamic_gates.gate_for(index, x)
+            else:
+                gate = gates.values[index - 1]
+            gated = ad.mul(ca, gate)
+            out = ad.add(ad.add(x, sa), gated)
+            gate_mag = np.abs(gate.data if gate.ndim == 3 else gate.data.reshape(1, 1, 1))
+            ca_norm = (gate_mag * np.linalg.norm(ca.data, axis=-1, keepdims=True)).reshape(batch, dec_len)
+        else:
+            out = ad.add(x, sa)
+            ca_norm = np.zeros((batch, dec_len))
+        out = feed_forward(layer, out)
+        if not np.all(np.isfinite(out.data)):
+            raise NumericError(f"non-finite activations leaving decoder layer {index}")
+        return out, np.linalg.norm(sa.data, axis=-1), ca_norm
 
 
 def generate(

@@ -1,20 +1,23 @@
 """Frozen bidirectional transformer encoder exposing every layer's states.
 
 The encoder stands in for a large pretrained multilingual model: weights are
-random, seed-pinned, and never trained. Forward runs in plain numpy (no tape
-interaction is possible), and the returned states are marked read-only so
-downstream code cannot mutate what the frozen contract checksums.
+random, seed-pinned, and never trained. Forward runs the layer code shared
+with the decoder (``nn.self_attention`` and ``nn.feed_forward``); no weight
+requires grad, so those ops record nothing and run as plain numpy. The
+returned states are marked read-only so downstream code cannot mutate what
+the frozen contract checksums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, InputError
-from .nn import glorot
+from .nn import feed_forward, init_layer, padding_bias, self_attention
 
 
 @dataclass(frozen=True)
@@ -73,19 +76,6 @@ class LayerStack:
         return self.states[:-1]
 
 
-def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def _layer_norm_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / np.sqrt(var + eps) * gain + bias
-
-
 class Encoder:
     """Pre-norm encoder; H_0 is token+position embeddings, H_i the output of
     layer i with no extra final normalization."""
@@ -97,23 +87,7 @@ class Encoder:
         frozen = dict(requires_grad=False)
         self.tok_emb = Tensor(rng.normal(0, c.emb_scale, size=(c.vocab_size, c.d_enc)).astype(np.float32), **frozen)
         self.pos_emb = Tensor(rng.normal(0, c.pos_scale, size=(c.max_positions, c.d_enc)).astype(np.float32), **frozen)
-        self.layers = []
-        for _ in range(c.n_layers):
-            layer = {
-                "ln1_gain": Tensor(np.ones(c.d_enc, dtype=np.float32), **frozen),
-                "ln1_bias": Tensor(np.zeros(c.d_enc, dtype=np.float32), **frozen),
-                "wq": Tensor(glorot(rng, c.d_enc, c.d_enc), **frozen),
-                "wk": Tensor(glorot(rng, c.d_enc, c.d_enc), **frozen),
-                "wv": Tensor(glorot(rng, c.d_enc, c.d_enc), **frozen),
-                "wo": Tensor(glorot(rng, c.d_enc, c.d_enc), **frozen),
-                "ln2_gain": Tensor(np.ones(c.d_enc, dtype=np.float32), **frozen),
-                "ln2_bias": Tensor(np.zeros(c.d_enc, dtype=np.float32), **frozen),
-                "ff1_w": Tensor(glorot(rng, c.d_enc, c.d_ff), **frozen),
-                "ff1_b": Tensor(np.zeros(c.d_ff, dtype=np.float32), **frozen),
-                "ff2_w": Tensor(glorot(rng, c.d_ff, c.d_enc), **frozen),
-                "ff2_b": Tensor(np.zeros(c.d_enc, dtype=np.float32), **frozen),
-            }
-            self.layers.append(layer)
+        self.layers = [init_layer(rng, c.d_enc, c.d_ff) for _ in range(c.n_layers)]
 
     def named_params(self, prefix: str = "encoder") -> dict[str, Tensor]:
         out = {f"{prefix}.tok_emb": self.tok_emb, f"{prefix}.pos_emb": self.pos_emb}
@@ -143,33 +117,15 @@ class Encoder:
             if mask.shape != tokens.shape:
                 raise InputError(f"mask shape {mask.shape} != tokens shape {tokens.shape}")
 
-        h = self.tok_emb.data[tokens] + self.pos_emb.data[:src_len][None]
         # key-side padding bias: pads never attend into real positions
-        key_bias = np.where(~mask, np.float32(-1e9), np.float32(0.0))[:, None, None, :]
-        states = [h.copy()]
-        n_heads = c.n_heads
-        d_head = c.d_enc // n_heads
+        key_bias = padding_bias(mask)
+        h = Tensor(self.tok_emb.data[tokens] + self.pos_emb.data[:src_len][None])
+        states = [h.data]
         for layer in self.layers:
-            normed = _layer_norm_np(h, layer["ln1_gain"].data, layer["ln1_bias"].data)
-            q = normed @ layer["wq"].data
-            k = normed @ layer["wk"].data
-            v = normed @ layer["wv"].data
-
-            def heads(x):
-                return x.reshape(batch, src_len, n_heads, d_head).transpose(0, 2, 1, 3)
-
-            scores = heads(q) @ heads(k).transpose(0, 1, 3, 2) / np.sqrt(d_head)
-            weights = _softmax_np(scores + key_bias, axis=-1)
-            attended = (weights @ heads(v)).transpose(0, 2, 1, 3).reshape(batch, src_len, c.d_enc)
-            h = h + attended @ layer["wo"].data
-            normed = _layer_norm_np(h, layer["ln2_gain"].data, layer["ln2_bias"].data)
-            h = h + np.maximum(normed @ layer["ff1_w"].data + layer["ff1_b"].data, 0) @ layer["ff2_w"].data + layer["ff2_b"].data
-            states.append(h.copy())
+            attended, _ = self_attention(layer, h, c.n_heads, key_bias)
+            h = feed_forward(layer, ad.add(h, attended))
+            states.append(h.data)
         return LayerStack(states=states, mask=mask)
-
-
-def encoder_forward(encoder: Encoder, tokens, mask=None) -> LayerStack:
-    return encoder.forward(tokens, mask)
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Shared building blocks: linear maps, layer-norm parameters, attention.
+"""Shared building blocks: linear maps, attention, and the frozen layer.
 
 Modules here are thin parameter containers. They expose ``named_params`` so
 owners can compose flat ``{name: Tensor}`` dictionaries for the optimizer
-and the checkpoint writer; nothing registers itself globally.
+and the checkpoint writer; nothing registers itself globally. The frozen
+encoder and decoder share one pre-norm layer layout (``init_layer``) and run
+it through the same two sublayers, ``self_attention`` and ``feed_forward``.
 """
 
 from __future__ import annotations
@@ -38,18 +40,6 @@ class Linear:
         if self.bias is not None:
             out[f"{prefix}.bias"] = self.bias
         return out
-
-
-class LayerNormParams:
-    def __init__(self, d: int, trainable: bool = True, dtype=np.float32):
-        self.gain = Tensor(np.ones(d, dtype=dtype), requires_grad=trainable)
-        self.bias = Tensor(np.zeros(d, dtype=dtype), requires_grad=trainable)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias)
-
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -95,3 +85,46 @@ def padding_bias(valid: np.ndarray, dtype=np.float32) -> np.ndarray:
     """[B, S_k] validity -> [B, 1, 1, S_k] additive key mask."""
     blocked = ~np.asarray(valid, dtype=bool)
     return np.where(blocked, np.asarray(-1e9, dtype=dtype), np.asarray(0.0, dtype=dtype))[:, None, None, :]
+
+
+def init_layer(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Tensor]:
+    """Frozen (no-grad) weights of one pre-norm transformer layer of width ``d``.
+
+    Draws wq, wk, wv, wo, ff1_w, ff2_w from ``rng`` in that order; layer-norm
+    affines start at identity and biases at zero.
+    """
+    return {
+        "ln1_gain": Tensor(np.ones(d, dtype=np.float32)),
+        "ln1_bias": Tensor(np.zeros(d, dtype=np.float32)),
+        "wq": Tensor(glorot(rng, d, d)),
+        "wk": Tensor(glorot(rng, d, d)),
+        "wv": Tensor(glorot(rng, d, d)),
+        "wo": Tensor(glorot(rng, d, d)),
+        "ln2_gain": Tensor(np.ones(d, dtype=np.float32)),
+        "ln2_bias": Tensor(np.zeros(d, dtype=np.float32)),
+        "ff1_w": Tensor(glorot(rng, d, d_ff)),
+        "ff1_b": Tensor(np.zeros(d_ff, dtype=np.float32)),
+        "ff2_w": Tensor(glorot(rng, d_ff, d)),
+        "ff2_b": Tensor(np.zeros(d, dtype=np.float32)),
+    }
+
+
+def self_attention(layer: dict[str, Tensor], x: Tensor, n_heads: int,
+                   bias: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Pre-norm self-attention sublayer, residual not added.
+
+    Returns (output projected through ``wo``, queries); the queries come back
+    so a decoder can reuse them to read its cross-attention memory.
+    """
+    normed = ad.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
+    q = ad.matmul(normed, layer["wq"])
+    k = ad.matmul(normed, layer["wk"])
+    v = ad.matmul(normed, layer["wv"])
+    return ad.matmul(attention(q, k, v, n_heads, bias=bias), layer["wo"]), q
+
+
+def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:
+    """Pre-norm ReLU feed-forward sublayer with its residual: x + FFN(LN(x))."""
+    normed = ad.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
+    ff = ad.matmul(ad.relu(ad.add(ad.matmul(normed, layer["ff1_w"]), layer["ff1_b"])), layer["ff2_w"])
+    return ad.add(x, ad.add(ff, layer["ff2_b"]))

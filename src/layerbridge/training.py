@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import ParallelExample, SynthCorpus, Vocabulary
+from .data import ParallelExample, SynthCorpus, SynthSpec, Vocabulary
 from .errors import ConfigError, IngestionError, InputError
 from .model import AblationFlags, BridgedModel
 from .optim import AdamState, adam_step
@@ -39,7 +39,6 @@ class TrainPlan:
     seed: int = 0
     clip_norm: float | None = None
     trace_every: int = 10
-    ablations: AblationFlags = field(default_factory=AblationFlags)
 
     def __post_init__(self):
         if self.stage not in ("translation", "task"):
@@ -50,15 +49,6 @@ class TrainPlan:
             raise ConfigError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-
-    def trainable_set(self) -> frozenset[str]:
-        parts = {"adapter", "aligner", "gates"}
-        if self.ablations.no_adapter:
-            parts.discard("adapter")
-        if self.ablations.no_aligner:
-            parts.discard("aligner")
-            parts.discard("gates")
-        return frozenset(parts)
 
 
 def default_stage1_plan(**overrides) -> TrainPlan:
@@ -199,7 +189,7 @@ def _run_stage(
             step += 1
         epoch_losses.append(float(np.mean(losses)))
         if on_epoch_end is not None:
-            on_epoch_end(epoch, epoch_losses[-1])
+            on_epoch_end(epoch, epoch_losses[-1], step)
     trace.append(
         TraceRow(
             step=step,
@@ -356,7 +346,7 @@ def benchmark_spec(**overrides) -> SynthSpec:
     return SynthSpec(**fields)
 
 
-def plans_for(settings: SyntheticRunSettings, seed: int, ablations: AblationFlags) -> tuple[TrainPlan, TrainPlan]:
+def plans_for(settings: SyntheticRunSettings, seed: int) -> tuple[TrainPlan, TrainPlan]:
     p1 = TrainPlan(
         stage="translation",
         learning_rate=settings.stage1_lr,
@@ -365,7 +355,6 @@ def plans_for(settings: SyntheticRunSettings, seed: int, ablations: AblationFlag
         warmup_ratio=settings.warmup_ratio,
         seed=seed,
         trace_every=settings.trace_every,
-        ablations=ablations,
     )
     p2 = TrainPlan(
         stage="task",
@@ -375,7 +364,6 @@ def plans_for(settings: SyntheticRunSettings, seed: int, ablations: AblationFlag
         warmup_ratio=settings.warmup_ratio,
         seed=seed,
         trace_every=settings.trace_every,
-        ablations=ablations,
     )
     return p1, p2
 
@@ -412,7 +400,7 @@ def train_arm(
     digest_before = model.frozen_digest()
     results: list[TrainResult] = []
     if train:
-        p1, p2 = plans_for(settings, seed, ablations)
+        p1, p2 = plans_for(settings, seed)
         if not ablations.skip_stage1:
             results.append(train_stage1(model, p1, corpus.stage1, corpus.vocab))
         if not ablations.skip_stage2:

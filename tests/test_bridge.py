@@ -12,8 +12,6 @@ from layerbridge.bridge import (
     LayerWiseAligner,
     adapt,
     aligner_weight_matrix,
-    fuse,
-    fuse_subset,
     subset_from_spec,
 )
 from layerbridge.encoder import LayerStack
@@ -120,7 +118,7 @@ def test_fuse_matches_loop_oracle(rng):
     aligner.mixing_logits.data[...] = rng.normal(0, 1, size=aligner.mixing_logits.shape)
     stack = _stack(rng)
     for layer in (1, 2):
-        k, v = fuse(aligner, stack, layer)
+        k, v = aligner.fuse_one(stack, layer)
         want_k, want_v = _naive_fuse(aligner, stack, layer, range(3))
         assert np.allclose(k.data, want_k, atol=1e-5)
         assert np.allclose(v.data, want_v, atol=1e-5)
@@ -131,7 +129,7 @@ def test_fuse_subset_matches_loop_oracle(rng):
     aligner.mixing_logits.data[...] = rng.normal(0, 1, size=aligner.mixing_logits.shape)
     stack = _stack(rng)
     subset = LayerSubset(indices=(0, 2, 3))
-    k, v = fuse_subset(aligner, stack, 1, subset)
+    k, v = aligner.fuse_one(stack, 1, subset)
     want_k, want_v = _naive_fuse(aligner, stack, 1, (0, 2, 3))
     assert np.allclose(k.data, want_k, atol=1e-5)
     assert np.allclose(v.data, want_v, atol=1e-5)
@@ -143,7 +141,7 @@ def test_dominant_logit_selects_single_layer(rng):
     aligner = _aligner(rng)
     aligner.mixing_logits.data[0, 1] = 40.0
     stack = _stack(rng)
-    k, _ = fuse(aligner, stack, 1)
+    k, _ = aligner.fuse_one(stack, 1)
     only = [h.copy() for h in stack.states]
     for j in range(len(only)):
         if j != 1:
@@ -151,7 +149,7 @@ def test_dominant_logit_selects_single_layer(rng):
     for h in only:
         h.flags.writeable = False
     pinned = LayerStack(states=only, mask=stack.mask)
-    k_want, _ = fuse(aligner, pinned, 1)
+    k_want, _ = aligner.fuse_one(pinned, 1)
     assert np.allclose(k.data, k_want.data, atol=1e-5)
 
 
@@ -175,36 +173,36 @@ def test_weight_matrix_rows_sum_to_one_after_perturbation(rng):
 def test_final_state_excluded_from_default_range(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
-    k_before, _ = fuse(aligner, stack, 1)
+    k_before, _ = aligner.fuse_one(stack, 1)
     perturbed = [h.copy() for h in stack.states]
     perturbed[-1] = perturbed[-1] + 5.0
     for h in perturbed:
         h.flags.writeable = False
-    k_after, _ = fuse(aligner, LayerStack(states=perturbed, mask=stack.mask), 1)
+    k_after, _ = aligner.fuse_one(LayerStack(states=perturbed, mask=stack.mask), 1)
     assert np.array_equal(k_before.data, k_after.data)
 
 
 def test_support_state_changes_do_reach_output(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
-    k_before, _ = fuse(aligner, stack, 1)
+    k_before, _ = aligner.fuse_one(stack, 1)
     perturbed = [h.copy() for h in stack.states]
     perturbed[0] = perturbed[0] + 5.0
     for h in perturbed:
         h.flags.writeable = False
-    k_after, _ = fuse(aligner, LayerStack(states=perturbed, mask=stack.mask), 1)
+    k_after, _ = aligner.fuse_one(LayerStack(states=perturbed, mask=stack.mask), 1)
     assert not np.allclose(k_before.data, k_after.data)
 
 
 def test_batch_permutation_equivariance(rng):
     aligner = _aligner(rng, d_enc=8)
     stack = _stack(rng, batch=3)
-    k, _ = fuse(aligner, stack, 1)
+    k, _ = aligner.fuse_one(stack, 1)
     perm = [2, 0, 1]
     permuted = [h[perm].copy() for h in stack.states]
     for h in permuted:
         h.flags.writeable = False
-    k_perm, _ = fuse(aligner, LayerStack(states=permuted, mask=stack.mask[perm]), 1)
+    k_perm, _ = aligner.fuse_one(LayerStack(states=permuted, mask=stack.mask[perm]), 1)
     assert np.allclose(k.data[perm], k_perm.data, atol=1e-6)
 
 
@@ -212,7 +210,7 @@ def test_gradients_reach_mixing_logits_and_fusion_net(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
     with Tape() as tape:
-        k, v = fuse(aligner, stack, 2)
+        k, v = aligner.fuse_one(stack, 2)
         loss = sum_(mul(k, k)) + sum_(mul(v, v))
     backward(tape, loss)
     assert aligner.mixing_logits.grad is not None
@@ -229,7 +227,7 @@ def test_frozen_uniform_average_blocks_logit_gradient(rng):
     stack = _stack(rng)
     subset = subset_from_spec("average", 3)
     with Tape() as tape:
-        k, _ = fuse_subset(aligner, stack, 1, subset)
+        k, _ = aligner.fuse_one(stack, 1, subset)
         loss = sum_(mul(k, k))
     backward(tape, loss)
     assert aligner.mixing_logits.grad is None or np.all(aligner.mixing_logits.grad == 0)
@@ -239,9 +237,9 @@ def test_single_member_subset_ignores_logit_values(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
     subset = LayerSubset(indices=(2,))
-    k_a, _ = fuse_subset(aligner, stack, 1, subset)
+    k_a, _ = aligner.fuse_one(stack, 1, subset)
     aligner.mixing_logits.data[0, 2] = -31.0
-    k_b, _ = fuse_subset(aligner, stack, 1, subset)
+    k_b, _ = aligner.fuse_one(stack, 1, subset)
     assert np.allclose(k_a.data, k_b.data, atol=1e-7)
 
 
@@ -249,15 +247,15 @@ def test_layer_index_bounds(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
     with pytest.raises(ContractError):
-        fuse(aligner, stack, 0)
+        aligner.fuse_one(stack, 0)
     with pytest.raises(ContractError):
-        fuse(aligner, stack, 3)
+        aligner.fuse_one(stack, 3)
 
 
 def test_stack_depth_mismatch(rng):
     aligner = _aligner(rng, n_enc=5)
     with pytest.raises(ConfigError, match="5"):
-        fuse(aligner, _stack(rng, n_layers=3), 1)
+        aligner.fuse_one(_stack(rng, n_layers=3), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -134,17 +134,42 @@ def test_truncated_payload(tmp_path):
         load_checkpoint(path)
 
 
-def test_duplicate_tensor_entry(tmp_path):
-    path = save_checkpoint(tmp_path / "m.ckpt", make_ckpt())
+def rewrite_header(path, edit):
+    """Replace the JSON header of the checkpoint at ``path`` with ``edit(header)``."""
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", blob, 8)
-    header = json.loads(blob[16 : 16 + header_len])
-    header["tensors"].append(dict(header["tensors"][0]))
+    header = edit(json.loads(blob[16 : 16 + header_len]))
     new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    rebuilt = blob[:8] + struct.pack("<Q", len(new_header)) + new_header + blob[16 + header_len :]
-    path.write_bytes(rebuilt)
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(new_header)) + new_header + blob[16 + header_len :])
+
+
+def test_duplicate_tensor_entry(tmp_path):
+    path = save_checkpoint(tmp_path / "m.ckpt", make_ckpt())
+    rewrite_header(path, lambda h: {**h, "tensors": h["tensors"] + [h["tensors"][0]]})
     with pytest.raises(IngestionError, match="duplicate tensor"):
         load_checkpoint(path)
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+MALFORMED_HEADERS = {
+    "no tensors": lambda h: _without(h, "tensors"),
+    "no config_digest": lambda h: _without(h, "config_digest"),
+    "no shape": lambda h: {**h, "tensors": [_without(h["tensors"][0], "shape")]},
+    "header is a list": lambda h: [h],
+    "negative offset": lambda h: {**h, "tensors": [{**h["tensors"][0], "offset": -8}]},
+    "negative extent": lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [-1, 4]}]},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_header_is_ingestion_error(tmp_path, edit):
+    path = save_checkpoint(tmp_path / "m.ckpt", make_ckpt())
+    rewrite_header(path, edit)
+    with pytest.raises(IngestionError, match="m.ckpt"):
+        load_checkpoint(path, expected_digest="abc123")
 
 
 def test_duplicate_names_refused_on_save(tmp_path):

@@ -1,12 +1,13 @@
 """End-to-end CLI behavior: command outputs, determinism, exit codes."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from layerbridge.checkpoint import load_checkpoint
+from layerbridge.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint
 from layerbridge.cli import main, read_eval_csv, write_eval_csv
 from layerbridge.errors import IngestionError
 from layerbridge.training import EvalReport
@@ -211,6 +212,15 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["eval", str(tmp_path / "absent.bin"), "--config", cfg]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_eval_malformed_checkpoint_header_is_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    bad = tmp_path / "bad.bin"
+    header = b"[]"  # valid JSON, but not a header object
+    bad.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header)
+    assert main(["eval", str(bad), "--config", cfg]) == 4
+    assert "malformed checkpoint header" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

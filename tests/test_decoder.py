@@ -10,14 +10,10 @@ from layerbridge.decoder import (
     DecoderConfig,
     DynamicGates,
     GateVector,
-    assemble_input,
-    decoder_forward,
-    ga_layer,
-    ga_layer_dynamic,
     generate,
 )
 from layerbridge.errors import ConfigError, ContractError, NumericError
-from layerbridge.nn import attention, causal_bias, padding_bias
+from layerbridge.nn import causal_bias
 from conftest import assert_grad_matches
 
 
@@ -50,6 +46,20 @@ def _fused(rng, decoder, batch=2, src_len=3, zero=False):
     return FusedKV(pairs=pairs, mask=np.ones((batch, src_len), dtype=bool))
 
 
+def _block(decoder, t_prev, h_k, h_v, gates=None, dynamic_gates=None):
+    """Decoder layer 1 alone, reading one (K, V) memory whose positions are all valid."""
+    batch, src_len, _ = h_k.shape
+    fused = FusedKV(pairs=[(h_k, h_v)] * decoder.config.n_layers, mask=np.ones((batch, src_len), dtype=bool))
+    out, _, _ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates, dynamic_gates)
+    return out
+
+
+def _gates(decoder, first):
+    gates = GateVector(decoder.config.n_layers)
+    gates.values[0].data[0] = first
+    return gates
+
+
 # ---------------------------------------------------------------------------
 # gate behavior
 # ---------------------------------------------------------------------------
@@ -59,8 +69,8 @@ def test_zero_gates_equal_cross_attention_free_forward(decoder, rng):
     t0 = _t0(rng, decoder)
     fused = _fused(rng, decoder)
     gates = GateVector(decoder.config.n_layers)
-    with_ca, _ = decoder_forward(decoder, t0, fused, gates)
-    without_ca, _ = decoder_forward(decoder, t0, None, None)
+    with_ca, _ = decoder.forward(t0, fused, gates)
+    without_ca, _ = decoder.forward(t0, None, None)
     assert np.allclose(with_ca.data, without_ca.data, atol=1e-6)
 
 
@@ -75,9 +85,9 @@ def test_nonzero_gate_changes_logits(decoder, rng):
     t0 = _t0(rng, decoder)
     fused = _fused(rng, decoder)
     gates = GateVector(decoder.config.n_layers)
-    base, _ = decoder_forward(decoder, t0, fused, gates)
+    base, _ = decoder.forward(t0, fused, gates)
     gates.values[0].data[0] = 0.7
-    moved, _ = decoder_forward(decoder, t0, fused, gates)
+    moved, _ = decoder.forward(t0, fused, gates)
     assert not np.allclose(base.data, moved.data, atol=1e-6)
 
 
@@ -89,8 +99,8 @@ def test_zero_valued_kv_is_inert_even_with_open_gates(decoder, rng):
     gates = GateVector(decoder.config.n_layers)
     for g in gates.values:
         g.data[0] = 2.5
-    with_ca, _ = decoder_forward(decoder, t0, fused, gates)
-    without_ca, _ = decoder_forward(decoder, t0, None, None)
+    with_ca, _ = decoder.forward(t0, fused, gates)
+    without_ca, _ = decoder.forward(t0, None, None)
     assert np.allclose(with_ca.data, without_ca.data, atol=1e-5)
 
 
@@ -102,20 +112,20 @@ def test_perturbing_fused_inputs_respects_gates(decoder, rng):
         mask=fused.mask,
     )
     zero_gates = GateVector(decoder.config.n_layers)
-    a, _ = decoder_forward(decoder, t0, fused, zero_gates)
-    b, _ = decoder_forward(decoder, t0, bumped, zero_gates)
+    a, _ = decoder.forward(t0, fused, zero_gates)
+    b, _ = decoder.forward(t0, bumped, zero_gates)
     assert np.allclose(a.data, b.data, atol=1e-7)
 
     open_gates = GateVector(decoder.config.n_layers)
     for g in open_gates.values:
         g.data[0] = 1.0
-    a, _ = decoder_forward(decoder, t0, fused, open_gates)
-    b, _ = decoder_forward(decoder, t0, bumped, open_gates)
+    a, _ = decoder.forward(t0, fused, open_gates)
+    b, _ = decoder.forward(t0, bumped, open_gates)
     assert not np.allclose(a.data, b.data, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
-# ga_layer against an independent two-pass oracle
+# Decoder.block against an independent two-pass oracle
 # ---------------------------------------------------------------------------
 
 
@@ -144,7 +154,7 @@ def _np_attention(q, k, v, n_heads, bias):
     return out.transpose(0, 2, 1, 3).reshape(b, s_q, d)
 
 
-def _oracle_ga_layer(decoder, idx, t_prev, h_k, h_v, gate):
+def _oracle_block(decoder, idx, t_prev, h_k, h_v, gate):
     """float64 two-pass recomputation of one gated block."""
     layer = decoder.layers[idx - 1]
     w = {k: v.data.astype(np.float64) for k, v in layer.items()}
@@ -165,9 +175,8 @@ def test_ga_layer_matches_two_pass_oracle(decoder, rng):
     t_prev = Tensor(rng.normal(0, 1, size=(2, 4, 16)).astype(np.float32))
     h_k = Tensor(rng.normal(0, 1, size=(2, 3, 16)).astype(np.float32))
     h_v = Tensor(rng.normal(0, 1, size=(2, 3, 16)).astype(np.float32))
-    gate = Tensor(np.array([0.6], dtype=np.float32))
-    got = ga_layer(decoder, 1, t_prev, h_k, h_v, gate)
-    want = _oracle_ga_layer(decoder, 1, t_prev.data, h_k.data, h_v.data, 0.6)
+    got = _block(decoder, t_prev, h_k, h_v, gates=_gates(decoder, 0.6))
+    want = _oracle_block(decoder, 1, t_prev.data, h_k.data, h_v.data, 0.6)
     assert np.allclose(got.data, want, atol=1e-5)
 
 
@@ -177,8 +186,8 @@ def test_dynamic_gate_with_constant_bias_equals_static_tanh(decoder, rng):
     h_v = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float32))
     dyn = DynamicGates(decoder.config.n_layers, 16)
     dyn.nets[0]["bias"].data[0] = 0.9
-    got = ga_layer_dynamic(decoder, 1, t_prev, h_k, h_v, dyn)
-    static = ga_layer(decoder, 1, t_prev, h_k, h_v, Tensor(np.tanh(np.array([0.9], dtype=np.float32))))
+    got = _block(decoder, t_prev, h_k, h_v, dynamic_gates=dyn)
+    static = _block(decoder, t_prev, h_k, h_v, gates=_gates(decoder, np.tanh(np.float32(0.9))))
     assert np.allclose(got.data, static.data, atol=1e-6)
 
 
@@ -186,8 +195,8 @@ def test_zero_initialized_dynamic_gates_reduce_to_baseline(decoder, rng):
     t0 = _t0(rng, decoder)
     fused = _fused(rng, decoder)
     dyn = DynamicGates(decoder.config.n_layers, decoder.config.d_dec)
-    with_dyn, _ = decoder_forward(decoder, t0, fused, None, dynamic_gates=dyn)
-    without, _ = decoder_forward(decoder, t0, None, None)
+    with_dyn, _ = decoder.forward(t0, fused, None, dynamic_gates=dyn)
+    without, _ = decoder.forward(t0, None, None)
     assert np.allclose(with_dyn.data, without.data, atol=1e-6)
 
 
@@ -201,7 +210,7 @@ def test_dynamic_gate_gradients_match_finite_differences(decoder, rng):
     params = [dyn.nets[0]["weight"], dyn.nets[0]["bias"]]
 
     def loss():
-        out = ga_layer_dynamic(decoder, 1, t_prev, h_k, h_v, dyn)
+        out = _block(decoder, t_prev, h_k, h_v, dynamic_gates=dyn)
         return mean(mul(out, out))
 
     assert_grad_matches(loss, params, h=1e-5, rtol=1e-3)
@@ -215,11 +224,11 @@ def test_dynamic_gate_gradients_match_finite_differences(decoder, rng):
 def test_causality_no_future_leakage(decoder, rng):
     tokens = rng.integers(4, 32, size=(1, 6))
     t0 = decoder.embed_tokens(tokens)
-    logits_a, _ = decoder_forward(decoder, t0, None, None)
+    logits_a, _ = decoder.forward(t0, None, None)
     mutated = tokens.copy()
     mutated[0, 4] = (mutated[0, 4] + 7) % 28 + 4
     t0_b = decoder.embed_tokens(mutated)
-    logits_b, _ = decoder_forward(decoder, t0_b, None, None)
+    logits_b, _ = decoder.forward(t0_b, None, None)
     assert np.allclose(logits_a.data[0, :4], logits_b.data[0, :4], atol=1e-6)
     assert not np.allclose(logits_a.data[0, 4:], logits_b.data[0, 4:], atol=1e-6)
 
@@ -244,14 +253,14 @@ def test_all_decoder_parameters_frozen(decoder):
 def test_nonfinite_activation_raises_numeric_error(decoder):
     t0 = Tensor(np.full((1, 2, 16), np.inf, dtype=np.float32))
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 1"):
-        decoder_forward(decoder, t0, None, None)
+        decoder.forward(t0, None, None)
 
 
 def test_norm_records_have_layer_and_token_shape(decoder, rng):
     t0 = _t0(rng, decoder, batch=2, length=5)
     fused = _fused(rng, decoder)
     gates = GateVector(decoder.config.n_layers)
-    _, state = decoder_forward(decoder, t0, fused, gates)
+    _, state = decoder.forward(t0, fused, gates)
     assert len(state.sa_norms) == decoder.config.n_layers
     assert len(state.ca_norms) == decoder.config.n_layers
     for sa, ca in zip(state.sa_norms, state.ca_norms):
@@ -265,51 +274,15 @@ def test_gate_doubling_doubles_recorded_ca_norm(decoder, rng):
     fused = _fused(rng, decoder)
     gates = GateVector(decoder.config.n_layers)
     gates.values[0].data[0] = 0.4
-    _, state_a = decoder_forward(decoder, t0, fused, gates)
+    _, state_a = decoder.forward(t0, fused, gates)
     gates.values[0].data[0] = 0.8
-    _, state_b = decoder_forward(decoder, t0, fused, gates)
+    _, state_b = decoder.forward(t0, fused, gates)
     assert np.array_equal(state_b.ca_norms[0], 2.0 * state_a.ca_norms[0])
 
 
 # ---------------------------------------------------------------------------
-# input assembly and generation
+# generation
 # ---------------------------------------------------------------------------
-
-
-def test_assemble_translation_layout(decoder, rng):
-    i_map = Tensor(rng.normal(0, 1, size=(2, 3, 16)).astype(np.float32))
-    t0 = assemble_input(decoder, "translation", i_map)
-    assert t0.shape == (2, 5, 16)  # bos + 3 prompt + sep
-    bos_emb = decoder.tok_emb.data[decoder.config.bos_id]
-    sep_emb = decoder.tok_emb.data[decoder.config.sep_id]
-    assert np.allclose(t0.data[:, 0], bos_emb, atol=0)
-    assert np.allclose(t0.data[:, 4], sep_emb, atol=0)
-    assert np.allclose(t0.data[:, 1:4], i_map.data, atol=0)
-
-
-def test_assemble_task_layout_appends_user_turn(decoder, rng):
-    i_map = Tensor(rng.normal(0, 1, size=(1, 2, 16)).astype(np.float32))
-    user = np.array([[5, 6, 7]])
-    t0 = assemble_input(decoder, "task", i_map, user)
-    assert t0.shape == (1, 7, 16)
-    assert np.allclose(t0.data[0, 4:], decoder.tok_emb.data[user[0]], atol=0)
-
-
-def test_assemble_task_without_user_tokens_is_contract_error(decoder, rng):
-    i_map = Tensor(rng.normal(0, 1, size=(1, 2, 16)).astype(np.float32))
-    with pytest.raises(ContractError):
-        assemble_input(decoder, "task", i_map)
-
-
-def test_assemble_unknown_stage(decoder):
-    with pytest.raises(ConfigError):
-        assemble_input(decoder, "pretrain", None)
-
-
-def test_assemble_without_soft_prompt_drops_block(decoder):
-    user = np.array([[5, 6]])
-    t0 = assemble_input(decoder, "task", None, user)
-    assert t0.shape == (1, 4, 16)  # bos + sep + 2 user
 
 
 def test_generate_budget_one_returns_one_token(decoder, rng):
@@ -376,7 +349,7 @@ def test_layer_count_mismatch_between_fused_and_decoder(decoder, rng):
     pairs = [(Tensor(np.zeros((2, 3, 16), dtype=np.float32)),) * 2]
     fused = FusedKV(pairs=pairs, mask=np.ones((2, 3), dtype=bool))
     with pytest.raises(ConfigError, match="1 layers"):
-        decoder_forward(decoder, t0, fused, GateVector(decoder.config.n_layers))
+        decoder.forward(t0, fused, GateVector(decoder.config.n_layers))
 
 
 def test_exactly_one_gate_source_enforced(decoder, rng):
@@ -385,6 +358,6 @@ def test_exactly_one_gate_source_enforced(decoder, rng):
     gates = GateVector(decoder.config.n_layers)
     dyn = DynamicGates(decoder.config.n_layers, decoder.config.d_dec)
     with pytest.raises(ConfigError, match="gate source"):
-        decoder_forward(decoder, t0, fused, gates, dynamic_gates=dyn)
+        decoder.forward(t0, fused, gates, dynamic_gates=dyn)
     with pytest.raises(ConfigError, match="gate source"):
-        decoder_forward(decoder, t0, fused, None)
+        decoder.forward(t0, fused, None)

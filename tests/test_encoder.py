@@ -9,7 +9,6 @@ from layerbridge.encoder import (
     Encoder,
     EncoderConfig,
     LayerStack,
-    encoder_forward,
     layer_similarity_profile,
 )
 from layerbridge.errors import ConfigError, InputError
@@ -181,10 +180,3 @@ def test_unknown_reference_rejected(encoder, rng):
     with pytest.raises(ConfigError):
         layer_similarity_profile(stack, reference="middle")
 
-
-def test_encoder_forward_wrapper_equivalent(encoder, rng):
-    tokens = _tokens(rng, 2, 4)
-    a = encoder.forward(tokens)
-    b = encoder_forward(encoder, tokens)
-    for x, y in zip(a.states, b.states):
-        assert np.array_equal(x, y)

@@ -37,6 +37,10 @@ def logits_from_stack(model, stack, stage, src_seqs):
     return logits.data
 
 
+def embeddings(model, ids):
+    return model.decoder.tok_emb.data[np.asarray(ids)]
+
+
 def perturbed(stack: LayerStack, layer: int, eps: float = 0.5) -> LayerStack:
     states = [s.copy() for s in stack.states]
     states[layer] = states[layer] + eps
@@ -60,6 +64,16 @@ def test_translation_packing_layout(model):
     want_mask = np.array([[0, 0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 1, 1]], dtype=bool)
     assert np.array_equal(packed.labels, want_labels)
     assert np.array_equal(packed.loss_mask, want_mask)
+    # row values: frame markers, the adapter's soft prompt, then target embeddings
+    i_map, _ = model.bridge_outputs(model.encode_sources(SRC))
+    t0 = packed.t0.data
+    assert np.array_equal(t0[:, 0], embeddings(model, [DC.bos_id] * 2))
+    assert np.array_equal(t0[0, 1:4], i_map.data[0, :3])
+    assert np.array_equal(t0[1, 1:2], i_map.data[1, :1])
+    assert np.array_equal(t0[0, 4], embeddings(model, DC.sep_id))
+    assert np.array_equal(t0[1, 2], embeddings(model, DC.sep_id))
+    assert np.array_equal(t0[0, 5:7], embeddings(model, TGT[0]))
+    assert np.array_equal(t0[1, 3:7], embeddings(model, TGT[1]))
 
 
 def test_task_packing_appends_user_tokens(model):
@@ -68,6 +82,9 @@ def test_task_packing_appends_user_tokens(model):
     assert packed.prompt_lens == [8, 4]
     assert packed.user_spans == [(5, 3), (3, 1)]
     assert packed.t0.shape[1] == 10
+    t0 = packed.t0.data
+    assert np.array_equal(t0[0, 5:8], embeddings(model, SRC[0]))
+    assert np.array_equal(t0[1, 3:4], embeddings(model, SRC[1]))
 
 
 def test_supervision_starts_on_last_prompt_position(model):
@@ -90,6 +107,10 @@ def test_no_adapter_drops_soft_prompt():
     _, _, packed = m.forward_batch("task", SRC, TGT)
     assert packed.prompt_lens == [5, 3]
     assert packed.user_spans == [(2, 3), (2, 1)]
+    # [bos; sep; user(p); targets]
+    t0 = packed.t0.data
+    assert np.array_equal(t0[0, :2], embeddings(m, [DC.bos_id, DC.sep_id]))
+    assert np.array_equal(t0[0, 2:5], embeddings(m, SRC[0]))
 
 
 def test_packing_overflow_raises(model):
@@ -106,6 +127,16 @@ def test_unknown_stage_rejected(model):
 def test_loss_requires_nonempty_targets(model):
     with pytest.raises(ContractError, match="nonempty target"):
         model.loss_on_batch("translation", SRC, [np.array([10]), np.array([], dtype=np.int64)])
+
+
+def test_default_forward_is_float32():
+    m = BridgedModel(EncoderConfig(), DecoderConfig(), seed=0)
+    for i, h in enumerate(m.encode_sources(SRC).states):
+        assert h.dtype == np.float32, f"H_{i} is {h.dtype}"
+    logits, state, packed = m.forward_batch("task", SRC, TGT)
+    assert packed.t0.dtype == np.float32
+    assert all(x.dtype == np.float32 for x in state.states)
+    assert logits.dtype == np.float32
 
 
 def test_encode_sources_masks_padding(model):
@@ -164,6 +195,7 @@ def test_trainable_params_respect_ablations():
 
     no_ad = BridgedModel(EC, DC, ablations=AblationFlags(no_adapter=True), seed=0).trainable_params()
     assert not any(n.startswith("adapter.") for n in no_ad)
+    assert {name.split(".")[0] for name in no_ad} == {"aligner", "gates"}
 
     no_al = BridgedModel(EC, DC, ablations=AblationFlags(no_aligner=True), seed=0).trainable_params()
     assert {name.split(".")[0] for name in no_al} == {"adapter"}

@@ -15,7 +15,7 @@ from layerbridge.data import ParallelExample, SynthSpec, Vocabulary, generate_sy
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig
 from layerbridge.errors import ConfigError, IngestionError
-from layerbridge.model import AblationFlags, BridgedModel
+from layerbridge.model import BridgedModel
 from layerbridge.training import (
     DEFAULT_BATCH,
     DEFAULT_EPOCHS,
@@ -93,21 +93,9 @@ def test_plan_validation(kwargs):
         TrainPlan(**base)
 
 
-def test_trainable_set_follows_ablations():
-    assert TrainPlan(stage="task", learning_rate=1e-3).trainable_set() == {
-        "adapter",
-        "aligner",
-        "gates",
-    }
-    no_ad = TrainPlan(stage="task", learning_rate=1e-3, ablations=AblationFlags(no_adapter=True))
-    assert no_ad.trainable_set() == {"aligner", "gates"}
-    no_al = TrainPlan(stage="task", learning_rate=1e-3, ablations=AblationFlags(no_aligner=True))
-    assert no_al.trainable_set() == {"adapter"}
-
-
 def test_plans_for_builds_both_stages():
     settings = SyntheticRunSettings()
-    p1, p2 = plans_for(settings, seed=9, ablations=AblationFlags())
+    p1, p2 = plans_for(settings, seed=9)
     assert p1.stage == "translation" and p2.stage == "task"
     assert p1.learning_rate == settings.stage1_lr
     assert p2.learning_rate == settings.stage2_lr
@@ -130,6 +118,19 @@ def test_corpus_stage_tags_checked():
     plan = TrainPlan(stage="task", learning_rate=1e-3)
     with pytest.raises(IngestionError, match="tagged 'translation'"):
         train_stage2(model, plan, [translation_example()], VOCAB)
+
+
+def test_epoch_callback_sees_steps_so_far():
+    model = BridgedModel(EC, DC, seed=0)
+    plan = TrainPlan(stage="translation", learning_rate=1e-3, epochs=3, batch_size=2)
+    seen = []
+    result = train_stage1(
+        model, plan, [translation_example()] * 5, VOCAB,
+        on_epoch_end=lambda epoch, loss, steps: seen.append((epoch, steps)),
+    )
+    steps_per_epoch = 3  # ceil(5 / 2)
+    assert seen == [(k, (k + 1) * steps_per_epoch) for k in range(3)]
+    assert result.steps == seen[-1][1]
 
 
 def test_empty_corpus_rejected():
