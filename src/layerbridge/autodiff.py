@@ -284,8 +284,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes))
-    inverse = tuple(int(i) for i in np.argsort(axes))
+    out = Tensor(x.data.transpose(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def rule(g):
         return (np.transpose(g, inverse),)
@@ -401,9 +401,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must be ({d},), got {gain.shape} and {bias.shape}")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
+    # add.reduce / d is np.mean's arithmetic without its Python-level wrapper
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centered = x.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = Tensor(xhat * gain.data + bias.data)

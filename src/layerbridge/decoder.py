@@ -10,6 +10,9 @@ only the gates (and bridge parameters), never the decoder weights.
 The dynamic-gate variant replaces each scalar with a per-position value
 squashed through tanh from a tiny linear read of the layer's incoming
 hidden state.
+
+Greedy decoding runs the same forward pass through a ``DecodeCache``: the
+prompt once, then one position per emitted token.
 """
 
 from __future__ import annotations
@@ -121,6 +124,23 @@ class DecoderState:
     ca_norms: list[np.ndarray] = field(default_factory=list)
 
 
+@dataclass
+class DecodeCache:
+    """What one greedy decode carries from step to step, keyed by 1-based layer.
+
+    ``self_kv`` holds each layer's self-attention keys and values for every
+    position fed so far, [1, offset, d_dec] each, before the head split.
+    ``cross_kv`` holds each layer's fused memory projected through ``wk`` and
+    ``wv``; it is filled on the first call and reused after, so every call
+    sharing a cache must pass the same ``FusedKV``. ``offset`` is the number
+    of positions fed so far.
+    """
+
+    self_kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    cross_kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    offset: int = 0
+
+
 class Decoder:
     """Pre-norm causal transformer, random-initialized then frozen."""
 
@@ -168,19 +188,31 @@ class Decoder:
         gates: GateVector | None,
         valid: np.ndarray | None = None,
         dynamic_gates: DynamicGates | None = None,
+        cache: DecodeCache | None = None,
     ) -> tuple[Tensor, DecoderState]:
         """Run all layers and the output head. Returns (logits, state).
 
         ``fused=None`` removes cross-attention entirely (self-attention-only
         decoder). Exactly one of ``gates`` / ``dynamic_gates`` drives CA when
         ``fused`` is present.
+
+        With a ``cache``, ``t0`` continues the single sequence the cache holds:
+        positions start at ``cache.offset``, and the call appends its keys
+        and values to the cache. The first call feeds the whole prompt
+        causally; every later call feeds one position, which sees every
+        cached key.
         """
         c = self.config
         batch, dec_len, d = t0.shape
+        offset = 0 if cache is None else cache.offset
         if d != c.d_dec:
             raise ConfigError(f"T_0 width {d} != d_dec {c.d_dec}")
-        if dec_len > c.max_positions:
-            raise ConfigError(f"sequence length {dec_len} exceeds max_positions {c.max_positions}")
+        if offset + dec_len > c.max_positions:
+            raise ConfigError(
+                f"sequence length {offset + dec_len} exceeds max_positions {c.max_positions}"
+            )
+        if offset and (batch, dec_len) != (1, 1):
+            raise ContractError(f"a cached step feeds one position of one sequence, got {batch}x{dec_len}")
         if fused is not None:
             if fused.n_layers != c.n_layers:
                 raise ConfigError(
@@ -190,15 +222,17 @@ class Decoder:
                 raise ConfigError("exactly one gate source must accompany fused K/V")
         if valid is None:
             valid = np.ones((batch, dec_len), dtype=bool)
-        sa_bias = causal_bias(dec_len) + padding_bias(valid)
+        sa_bias = None if offset else causal_bias(dec_len) + padding_bias(valid)
 
-        x = ad.add(t0, Tensor(self.pos_emb.data[:dec_len][None]))
+        x = ad.add(t0, Tensor(self.pos_emb.data[offset : offset + dec_len][None]))
         state = DecoderState(states=[t0], valid=valid)
         for i in range(1, c.n_layers + 1):
-            x, sa_norm, ca_norm = self.block(i, x, sa_bias, fused, gates, dynamic_gates)
+            x, sa_norm, ca_norm = self.block(i, x, sa_bias, fused, gates, dynamic_gates, cache)
             state.sa_norms.append(sa_norm)
             state.ca_norms.append(ca_norm)
             state.states.append(x)
+        if cache is not None:
+            cache.offset += dec_len
         final = ad.layer_norm(x, self.final_ln_gain, self.final_ln_bias)
         logits = self.head(final)
         return logits, state
@@ -207,10 +241,11 @@ class Decoder:
         self,
         index: int,
         x: Tensor,
-        sa_bias: np.ndarray,
+        sa_bias: np.ndarray | None,
         fused: FusedKV | None,
         gates: GateVector | None,
         dynamic_gates: DynamicGates | None = None,
+        cache: DecodeCache | None = None,
     ) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """One gated block (1-based ``index``): x + SA + g * CA, then the FFN.
 
@@ -218,21 +253,24 @@ class Decoder:
         norms with the gate factor applied). Cross-attention reads
         ``fused.pairs[index - 1]`` through the layer's own projections,
         reusing the self-attention queries; with ``fused=None`` the block is
-        self-attention only and the CA norms are zero.
+        self-attention only and the CA norms are zero. A ``cache`` supplies
+        and collects this layer's keys and values (see ``DecodeCache``).
         """
         layer = self.layers[index - 1]
         batch, dec_len, _ = x.shape
-        sa, q = self_attention(layer, x, self.config.n_heads, sa_bias)
+        past = None if cache is None else cache.self_kv.get(index)
+        sa, q, self_kv = self_attention(layer, x, self.config.n_heads, sa_bias, past)
+        if cache is not None:
+            cache.self_kv[index] = self_kv
         if fused is not None:
-            h_k, h_v = fused.pairs[index - 1]
+            memory = None if cache is None else cache.cross_kv.get(index)
+            if memory is None:
+                h_k, h_v = fused.pairs[index - 1]
+                memory = (ad.matmul(h_k, layer["wk"]), ad.matmul(h_v, layer["wv"]))
+                if cache is not None:
+                    cache.cross_kv[index] = memory
             ca = ad.matmul(
-                attention(
-                    q,
-                    ad.matmul(h_k, layer["wk"]),
-                    ad.matmul(h_v, layer["wv"]),
-                    self.config.n_heads,
-                    bias=padding_bias(fused.mask),
-                ),
+                attention(q, *memory, self.config.n_heads, bias=padding_bias(fused.mask)),
                 layer["wo"],
             )
             if dynamic_gates is not None:
@@ -262,8 +300,10 @@ def generate(
 ) -> list[int]:
     """Greedy decoding from an assembled prompt [1, P, d_dec].
 
-    Appends the argmax token's embedding and re-runs the stack each step (no
-    KV cache at this scale). Stops at the end marker or the budget; the end
+    Feeds the prompt once, then only each emitted token's embedding, through
+    a ``DecodeCache`` that keeps every layer's self-attention keys and values
+    and its projected cross-attention memory. Stops at the end marker, at the
+    budget, or when the sequence length reaches ``max_positions``; the end
     marker itself is not returned.
     """
     if max_new_tokens < 1:
@@ -271,15 +311,16 @@ def generate(
     if prompt.shape[0] != 1:
         raise ContractError(f"generate works on a single sequence, got batch {prompt.shape[0]}")
     c = decoder.config
+    cache = DecodeCache()
     out: list[int] = []
     t0 = prompt
     for _ in range(max_new_tokens):
-        if t0.shape[1] >= c.max_positions:
+        if cache.offset + t0.shape[1] >= c.max_positions:
             break
-        logits, _ = decoder.forward(t0, fused, gates, dynamic_gates=dynamic_gates)
+        logits, _ = decoder.forward(t0, fused, gates, dynamic_gates=dynamic_gates, cache=cache)
         next_id = int(np.argmax(logits.data[0, -1]))
         if next_id == c.eos_id:
             break
         out.append(next_id)
-        t0 = ad.concat([t0, decoder.embed_tokens(np.array([[next_id]]))], axis=1)
+        t0 = decoder.embed_tokens(np.array([[next_id]]))
     return out

@@ -109,18 +109,26 @@ def init_layer(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Tensor]
     }
 
 
-def self_attention(layer: dict[str, Tensor], x: Tensor, n_heads: int,
-                   bias: np.ndarray) -> tuple[Tensor, Tensor]:
+def self_attention(
+    layer: dict[str, Tensor], x: Tensor, n_heads: int, bias: np.ndarray | None,
+    past: tuple[Tensor, Tensor] | None = None,
+) -> tuple[Tensor, Tensor, tuple[Tensor, Tensor]]:
     """Pre-norm self-attention sublayer, residual not added.
 
-    Returns (output projected through ``wo``, queries); the queries come back
-    so a decoder can reuse them to read its cross-attention memory.
+    Returns (output projected through ``wo``, queries, (keys, values)); the
+    queries come back so a decoder can reuse them to read its cross-attention
+    memory. ``past`` holds the keys and values of earlier positions of the
+    same sequence, [B, S_past, D] each; they go in front of this call's, and
+    the returned pair is the extended one, so a decoder can cache it.
     """
     normed = ad.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
     q = ad.matmul(normed, layer["wq"])
     k = ad.matmul(normed, layer["wk"])
     v = ad.matmul(normed, layer["wv"])
-    return ad.matmul(attention(q, k, v, n_heads, bias=bias), layer["wo"]), q
+    if past is not None:
+        k = ad.concat([past[0], k], axis=1)
+        v = ad.concat([past[1], v], axis=1)
+    return ad.matmul(attention(q, k, v, n_heads, bias=bias), layer["wo"]), q, (k, v)
 
 
 def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:

@@ -108,6 +108,8 @@ def test_reshape_transpose_gradient(rng):
     assert_grad_matches(
         lambda: sum_(mul(transpose(reshape(x, (6, 4)), (1, 0)), 1.5)), [x]
     )
+    w = _t(rng, 3, 4, 2)  # (1, 2, 0) is not its own inverse
+    assert_grad_matches(lambda: sum_(mul(transpose(x, (1, 2, 0)), w)), [x])
 
 
 def test_narrow_gradient_and_scatter(rng):
@@ -171,6 +173,19 @@ def test_layer_norm_gradient(rng):
         [x, gain, bias],
         rtol=1e-5,
     )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_matches_numpy_mean_bitwise(rng, dtype):
+    x = (rng.normal(0.0, 3.0, size=(4, 7, 128)) + 5.0).astype(dtype)
+    gain = rng.normal(1.0, 0.1, size=128).astype(dtype)
+    bias = rng.normal(0.0, 0.1, size=128).astype(dtype)
+    mu = np.mean(x, axis=-1, keepdims=True)
+    var = np.mean((x - mu) * (x - mu), axis=-1, keepdims=True)
+    expected = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
+    got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_cross_entropy_gradient(rng):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from layerbridge.autodiff import Tape, Tensor, backward, mean, mul, sum_
+from layerbridge.autodiff import Tape, Tensor, backward, concat, mean, mul, sum_
 from layerbridge.bridge import FusedKV
 from layerbridge.decoder import (
+    DecodeCache,
     Decoder,
     DecoderConfig,
     DynamicGates,
@@ -319,6 +320,78 @@ def test_generate_rejects_batched_prompt(decoder, rng):
     prompt = _t0(rng, decoder, batch=2, length=2)
     with pytest.raises(ContractError):
         generate(decoder, prompt, None, None, max_new_tokens=1)
+
+
+def test_generate_stops_at_max_positions(config, rng):
+    rigged = Decoder(config, seed=11)
+    rigged.head.bias.data[...] = 0.0
+    rigged.head.bias.data[7] = 1e4  # never eos
+    for length, expected in ((config.max_positions - 2, [7, 7]), (config.max_positions, [])):
+        prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, length)))
+        assert generate(rigged, prompt, None, None, max_new_tokens=5) == expected
+
+
+def test_cached_forward_checks_offset_plus_length(decoder, rng):
+    cache = DecodeCache()
+    decoder.forward(_t0(rng, decoder, batch=1, length=decoder.config.max_positions), None, None, cache=cache)
+    with pytest.raises(ConfigError, match="exceeds max_positions"):
+        decoder.forward(_t0(rng, decoder, batch=1, length=1), None, None, cache=cache)
+
+
+def test_cached_step_takes_one_position(decoder, rng):
+    cache = DecodeCache()
+    decoder.forward(_t0(rng, decoder, batch=1, length=3), None, None, cache=cache)
+    with pytest.raises(ContractError, match="one position"):
+        decoder.forward(_t0(rng, decoder, batch=1, length=2), None, None, cache=cache)
+
+
+def _recompute_generate(decoder, prompt, fused, gates, max_new_tokens, dynamic_gates=None):
+    """Reference greedy decode: re-run the whole prefix for every token."""
+    c = decoder.config
+    out, t0 = [], prompt
+    for _ in range(max_new_tokens):
+        if t0.shape[1] >= c.max_positions:
+            break
+        logits, _ = decoder.forward(t0, fused, gates, dynamic_gates=dynamic_gates)
+        next_id = int(np.argmax(logits.data[0, -1]))
+        if next_id == c.eos_id:
+            break
+        out.append(next_id)
+        t0 = concat([t0, decoder.embed_tokens(np.array([[next_id]]))], axis=1)
+    return out
+
+
+def _gate_sources(decoder, rng):
+    n, d = decoder.config.n_layers, decoder.config.d_dec
+    fused = _fused(rng, decoder, batch=1, src_len=5)
+    fused.mask[0, [1, 3]] = False
+    gates = GateVector(n)
+    for g in gates.values:
+        g.data[0] = rng.uniform(0.25, 0.75)
+    dyn = DynamicGates(n, d)
+    for net in dyn.nets:
+        net["weight"].data[...] = rng.normal(0, 0.3, size=(d, 1))
+        net["bias"].data[0] = rng.uniform(0.25, 0.75)
+    return [(None, None, None), (fused, gates, None), (fused, None, dyn)]
+
+
+def test_generate_matches_full_recompute(decoder, rng):
+    c = decoder.config
+    for fused, gates, dyn in _gate_sources(decoder, rng):
+        for _ in range(4):
+            prompt = _t0(rng, decoder, batch=1, length=int(rng.integers(2, 6)))
+            expected = _recompute_generate(decoder, prompt, fused, gates, c.max_positions, dyn)
+            assert generate(decoder, prompt, fused, gates, c.max_positions, dynamic_gates=dyn) == expected
+
+            # step by step: each cached step's last row is the full forward's last row
+            cache, t0, step = DecodeCache(), prompt, prompt
+            while t0.shape[1] < c.max_positions:
+                cached, _ = decoder.forward(step, fused, gates, dynamic_gates=dyn, cache=cache)
+                full, _ = decoder.forward(t0, fused, gates, dynamic_gates=dyn)
+                np.testing.assert_allclose(cached.data[0, -1], full.data[0, -1], rtol=0, atol=1e-5)
+                step = decoder.embed_tokens(np.array([[int(np.argmax(full.data[0, -1]))]]))
+                t0 = concat([t0, step], axis=1)
+            assert cache.offset == c.max_positions - 1
 
 
 def test_generate_is_deterministic(decoder, rng):
