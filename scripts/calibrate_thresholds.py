@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layerbridge.data import generate_synthetic_corpus
 from layerbridge.training import (
-    SyntheticRunSettings,
     benchmark_spec,
     run_synthetic_benchmark,
 )
@@ -30,12 +29,11 @@ def main():
     seeds = [int(s) for s in args.seeds.split(",")]
 
     spec = benchmark_spec()
-    settings = SyntheticRunSettings()
     rows = []
     for seed in seeds:
         corpus = generate_synthetic_corpus(spec, seed=seed)
         t0 = time.time()
-        outcomes = run_synthetic_benchmark(corpus, seed, settings, arms=ARMS)
+        outcomes = run_synthetic_benchmark(corpus, seed, arms=ARMS)
         elapsed = time.time() - t0
         lrl = {name: outcomes[name].report.aggregates["Lrl"] for name in ARMS}
         rows.append((seed, lrl, elapsed))

@@ -15,7 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layerbridge.data import generate_synthetic_corpus
 from layerbridge.training import (
-    SyntheticRunSettings,
     benchmark_spec,
     run_synthetic_benchmark,
     write_trace,
@@ -36,9 +35,8 @@ def main():
     print(f"  stage1 {len(corpus.stage1)} rows, stage2 {len(corpus.stage2)} rows, "
           f"eval {len(corpus.eval_task)} rows")
 
-    settings = SyntheticRunSettings()
     t0 = time.time()
-    outcomes = run_synthetic_benchmark(corpus, args.seed, settings, arms=arms)
+    outcomes = run_synthetic_benchmark(corpus, args.seed, arms=arms)
     elapsed = time.time() - t0
 
     langs = sorted(corpus.tiers())

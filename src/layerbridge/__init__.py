@@ -28,10 +28,8 @@ from .errors import (
 from .model import AblationFlags, BridgedModel, BridgeSettings
 from .training import (
     EvalReport,
-    TrainPlan,
+    StageConfig,
     TrainResult,
-    default_stage1_plan,
-    default_stage2_plan,
     evaluate,
     run_synthetic_benchmark,
     train_stage1,
@@ -65,19 +63,17 @@ __all__ = [
     "PairingError",
     "RunConfig",
     "ShapeError",
+    "StageConfig",
     "SynthCorpus",
     "SynthSpec",
     "Tape",
     "Tensor",
-    "TrainPlan",
     "TrainResult",
     "Vocabulary",
     "aligner_weight_matrix",
     "backward",
     "build_model",
     "config_digest",
-    "default_stage1_plan",
-    "default_stage2_plan",
     "evaluate",
     "generate",
     "generate_synthetic_corpus",

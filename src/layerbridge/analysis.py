@@ -237,17 +237,13 @@ def build_report(
         for row in sorted(parallel_rows, key=lambda r: (r["lang"], r["sid"]))
     ]
     profile = norm_ratio_profile(model, norm_examples)
-    if model.dynamic_gates is not None:
-        gate_values = model.dynamic_gates.snapshot()
-    else:
-        gate_values = model.gates.snapshot()
     return DiagnosticsReport(
         cosine=cosine,
         pca_labels=labels,
         pca=pca,
         norm_ratio=profile,
         aligner_matrix=aligner_weight_matrix(model.aligner),
-        gate_values=gate_values,
+        gate_values=model.gates.snapshot(),
         include_prompt=include_prompt,
     )
 

@@ -2,8 +2,8 @@
 
 Every command is deterministic given (config, seed, corpus bytes): outputs
 carry no timestamps, floats are written with repr, and all files go through
-write-then-rename. Exit codes: 0 success, 2 configuration problem, 3 numeric
-failure, 4 I/O problem.
+write-then-rename. Exit codes: 0 success, 2 configuration or contract
+problem, 3 numeric failure, 4 I/O problem.
 """
 
 from __future__ import annotations
@@ -18,17 +18,11 @@ import numpy as np
 
 from .analysis import build_report, write_report
 from .checkpoint import checkpoint_from_params, load_checkpoint, restore_params, save_checkpoint
-from .config import (
-    RunConfig,
-    StageConfig,
-    build_model,
-    config_digest,
-    load_run_config,
-    plan_for_stage,
-)
+from .config import RunConfig, build_model, config_digest, load_run_config
 from .data import generate_synthetic_corpus, load_corpus_dir, write_corpus_dir
 from .errors import (
     ConfigError,
+    ContractError,
     EmptyLossError,
     IngestionError,
     InputError,
@@ -37,7 +31,6 @@ from .errors import (
 )
 from .model import AblationFlags
 from .training import (
-    STAGE2_DEFAULT_LR,
     EvalReport,
     evaluate,
     train_stage1,
@@ -104,11 +97,10 @@ def cmd_gen_synth(args) -> int:
 
 
 def _reference_defaults() -> dict:
-    stage1 = StageConfig()
-    stage2 = StageConfig(learning_rate=STAGE2_DEFAULT_LR)
+    reference = RunConfig()
     return {
-        "stage1": dataclasses.asdict(stage1),
-        "stage2": dataclasses.asdict(stage2),
+        "stage1": dataclasses.asdict(reference.stage1),
+        "stage2": dataclasses.asdict(reference.stage2),
     }
 
 
@@ -128,7 +120,10 @@ def cmd_train(args) -> int:
         ckpt = load_checkpoint(args.resume, expected_digest=digest, force=args.force)
         restore_params(model.trainable_params(), ckpt)
 
-    plan = plan_for_stage(config, stage)
+    if stage == "translation":
+        plan, examples, train = config.stage1, corpus.stage1, train_stage1
+    else:
+        plan, examples, train = config.stage2, corpus.stage2, train_stage2
     ckpt_path = out_dir / "checkpoint.bin"
     trace_path = out_dir / f"trace_stage{args.stage}.csv"
 
@@ -138,16 +133,13 @@ def cmd_train(args) -> int:
             checkpoint_from_params(model.trainable_params(), digest, stage, steps),
         )
 
-    examples = corpus.stage1 if stage == "translation" else corpus.stage2
-    train = train_stage1 if stage == "translation" else train_stage2
-    result = train(model, plan, examples, corpus.vocab, on_epoch_end=on_epoch_end)
+    result = train(model, plan, examples, corpus.vocab, config.seed, on_epoch_end)
 
     save_checkpoint(
         ckpt_path,
         checkpoint_from_params(model.trainable_params(), digest, stage, result.steps),
     )
     write_trace(trace_path, result.trace)
-    gates = (model.dynamic_gates or model.gates).snapshot()
     metadata = {
         "stage": stage,
         "seed": config.seed,
@@ -165,7 +157,7 @@ def cmd_train(args) -> int:
         "rejected_steps": result.rejected_steps,
         "final_loss": result.final_loss,
         "epoch_losses": result.epoch_losses,
-        "gates": gates,
+        "gates": model.gates.snapshot(),
         "corpus_rows": len(examples),
     }
     _write_json(out_dir / "metadata.json", metadata)
@@ -287,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as err:
+    except (ConfigError, ContractError, InputError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except (NumericError, EmptyLossError) as err:

@@ -21,39 +21,9 @@ from .decoder import DecoderConfig
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .model import AblationFlags, BridgedModel, BridgeSettings
-from .training import (
-    STAGE1_DEFAULT_LR,
-    STAGE2_DEFAULT_LR,
-    TrainPlan,
-)
+from .training import STAGE2_DEFAULT_LR, StageConfig
 
 ENV_PREFIX = "LAYERBRIDGE_"
-
-
-@dataclass
-class StageConfig:
-    """Hyperparameters for one training stage.
-
-    Defaults are the reference recipe; synthetic desk runs override them in
-    the config file.
-    """
-
-    learning_rate: float = STAGE1_DEFAULT_LR
-    epochs: int = 3
-    batch_size: int = 128
-    warmup_ratio: float = 0.05
-    clip_norm: float | None = None
-    trace_every: int = 10
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 <= self.warmup_ratio <= 1:
-            raise ConfigError(f"warmup_ratio must lie in [0, 1], got {self.warmup_ratio}")
 
 
 @dataclass
@@ -66,7 +36,6 @@ class DataConfig:
 
 @dataclass
 class DiagnosticsConfig:
-    enabled: bool = True
     plots: bool = False
     include_prompt: bool = False
 
@@ -190,18 +159,4 @@ def build_model(config: RunConfig) -> BridgedModel:
         settings=config.bridge,
         ablations=config.ablations,
         seed=config.seed,
-    )
-
-
-def plan_for_stage(config: RunConfig, stage: str) -> TrainPlan:
-    sc = config.stage1 if stage == "translation" else config.stage2
-    return TrainPlan(
-        stage=stage,
-        learning_rate=sc.learning_rate,
-        epochs=sc.epochs,
-        batch_size=sc.batch_size,
-        warmup_ratio=sc.warmup_ratio,
-        seed=config.seed,
-        clip_norm=sc.clip_norm,
-        trace_every=sc.trace_every,
     )

@@ -111,7 +111,7 @@ class ParallelExample:
     stage: str
 
     def __post_init__(self):
-        if not self.source_text or not self.target_text:
+        if not self.source_text.split() or not self.target_text.split():
             raise ConfigError("parallel example with empty text")
         if self.stage not in ("translation", "task"):
             raise ConfigError(f"unknown stage tag {self.stage!r}")
@@ -392,10 +392,11 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> SynthCorpus:
 
 
 # ---------------------------------------------------------------------------
-# corpus file IO: one JSON record per line, fields {src, tgt, lang, stage}
+# corpus file IO: one JSON object per line, with the fields and types below
 # ---------------------------------------------------------------------------
 
-RECORD_FIELDS = ("src", "tgt", "lang", "stage")
+RECORD_FIELDS = {"src": str, "tgt": str, "lang": str, "stage": str}
+PARALLEL_FIELDS = {"sid": int, "lang": str, "src": str, "base": str}
 
 
 def write_corpus(path: str | Path, examples: list[ParallelExample]) -> None:
@@ -413,36 +414,48 @@ def write_corpus(path: str | Path, examples: list[ParallelExample]) -> None:
     tmp.replace(path)
 
 
+def _read_records(path: Path, fields: dict[str, type], what: str):
+    """Yield (line number, record) for each nonblank line of a JSONL file;
+    every record must be an object carrying each of ``fields`` with its type."""
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as err:
+        raise IngestionError(f"{path}: cannot read {what} file: {err}") from err
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise IngestionError(f"{path}:{lineno}: not valid JSON ({err.msg})") from None
+        if not isinstance(record, dict):
+            raise IngestionError(f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}")
+        missing = [k for k in fields if k not in record]
+        if missing:
+            raise IngestionError(f"{path}:{lineno}: missing fields {missing}")
+        for key, kind in fields.items():
+            if not isinstance(record[key], kind):
+                got = type(record[key]).__name__
+                raise IngestionError(f"{path}:{lineno}: field {key!r} must be {kind.__name__}, got {got}")
+        yield lineno, record
+
+
 def read_corpus(path: str | Path) -> list[ParallelExample]:
     path = Path(path)
     out = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as err:
-        raise IngestionError(f"{path}: cannot read corpus file: {err}") from err
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise IngestionError(f"{path}:{lineno}: not valid JSON ({err.msg})") from None
-            missing = [k for k in RECORD_FIELDS if k not in record]
-            if missing:
-                raise IngestionError(f"{path}:{lineno}: missing fields {missing}")
-            try:
-                out.append(
-                    ParallelExample(
-                        source_text=record["src"],
-                        source_lang=record["lang"],
-                        target_text=record["tgt"],
-                        stage=record["stage"],
-                    )
+    for lineno, record in _read_records(path, RECORD_FIELDS, "corpus"):
+        try:
+            out.append(
+                ParallelExample(
+                    source_text=record["src"],
+                    source_lang=record["lang"],
+                    target_text=record["tgt"],
+                    stage=record["stage"],
                 )
-            except ConfigError as err:
-                raise IngestionError(f"{path}:{lineno}: {err}") from None
+            )
+        except ConfigError as err:
+            raise IngestionError(f"{path}:{lineno}: {err}") from None
     return out
 
 
@@ -456,26 +469,7 @@ def write_parallel(path: str | Path, rows: list[dict]) -> None:
 
 
 def read_parallel(path: str | Path) -> list[dict]:
-    path = Path(path)
-    out = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as err:
-        raise IngestionError(f"{path}: cannot read parallel file: {err}") from err
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise IngestionError(f"{path}:{lineno}: not valid JSON ({err.msg})") from None
-            for key in ("sid", "lang", "src", "base"):
-                if key not in row:
-                    raise IngestionError(f"{path}:{lineno}: missing field {key!r}")
-            out.append(row)
-    return out
+    return [record for _, record in _read_records(Path(path), PARALLEL_FIELDS, "parallel")]
 
 CORPUS_FILES = ("stage1.jsonl", "stage2.jsonl", "eval_task.jsonl", "eval_parallel.jsonl")
 
@@ -510,14 +504,18 @@ def load_corpus_dir(corpus_dir: str | Path) -> SynthCorpus:
         raise IngestionError(f"{spec_path}: cannot read corpus spec: {err}") from err
     except json.JSONDecodeError as err:
         raise IngestionError(f"{spec_path}:{err.lineno}: invalid JSON: {err.msg}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("spec", {}), dict):
+        raise IngestionError(f"{spec_path}: expected an object whose 'spec' is an object")
     raw = dict(payload.get("spec", {}))
-    if "tasks" in raw:
-        raw["tasks"] = tuple(raw["tasks"])
     try:
+        if "tasks" in raw:
+            raw["tasks"] = tuple(raw["tasks"])
         spec = SynthSpec(**raw)
     except TypeError as err:
         raise IngestionError(f"{spec_path}: {err}") from None
     seed = payload.get("seed", 0)
+    if not isinstance(seed, int) or seed < 0:
+        raise IngestionError(f"{spec_path}: seed must be a non-negative integer, got {seed!r}")
     vocab = Vocabulary(spec.vocab_size)
     ciphers = {
         lang: build_cipher(vocab, spec, lang, i, seed) for i, lang in enumerate(spec.languages)

@@ -74,6 +74,10 @@ class GateVector:
     def named_params(self, prefix: str = "gates") -> dict[str, Tensor]:
         return {f"{prefix}.layer{i + 1}": g for i, g in enumerate(self.values)}
 
+    def gate_for(self, layer_index: int, hidden: Tensor) -> Tensor:
+        """The scalar gate of 1-based ``layer_index``; ``hidden`` is unread."""
+        return self.values[layer_index - 1]
+
     def snapshot(self) -> list[float]:
         return [float(g.data[0]) for g in self.values]
 
@@ -185,16 +189,15 @@ class Decoder:
         self,
         t0: Tensor,
         fused: FusedKV | None,
-        gates: GateVector | None,
+        gates: GateVector | DynamicGates | None,
         valid: np.ndarray | None = None,
-        dynamic_gates: DynamicGates | None = None,
         cache: DecodeCache | None = None,
     ) -> tuple[Tensor, DecoderState]:
         """Run all layers and the output head. Returns (logits, state).
 
         ``fused=None`` removes cross-attention entirely (self-attention-only
-        decoder). Exactly one of ``gates`` / ``dynamic_gates`` drives CA when
-        ``fused`` is present.
+        decoder) and leaves ``gates`` unread; with ``fused`` present,
+        ``gates`` scales each layer's CA read.
 
         With a ``cache``, ``t0`` continues the single sequence the cache holds:
         positions start at ``cache.offset``, and the call appends its keys
@@ -218,8 +221,8 @@ class Decoder:
                 raise ConfigError(
                     f"fused K/V carries {fused.n_layers} layers, decoder has {c.n_layers}"
                 )
-            if (gates is None) == (dynamic_gates is None):
-                raise ConfigError("exactly one gate source must accompany fused K/V")
+            if gates is None:
+                raise ConfigError("fused K/V needs a gate source")
         if valid is None:
             valid = np.ones((batch, dec_len), dtype=bool)
         sa_bias = None if offset else causal_bias(dec_len) + padding_bias(valid)
@@ -227,7 +230,7 @@ class Decoder:
         x = ad.add(t0, Tensor(self.pos_emb.data[offset : offset + dec_len][None]))
         state = DecoderState(states=[t0], valid=valid)
         for i in range(1, c.n_layers + 1):
-            x, sa_norm, ca_norm = self.block(i, x, sa_bias, fused, gates, dynamic_gates, cache)
+            x, sa_norm, ca_norm = self.block(i, x, sa_bias, fused, gates, cache)
             state.sa_norms.append(sa_norm)
             state.ca_norms.append(ca_norm)
             state.states.append(x)
@@ -243,8 +246,7 @@ class Decoder:
         x: Tensor,
         sa_bias: np.ndarray | None,
         fused: FusedKV | None,
-        gates: GateVector | None,
-        dynamic_gates: DynamicGates | None = None,
+        gates: GateVector | DynamicGates | None,
         cache: DecodeCache | None = None,
     ) -> tuple[Tensor, np.ndarray, np.ndarray]:
         """One gated block (1-based ``index``): x + SA + g * CA, then the FFN.
@@ -273,10 +275,7 @@ class Decoder:
                 attention(q, *memory, self.config.n_heads, bias=padding_bias(fused.mask)),
                 layer["wo"],
             )
-            if dynamic_gates is not None:
-                gate = dynamic_gates.gate_for(index, x)
-            else:
-                gate = gates.values[index - 1]
+            gate = gates.gate_for(index, x)
             gated = ad.mul(ca, gate)
             out = ad.add(ad.add(x, sa), gated)
             gate_mag = np.abs(gate.data if gate.ndim == 3 else gate.data.reshape(1, 1, 1))
@@ -294,9 +293,8 @@ def generate(
     decoder: Decoder,
     prompt: Tensor,
     fused: FusedKV | None,
-    gates: GateVector | None,
+    gates: GateVector | DynamicGates | None,
     max_new_tokens: int,
-    dynamic_gates: DynamicGates | None = None,
 ) -> list[int]:
     """Greedy decoding from an assembled prompt [1, P, d_dec].
 
@@ -317,7 +315,7 @@ def generate(
     for _ in range(max_new_tokens):
         if cache.offset + t0.shape[1] >= c.max_positions:
             break
-        logits, _ = decoder.forward(t0, fused, gates, dynamic_gates=dynamic_gates, cache=cache)
+        logits, _ = decoder.forward(t0, fused, gates, cache=cache)
         next_id = int(np.argmax(logits.data[0, -1]))
         if next_id == c.eos_id:
             break

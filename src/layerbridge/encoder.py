@@ -70,11 +70,6 @@ class LayerStack:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    @property
-    def support(self) -> list[np.ndarray]:
-        """Layers 0..n-1, the fusion inputs. Never includes the final state."""
-        return self.states[:-1]
-
 
 class Encoder:
     """Pre-norm encoder; H_0 is token+position embeddings, H_i the output of

@@ -106,8 +106,11 @@ class BridgedModel:
             d_dec=dec_config.d_dec,
             separate_kv=settings.separate_kv,
         )
-        self.gates = GateVector(dec_config.n_layers)
-        self.dynamic_gates = DynamicGates(dec_config.n_layers, dec_config.d_dec) if ablations.dynamic_gate else None
+        self.gates: GateVector | DynamicGates = (
+            DynamicGates(dec_config.n_layers, dec_config.d_dec)
+            if ablations.dynamic_gate
+            else GateVector(dec_config.n_layers)
+        )
         self.subset: LayerSubset | None = (
             subset_from_spec(ablations.layer_subset, enc_config.n_layers)
             if ablations.layer_subset
@@ -124,9 +127,7 @@ class BridgedModel:
         out.update(self.decoder.named_params("decoder"))
         out.update(self.adapter.named_params("adapter"))
         out.update(self.aligner.named_params("aligner"))
-        out.update(self.gates.named_params("gates"))
-        if self.dynamic_gates is not None:
-            out.update(self.dynamic_gates.named_params("gates.dynamic"))
+        out.update(self.gates.named_params())
         return out
 
     def trainable_params(self) -> dict[str, Tensor]:
@@ -136,10 +137,7 @@ class BridgedModel:
             out.update(self.adapter.named_params("adapter"))
         if not self.ablations.no_aligner:
             out.update(self.aligner.named_params("aligner"))
-            if self.ablations.dynamic_gate:
-                out.update(self.dynamic_gates.named_params("gates.dynamic"))
-            else:
-                out.update(self.gates.named_params("gates"))
+            out.update(self.gates.named_params())
         return out
 
     def frozen_digest(self) -> str:
@@ -256,10 +254,7 @@ class BridgedModel:
         stack = self.encode_sources(src_seqs)
         i_map, fused = self.bridge_outputs(stack)
         packed = self._pack(stack, i_map, stage, src_seqs, tgt_seqs)
-        gates = None if (self.ablations.no_aligner or self.dynamic_gates is not None) else self.gates
-        logits, state = self.decoder.forward(
-            packed.t0, fused, gates, valid=packed.valid, dynamic_gates=self.dynamic_gates
-        )
+        logits, state = self.decoder.forward(packed.t0, fused, self.gates, valid=packed.valid)
         return logits, state, packed
 
     def loss_on_batch(self, stage: str, src_seqs: list[np.ndarray], tgt_seqs: list[np.ndarray]) -> Tensor:
@@ -275,10 +270,7 @@ class BridgedModel:
         stack = self.encode_sources([np.asarray(src_seq, dtype=np.int64)])
         i_map, fused = self.bridge_outputs(stack)
         packed = self._pack(stack, i_map, stage, [np.asarray(src_seq, dtype=np.int64)], None)
-        gates = None if (self.ablations.no_aligner or self.dynamic_gates is not None) else self.gates
-        return generate(
-            self.decoder, packed.t0, fused, gates, max_new_tokens, dynamic_gates=self.dynamic_gates
-        )
+        return generate(self.decoder, packed.t0, fused, self.gates, max_new_tokens)
 
     def pooled_final_state(
         self, stage: str, src_seq: np.ndarray, include_prompt: bool = False

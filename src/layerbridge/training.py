@@ -2,16 +2,15 @@
 
 Stage one aligns representations on translation pairs (ciphered sentence in,
 base sentence out); stage two tunes on task prompts. Both stages update only
-the bridge parameters the ablation flags leave trainable. Reference
-hyperparameter defaults live in ``default_stage1_plan`` / ``default_stage2_plan``
-and are what run metadata reports; synthetic desk-scale runs override them
-with the calibrated values in ``SyntheticRunSettings``.
+the bridge parameters the ablation flags leave trainable. ``StageConfig``'s
+defaults are the reference hyperparameters and are what run metadata reports;
+synthetic desk-scale runs use the calibrated ``SYNTHETIC_STAGES`` instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,33 +29,31 @@ DEFAULT_WARMUP_RATIO = 0.05
 
 
 @dataclass(frozen=True)
-class TrainPlan:
-    stage: str
-    learning_rate: float
+class StageConfig:
+    """Hyperparameters for one training stage.
+
+    Defaults are the reference recipe for stage 1; the stage-2 reference
+    differs only in its learning rate, ``STAGE2_DEFAULT_LR``.
+    """
+
+    learning_rate: float = STAGE1_DEFAULT_LR
     epochs: int = DEFAULT_EPOCHS
     batch_size: int = DEFAULT_BATCH
     warmup_ratio: float = DEFAULT_WARMUP_RATIO
-    seed: int = 0
     clip_norm: float | None = None
     trace_every: int = 10
 
     def __post_init__(self):
-        if self.stage not in ("translation", "task"):
-            raise ConfigError(f"unknown stage {self.stage!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.trace_every < 1:
+            raise ConfigError(f"trace_every must be >= 1, got {self.trace_every}")
         if not 0 <= self.warmup_ratio < 1:
             raise ConfigError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-
-
-def default_stage1_plan(**overrides) -> TrainPlan:
-    return replace(TrainPlan(stage="translation", learning_rate=STAGE1_DEFAULT_LR), **overrides)
-
-
-def default_stage2_plan(**overrides) -> TrainPlan:
-    return replace(TrainPlan(stage="task", learning_rate=STAGE2_DEFAULT_LR), **overrides)
 
 
 @dataclass
@@ -123,20 +120,15 @@ def tokenize_examples(
     return srcs, tgts
 
 
-def _gate_snapshot(model: BridgedModel) -> list[float]:
-    if model.dynamic_gates is not None:
-        return model.dynamic_gates.snapshot()
-    return model.gates.snapshot()
-
-
 def _run_stage(
     model: BridgedModel,
-    plan: TrainPlan,
+    plan: StageConfig,
+    expected_tag: str,
     examples: list[ParallelExample],
     vocab: Vocabulary,
-    on_epoch_end=None,
+    seed: int,
+    on_epoch_end,
 ) -> TrainResult:
-    expected_tag = plan.stage
     for i, ex in enumerate(examples):
         if ex.stage != expected_tag:
             raise IngestionError(
@@ -156,7 +148,7 @@ def _run_stage(
     )
     params = model.trainable_params()
     rng = np.random.default_rng(
-        np.random.SeedSequence([plan.seed, 1 if expected_tag == "translation" else 2])
+        np.random.SeedSequence([seed, 1 if expected_tag == "translation" else 2])
     )
     trace: list[TraceRow] = []
     epoch_losses: list[float] = []
@@ -180,7 +172,7 @@ def _run_stage(
                         stage=expected_tag,
                         loss=loss_val,
                         lr=opt.lr_at(opt.step_count),
-                        gates=_gate_snapshot(model),
+                        gates=model.gates.snapshot(),
                     )
                 )
             adam_step(opt, params)
@@ -196,7 +188,7 @@ def _run_stage(
             stage=expected_tag,
             loss=final_loss,
             lr=opt.lr_at(max(opt.step_count - 1, 0)),
-            gates=_gate_snapshot(model),
+            gates=model.gates.snapshot(),
         )
     )
     return TrainResult(
@@ -211,26 +203,24 @@ def _run_stage(
 
 def train_stage1(
     model: BridgedModel,
-    plan: TrainPlan,
+    plan: StageConfig,
     corpus: list[ParallelExample],
     vocab: Vocabulary,
+    seed: int = 0,
     on_epoch_end=None,
 ) -> TrainResult:
-    if plan.stage != "translation":
-        raise ConfigError(f"stage-1 plan must target 'translation', got {plan.stage!r}")
-    return _run_stage(model, plan, corpus, vocab, on_epoch_end)
+    return _run_stage(model, plan, "translation", corpus, vocab, seed, on_epoch_end)
 
 
 def train_stage2(
     model: BridgedModel,
-    plan: TrainPlan,
+    plan: StageConfig,
     corpus: list[ParallelExample],
     vocab: Vocabulary,
+    seed: int = 0,
     on_epoch_end=None,
 ) -> TrainResult:
-    if plan.stage != "task":
-        raise ConfigError(f"stage-2 plan must target 'task', got {plan.stage!r}")
-    return _run_stage(model, plan, corpus, vocab, on_epoch_end)
+    return _run_stage(model, plan, "task", corpus, vocab, seed, on_epoch_end)
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +291,19 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntheticRunSettings:
-    """Calibrated hyperparameters for synthetic-corpus runs. Smaller batches
-    and far larger learning rates than the reference defaults: the trainable
-    bridge is tiny and randomly initialized, not a pretrained 7B model.
-
-    Stage 2 runs at half the stage-1 rate. A bridge that already speaks the
-    ciphers only needs to adapt to the task format, and the halved rate is
-    enough for that; a bridge trained from scratch on task rows alone has to
-    escape a much worse starting point, which the same rate is too slow to
-    do in the epoch budget. That asymmetry is what the stage-comparison
-    experiment measures, so these numbers are calibrated together with
-    benchmark_spec and should change only with a fresh three-seed check."""
-
-    stage1_lr: float = 2e-2
-    stage2_lr: float = 1e-2
-    batch_size: int = 32
-    stage1_epochs: int = 3
-    stage2_epochs: int = 6
-    warmup_ratio: float = 0.05
-    trace_every: int = 10
+# Calibrated (stage 1, stage 2) hyperparameters for synthetic-corpus runs.
+# Smaller batches and far larger learning rates than the reference defaults:
+# the trainable bridge is tiny and randomly initialized, not a pretrained 7B
+# model.
+#
+# Stage 2 runs at half the stage-1 rate. A bridge that already speaks the
+# ciphers only needs to adapt to the task format, and the halved rate is
+# enough for that; a bridge trained from scratch on task rows alone has to
+# escape a much worse starting point, which the same rate is too slow to do
+# in the epoch budget. That asymmetry is what the stage-comparison experiment
+# measures, so these numbers are calibrated together with benchmark_spec and
+# should change only with a fresh three-seed check.
+SYNTHETIC_STAGES = (StageConfig(2e-2, 3, 32), StageConfig(1e-2, 6, 32))
 
 
 def benchmark_spec(**overrides) -> SynthSpec:
@@ -346,28 +328,6 @@ def benchmark_spec(**overrides) -> SynthSpec:
     return SynthSpec(**fields)
 
 
-def plans_for(settings: SyntheticRunSettings, seed: int) -> tuple[TrainPlan, TrainPlan]:
-    p1 = TrainPlan(
-        stage="translation",
-        learning_rate=settings.stage1_lr,
-        epochs=settings.stage1_epochs,
-        batch_size=settings.batch_size,
-        warmup_ratio=settings.warmup_ratio,
-        seed=seed,
-        trace_every=settings.trace_every,
-    )
-    p2 = TrainPlan(
-        stage="task",
-        learning_rate=settings.stage2_lr,
-        epochs=settings.stage2_epochs,
-        batch_size=settings.batch_size,
-        warmup_ratio=settings.warmup_ratio,
-        seed=seed,
-        trace_every=settings.trace_every,
-    )
-    return p1, p2
-
-
 @dataclass
 class ArmOutcome:
     name: str
@@ -381,7 +341,7 @@ class ArmOutcome:
 def train_arm(
     corpus: SynthCorpus,
     ablations: AblationFlags,
-    settings: SyntheticRunSettings,
+    stages: tuple[StageConfig, StageConfig],
     seed: int,
     name: str,
     enc_config=None,
@@ -400,11 +360,10 @@ def train_arm(
     digest_before = model.frozen_digest()
     results: list[TrainResult] = []
     if train:
-        p1, p2 = plans_for(settings, seed)
         if not ablations.skip_stage1:
-            results.append(train_stage1(model, p1, corpus.stage1, corpus.vocab))
+            results.append(train_stage1(model, stages[0], corpus.stage1, corpus.vocab, seed))
         if not ablations.skip_stage2:
-            results.append(train_stage2(model, p2, corpus.stage2, corpus.vocab))
+            results.append(train_stage2(model, stages[1], corpus.stage2, corpus.vocab, seed))
     report = evaluate(model, corpus.eval_task, corpus.vocab, corpus.tiers())
     outcome = ArmOutcome(
         name=name,
@@ -412,7 +371,7 @@ def train_arm(
         results=results,
         digest_before=digest_before,
         digest_after=model.frozen_digest(),
-        gates_after=_gate_snapshot(model),
+        gates_after=model.gates.snapshot(),
     )
     return model, outcome
 
@@ -420,7 +379,7 @@ def train_arm(
 def run_synthetic_benchmark(
     corpus: SynthCorpus,
     seed: int,
-    settings: SyntheticRunSettings = SyntheticRunSettings(),
+    stages: tuple[StageConfig, StageConfig] = SYNTHETIC_STAGES,
     arms: tuple[str, ...] = ("full", "skip_stage1", "no_aligner", "untrained"),
     enc_config=None,
     dec_config=None,
@@ -438,7 +397,7 @@ def run_synthetic_benchmark(
             raise ConfigError(f"unknown benchmark arm {arm!r}")
         ablations, do_train = wiring[arm]
         _, outcome = train_arm(
-            corpus, ablations, settings, seed, arm,
+            corpus, ablations, stages, seed, arm,
             enc_config=enc_config, dec_config=dec_config, train=do_train,
         )
         out[arm] = outcome

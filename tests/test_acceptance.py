@@ -21,11 +21,7 @@ from layerbridge.data import generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
 from layerbridge.model import AblationFlags, BridgedModel
-from layerbridge.training import (
-    SyntheticRunSettings,
-    benchmark_spec,
-    train_arm,
-)
+from layerbridge.training import SYNTHETIC_STAGES, benchmark_spec, train_arm
 
 SEED = 0
 
@@ -50,10 +46,7 @@ def random_batches(rng, n, enc_vocab, max_len=6):
 def downstream_logits(model, stack, stage, srcs):
     i_map, fused = model.bridge_outputs(stack)
     packed = model._pack(stack, i_map, stage, srcs, None)
-    gates = None if (model.ablations.no_aligner or model.dynamic_gates is not None) else model.gates
-    logits, _ = model.decoder.forward(
-        packed.t0, fused, gates, valid=packed.valid, dynamic_gates=model.dynamic_gates
-    )
+    logits, _ = model.decoder.forward(packed.t0, fused, model.gates, valid=packed.valid)
     return logits.data
 
 
@@ -79,11 +72,10 @@ ARM_WIRING = {
 def experiment():
     spec = benchmark_spec()
     corpus = generate_synthetic_corpus(spec, seed=SEED)
-    settings = SyntheticRunSettings()
     models, outcomes = {}, {}
     t0 = time.monotonic()
     for arm, (ablations, do_train) in ARM_WIRING.items():
-        model, outcome = train_arm(corpus, ablations, settings, SEED, arm, train=do_train)
+        model, outcome = train_arm(corpus, ablations, SYNTHETIC_STAGES, SEED, arm, train=do_train)
         models[arm] = model
         outcomes[arm] = outcome
     elapsed = time.monotonic() - t0

@@ -304,6 +304,42 @@ def test_invalid_config_key(tmp_path, capsys):
     assert "wormhole" in capsys.readouterr().err
 
 
+def test_checkpoint_from_other_ablation_is_contract_error(stage1_run, tmp_path, capsys):
+    tmp, cfg = stage1_run
+    ckpt = str(tmp / "run" / "checkpoint.bin")
+    code = main(["eval", ckpt, "--config", cfg, "--ablate", "no_aligner", "--force",
+                 "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert "does not match model" in capsys.readouterr().err
+
+
+BLANK_TARGET = {"src": "baba", "tgt": " ", "lang": "lang1", "stage": "translation"}
+
+
+@pytest.mark.parametrize(
+    "name, content, needle",
+    [
+        ("stage1.jsonl", "5\n", "expected a JSON object"),
+        ("stage1.jsonl", json.dumps("src tgt lang stage") + "\n", "expected a JSON object"),
+        ("stage1.jsonl", json.dumps(BLANK_TARGET) + "\n", "empty text"),
+        ("eval_parallel.jsonl", "[1, 2]\n", "expected a JSON object"),
+        ("eval_parallel.jsonl", json.dumps({"sid": 0, "lang": "base", "src": 5, "base": "baba"}) + "\n",
+         "'src' must be str"),
+        ("spec.json", "[]", "expected an object"),
+        ("spec.json", json.dumps({"seed": 0, "spec": 5}), "expected an object"),
+    ],
+)
+def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, needle):
+    cfg = write_config(tmp_path)
+    assert main(["gen-synth", "--config", cfg]) == 0
+    corpus_dir = tmp_path / "run" / "corpus"
+    (corpus_dir / name).write_text(content)
+    cfg2 = write_config(tmp_path, "fromdir", data={"corpus_dir": str(corpus_dir)})
+    assert main(["train", "--config", cfg2, "--stage", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err and needle in err
+
+
 def test_corpus_dir_round_trip_through_cli(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["gen-synth", "--config", cfg]) == 0

@@ -12,9 +12,9 @@ from layerbridge.config import (
     build_model,
     config_digest,
     load_run_config,
-    plan_for_stage,
     run_config_from_dict,
 )
+from layerbridge import training
 from layerbridge.errors import ConfigError
 from layerbridge.training import (
     DEFAULT_BATCH,
@@ -84,6 +84,8 @@ def test_stage_config_validation():
         StageConfig(batch_size=0)
     with pytest.raises(ConfigError, match="warmup_ratio"):
         StageConfig(warmup_ratio=1.5)
+    with pytest.raises(ConfigError, match=r"warmup_ratio must be in \[0, 1\)"):
+        StageConfig(warmup_ratio=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ def test_digest_stable_and_sensitive():
 def test_digest_ignores_out_dir_and_diagnostics():
     base = run_config_from_dict({})
     moved = run_config_from_dict({"out_dir": "elsewhere"})
-    plotted = run_config_from_dict({"diagnostics": {"plots": True, "enabled": False}})
+    plotted = run_config_from_dict({"diagnostics": {"plots": True, "include_prompt": True}})
     assert config_digest(moved) == config_digest(base)
     assert config_digest(plotted) == config_digest(base)
 
@@ -231,17 +233,17 @@ def test_build_model_uses_config():
     assert all(not name.startswith("aligner") for name in model.trainable_params())
 
 
-def test_plan_for_stage_maps_sections():
+def test_stage_sections_parse_to_stage_configs():
     cfg = run_config_from_dict(
         {"seed": 2, "stage1": {"epochs": 4}, "stage2": {"learning_rate": 0.01, "clip_norm": 1.0}}
     )
-    p1 = plan_for_stage(cfg, "translation")
-    p2 = plan_for_stage(cfg, "task")
-    assert p1.stage == "translation" and p1.epochs == 4 and p1.seed == 2
-    assert p1.learning_rate == STAGE1_DEFAULT_LR
-    assert p2.stage == "task" and p2.learning_rate == 0.01 and p2.clip_norm == 1.0
+    assert StageConfig is training.StageConfig
+    assert cfg.stage1 == StageConfig(epochs=4)
+    assert cfg.stage2 == StageConfig(learning_rate=0.01, clip_norm=1.0)
 
 
 def test_diagnostics_config_defaults():
     d = DiagnosticsConfig()
-    assert d.enabled is True and d.plots is False and d.include_prompt is False
+    assert d.plots is False and d.include_prompt is False
+    with pytest.raises(ConfigError, match=r"diagnostics: unknown keys \['enabled'\]"):
+        run_config_from_dict({"diagnostics": {"enabled": True}})

@@ -374,6 +374,12 @@ def test_parallel_example_rejects_empty_text():
         ParallelExample(source_text="", source_lang="x", target_text="y", stage="task")
 
 
+@pytest.mark.parametrize("text", [" ", "\t\n"])
+def test_parallel_example_rejects_text_with_no_words(text):
+    with pytest.raises(ConfigError, match="empty"):
+        ParallelExample(source_text="a", source_lang="x", target_text=text, stage="task")
+
+
 def test_parallel_example_rejects_unknown_stage():
     with pytest.raises(ConfigError, match="warmup"):
         ParallelExample(source_text="a", source_lang="x", target_text="y", stage="warmup")
@@ -411,6 +417,13 @@ def test_read_corpus_reports_missing_fields(tmp_path):
         read_corpus(path)
 
 
+def test_read_corpus_rejects_non_string_fields(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"src": "a", "tgt": 5, "lang": "x", "stage": "task"}) + "\n")
+    with pytest.raises(IngestionError, match=r":1: field 'tgt' must be str, got int"):
+        read_corpus(path)
+
+
 def test_read_corpus_wraps_record_validation(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text(json.dumps({"src": "", "tgt": "b", "lang": "x", "stage": "task"}) + "\n")
@@ -418,9 +431,59 @@ def test_read_corpus_wraps_record_validation(tmp_path):
         read_corpus(path)
 
 
+@pytest.mark.parametrize("line", ["5", '"src tgt lang stage"', "[1, 2]", "null"])
+def test_read_corpus_rejects_non_object_records(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(IngestionError, match=r":1: expected a JSON object"):
+        read_corpus(path)
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    _json_containers,
+    max_leaves=6,
+)
+# records carrying every field, so the per-field checks run as well as the
+# line-level ones
+RECORDS = st.fixed_dictionaries(
+    {
+        "src": JSON_VALUES,
+        "tgt": JSON_VALUES,
+        "lang": JSON_VALUES,
+        "stage": st.sampled_from(["translation", "task"]) | JSON_VALUES,
+    }
+)
+
+
+@given(lines=st.lists(RECORDS | JSON_VALUES, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_read_corpus_returns_examples_or_ingestion_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("rows") / "rows.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    try:
+        examples = read_corpus(path)
+    except IngestionError:
+        return
+    assert len(examples) == len(lines)
+    for ex in examples:
+        assert ex.source_text.split() and ex.target_text.split()
+
+
 def test_read_corpus_missing_file(tmp_path):
     with pytest.raises(IngestionError, match="cannot read"):
         read_corpus(tmp_path / "absent.jsonl")
+
+
+def test_read_corpus_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"src": "\xff"}\n')
+    with pytest.raises(IngestionError, match="cannot read"):
+        read_corpus(path)
 
 
 def test_parallel_file_round_trip(tmp_path):
@@ -431,6 +494,13 @@ def test_parallel_file_round_trip(tmp_path):
     path = tmp_path / "par.jsonl"
     write_parallel(path, rows)
     assert read_parallel(path) == rows
+
+
+def test_read_parallel_rejects_mistyped_fields(tmp_path):
+    path = tmp_path / "par.jsonl"
+    path.write_text(json.dumps({"sid": "0", "lang": "base", "src": "baba", "base": "baba"}) + "\n")
+    with pytest.raises(IngestionError, match="'sid' must be int"):
+        read_parallel(path)
 
 
 def test_read_parallel_missing_key(tmp_path):
@@ -479,6 +549,20 @@ def test_load_corpus_dir_missing_spec(tmp_path):
 def test_load_corpus_dir_corrupt_spec(tmp_path):
     (tmp_path / "spec.json").write_text("{broken")
     with pytest.raises(IngestionError, match="invalid JSON"):
+        load_corpus_dir(tmp_path)
+
+
+@pytest.mark.parametrize("payload", [[], 5, {"seed": 0, "spec": []}, {"seed": 0, "spec": "tiny"}])
+def test_load_corpus_dir_rejects_non_object_spec(tmp_path, payload):
+    (tmp_path / "spec.json").write_text(json.dumps(payload))
+    with pytest.raises(IngestionError, match="expected an object"):
+        load_corpus_dir(tmp_path)
+
+
+@pytest.mark.parametrize("seed", ["x", -1, 1.5])
+def test_load_corpus_dir_rejects_bad_seed(tmp_path, seed):
+    (tmp_path / "spec.json").write_text(json.dumps({"seed": seed, "spec": {}}))
+    with pytest.raises(IngestionError, match="seed must be a non-negative integer"):
         load_corpus_dir(tmp_path)
 
 

@@ -47,11 +47,11 @@ def _fused(rng, decoder, batch=2, src_len=3, zero=False):
     return FusedKV(pairs=pairs, mask=np.ones((batch, src_len), dtype=bool))
 
 
-def _block(decoder, t_prev, h_k, h_v, gates=None, dynamic_gates=None):
+def _block(decoder, t_prev, h_k, h_v, gates):
     """Decoder layer 1 alone, reading one (K, V) memory whose positions are all valid."""
     batch, src_len, _ = h_k.shape
     fused = FusedKV(pairs=[(h_k, h_v)] * decoder.config.n_layers, mask=np.ones((batch, src_len), dtype=bool))
-    out, _, _ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates, dynamic_gates)
+    out, _, _ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates)
     return out
 
 
@@ -176,7 +176,7 @@ def test_ga_layer_matches_two_pass_oracle(decoder, rng):
     t_prev = Tensor(rng.normal(0, 1, size=(2, 4, 16)).astype(np.float32))
     h_k = Tensor(rng.normal(0, 1, size=(2, 3, 16)).astype(np.float32))
     h_v = Tensor(rng.normal(0, 1, size=(2, 3, 16)).astype(np.float32))
-    got = _block(decoder, t_prev, h_k, h_v, gates=_gates(decoder, 0.6))
+    got = _block(decoder, t_prev, h_k, h_v, _gates(decoder, 0.6))
     want = _oracle_block(decoder, 1, t_prev.data, h_k.data, h_v.data, 0.6)
     assert np.allclose(got.data, want, atol=1e-5)
 
@@ -187,8 +187,8 @@ def test_dynamic_gate_with_constant_bias_equals_static_tanh(decoder, rng):
     h_v = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float32))
     dyn = DynamicGates(decoder.config.n_layers, 16)
     dyn.nets[0]["bias"].data[0] = 0.9
-    got = _block(decoder, t_prev, h_k, h_v, dynamic_gates=dyn)
-    static = _block(decoder, t_prev, h_k, h_v, gates=_gates(decoder, np.tanh(np.float32(0.9))))
+    got = _block(decoder, t_prev, h_k, h_v, dyn)
+    static = _block(decoder, t_prev, h_k, h_v, _gates(decoder, np.tanh(np.float32(0.9))))
     assert np.allclose(got.data, static.data, atol=1e-6)
 
 
@@ -196,7 +196,7 @@ def test_zero_initialized_dynamic_gates_reduce_to_baseline(decoder, rng):
     t0 = _t0(rng, decoder)
     fused = _fused(rng, decoder)
     dyn = DynamicGates(decoder.config.n_layers, decoder.config.d_dec)
-    with_dyn, _ = decoder.forward(t0, fused, None, dynamic_gates=dyn)
+    with_dyn, _ = decoder.forward(t0, fused, dyn)
     without, _ = decoder.forward(t0, None, None)
     assert np.allclose(with_dyn.data, without.data, atol=1e-6)
 
@@ -211,7 +211,7 @@ def test_dynamic_gate_gradients_match_finite_differences(decoder, rng):
     params = [dyn.nets[0]["weight"], dyn.nets[0]["bias"]]
 
     def loss():
-        out = _block(decoder, t_prev, h_k, h_v, dynamic_gates=dyn)
+        out = _block(decoder, t_prev, h_k, h_v, dyn)
         return mean(mul(out, out))
 
     assert_grad_matches(loss, params, h=1e-5, rtol=1e-3)
@@ -345,14 +345,14 @@ def test_cached_step_takes_one_position(decoder, rng):
         decoder.forward(_t0(rng, decoder, batch=1, length=2), None, None, cache=cache)
 
 
-def _recompute_generate(decoder, prompt, fused, gates, max_new_tokens, dynamic_gates=None):
+def _recompute_generate(decoder, prompt, fused, gates, max_new_tokens):
     """Reference greedy decode: re-run the whole prefix for every token."""
     c = decoder.config
     out, t0 = [], prompt
     for _ in range(max_new_tokens):
         if t0.shape[1] >= c.max_positions:
             break
-        logits, _ = decoder.forward(t0, fused, gates, dynamic_gates=dynamic_gates)
+        logits, _ = decoder.forward(t0, fused, gates)
         next_id = int(np.argmax(logits.data[0, -1]))
         if next_id == c.eos_id:
             break
@@ -372,22 +372,22 @@ def _gate_sources(decoder, rng):
     for net in dyn.nets:
         net["weight"].data[...] = rng.normal(0, 0.3, size=(d, 1))
         net["bias"].data[0] = rng.uniform(0.25, 0.75)
-    return [(None, None, None), (fused, gates, None), (fused, None, dyn)]
+    return [(None, None), (fused, gates), (fused, dyn)]
 
 
 def test_generate_matches_full_recompute(decoder, rng):
     c = decoder.config
-    for fused, gates, dyn in _gate_sources(decoder, rng):
+    for fused, gates in _gate_sources(decoder, rng):
         for _ in range(4):
             prompt = _t0(rng, decoder, batch=1, length=int(rng.integers(2, 6)))
-            expected = _recompute_generate(decoder, prompt, fused, gates, c.max_positions, dyn)
-            assert generate(decoder, prompt, fused, gates, c.max_positions, dynamic_gates=dyn) == expected
+            expected = _recompute_generate(decoder, prompt, fused, gates, c.max_positions)
+            assert generate(decoder, prompt, fused, gates, c.max_positions) == expected
 
             # step by step: each cached step's last row is the full forward's last row
             cache, t0, step = DecodeCache(), prompt, prompt
             while t0.shape[1] < c.max_positions:
-                cached, _ = decoder.forward(step, fused, gates, dynamic_gates=dyn, cache=cache)
-                full, _ = decoder.forward(t0, fused, gates, dynamic_gates=dyn)
+                cached, _ = decoder.forward(step, fused, gates, cache=cache)
+                full, _ = decoder.forward(t0, fused, gates)
                 np.testing.assert_allclose(cached.data[0, -1], full.data[0, -1], rtol=0, atol=1e-5)
                 step = decoder.embed_tokens(np.array([[int(np.argmax(full.data[0, -1]))]]))
                 t0 = concat([t0, step], axis=1)
@@ -425,12 +425,15 @@ def test_layer_count_mismatch_between_fused_and_decoder(decoder, rng):
         decoder.forward(t0, fused, GateVector(decoder.config.n_layers))
 
 
-def test_exactly_one_gate_source_enforced(decoder, rng):
+def test_fused_kv_needs_a_gate_source(decoder, rng):
     t0 = _t0(rng, decoder)
-    fused = _fused(rng, decoder)
+    with pytest.raises(ConfigError, match="needs a gate source"):
+        decoder.forward(t0, _fused(rng, decoder), None)
+
+
+def test_both_gate_kinds_answer_gate_for(decoder, rng):
+    hidden = _t0(rng, decoder)
     gates = GateVector(decoder.config.n_layers)
+    assert gates.gate_for(2, hidden) is gates.values[1]
     dyn = DynamicGates(decoder.config.n_layers, decoder.config.d_dec)
-    with pytest.raises(ConfigError, match="gate source"):
-        decoder.forward(t0, fused, gates, dynamic_gates=dyn)
-    with pytest.raises(ConfigError, match="gate source"):
-        decoder.forward(t0, fused, None)
+    assert dyn.gate_for(2, hidden).shape == (2, 5, 1)

@@ -31,7 +31,6 @@ def test_state_stack_shape_contract(encoder, rng):
         assert h.shape == (2, 5, 64)
     assert stack.n_layers == 4
     assert stack.final is stack.states[-1]
-    assert len(stack.support) == 4
 
 
 def test_states_are_read_only(encoder, rng):

@@ -30,10 +30,7 @@ def logits_from_stack(model, stack, stage, src_seqs):
     """Re-run everything downstream of the encoder on a hand-edited stack."""
     i_map, fused = model.bridge_outputs(stack)
     packed = model._pack(stack, i_map, stage, src_seqs, None)
-    gates = None if (model.ablations.no_aligner or model.dynamic_gates is not None) else model.gates
-    logits, _ = model.decoder.forward(
-        packed.t0, fused, gates, valid=packed.valid, dynamic_gates=model.dynamic_gates
-    )
+    logits, _ = model.decoder.forward(packed.t0, fused, model.gates, valid=packed.valid)
     return logits.data
 
 

@@ -1,4 +1,4 @@
-"""Two-stage trainer: plan validation, reference defaults, optimization on a
+"""Two-stage trainer: stage config validation, reference defaults, optimization on a
 memorizable example, trace bookkeeping, exact-match evaluation, and the
 benchmark arm wiring.
 
@@ -7,6 +7,8 @@ loss floors sit well above zero even on a fully memorized example; tests
 assert exact-match reproduction and large loss drops instead of near-zero
 loss values.
 """
+
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -22,15 +24,12 @@ from layerbridge.training import (
     DEFAULT_WARMUP_RATIO,
     STAGE1_DEFAULT_LR,
     STAGE2_DEFAULT_LR,
+    SYNTHETIC_STAGES,
+    StageConfig,
     TraceRow,
-    TrainPlan,
-    default_stage1_plan,
-    default_stage2_plan,
     evaluate,
-    plans_for,
     read_trace,
     run_synthetic_benchmark,
-    SyntheticRunSettings,
     train_stage1,
     train_stage2,
     write_trace,
@@ -53,13 +52,13 @@ def translation_example():
 
 
 # ---------------------------------------------------------------------------
-# plans and defaults
+# stage configs and defaults
 # ---------------------------------------------------------------------------
 
 
 def test_reference_defaults():
-    p1 = default_stage1_plan()
-    p2 = default_stage2_plan()
+    p1 = StageConfig()
+    p2 = StageConfig(learning_rate=STAGE2_DEFAULT_LR)
     assert (p1.learning_rate, p2.learning_rate) == (4e-5, 3e-5)
     for plan in (p1, p2):
         assert plan.batch_size == 128
@@ -70,15 +69,17 @@ def test_reference_defaults():
 
 
 def test_default_plan_overrides():
-    plan = default_stage2_plan(epochs=7, seed=3)
-    assert plan.epochs == 7 and plan.seed == 3
+    plan = replace(StageConfig(learning_rate=STAGE2_DEFAULT_LR), epochs=7)
+    assert plan.epochs == 7
     assert plan.learning_rate == STAGE2_DEFAULT_LR
+    with pytest.raises(FrozenInstanceError):
+        plan.epochs = 3
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"stage": "warmup"},
+        {"trace_every": 0},
         {"epochs": 0},
         {"batch_size": 0},
         {"warmup_ratio": 1.0},
@@ -87,42 +88,47 @@ def test_default_plan_overrides():
     ],
 )
 def test_plan_validation(kwargs):
-    base = dict(stage="translation", learning_rate=1e-3)
+    base = dict(learning_rate=1e-3)
     base.update(kwargs)
     with pytest.raises(ConfigError):
-        TrainPlan(**base)
+        StageConfig(**base)
 
 
-def test_plans_for_builds_both_stages():
-    settings = SyntheticRunSettings()
-    p1, p2 = plans_for(settings, seed=9)
-    assert p1.stage == "translation" and p2.stage == "task"
-    assert p1.learning_rate == settings.stage1_lr
-    assert p2.learning_rate == settings.stage2_lr
-    assert p1.seed == p2.seed == 9
-    assert p1.epochs == settings.stage1_epochs and p2.epochs == settings.stage2_epochs
+def test_synthetic_stages_hold_calibrated_values():
+    s1, s2 = SYNTHETIC_STAGES
+    assert (s1.learning_rate, s1.epochs, s1.batch_size) == (2e-2, 3, 32)
+    assert (s2.learning_rate, s2.epochs, s2.batch_size) == (1e-2, 6, 32)
+    assert s1.warmup_ratio == s2.warmup_ratio == DEFAULT_WARMUP_RATIO
+    assert s1.trace_every == s2.trace_every == 10
 
 
-def test_stage_plan_mismatch_rejected():
-    model = BridgedModel(EC, DC, seed=0)
-    task_plan = TrainPlan(stage="task", learning_rate=1e-3)
-    with pytest.raises(ConfigError, match="translation"):
-        train_stage1(model, task_plan, [translation_example()], VOCAB)
-    trans_plan = TrainPlan(stage="translation", learning_rate=1e-3)
-    with pytest.raises(ConfigError, match="task"):
-        train_stage2(model, trans_plan, [translation_example()], VOCAB)
+def test_seed_drives_the_batch_order():
+    examples = [
+        ParallelExample(f"{a} {b}", "x", f"{b} {a}", "translation")
+        for a, b in zip(W, W[1:] + W[:1])
+    ]
+    plan = StageConfig(learning_rate=1e-2, epochs=1, batch_size=1)
+
+    def trained(seed):
+        model = BridgedModel(EC, DC, seed=0)
+        train_stage1(model, plan, examples, VOCAB, seed=seed)
+        return model.trainable_params()
+
+    first, again, other = trained(0), trained(0), trained(1)
+    assert all(np.array_equal(first[k].data, again[k].data) for k in first)
+    assert any(not np.array_equal(first[k].data, other[k].data) for k in first)
 
 
 def test_corpus_stage_tags_checked():
     model = BridgedModel(EC, DC, seed=0)
-    plan = TrainPlan(stage="task", learning_rate=1e-3)
+    plan = StageConfig(learning_rate=1e-3)
     with pytest.raises(IngestionError, match="tagged 'translation'"):
         train_stage2(model, plan, [translation_example()], VOCAB)
 
 
 def test_epoch_callback_sees_steps_so_far():
     model = BridgedModel(EC, DC, seed=0)
-    plan = TrainPlan(stage="translation", learning_rate=1e-3, epochs=3, batch_size=2)
+    plan = StageConfig(learning_rate=1e-3, epochs=3, batch_size=2)
     seen = []
     result = train_stage1(
         model, plan, [translation_example()] * 5, VOCAB,
@@ -135,7 +141,7 @@ def test_epoch_callback_sees_steps_so_far():
 
 def test_empty_corpus_rejected():
     model = BridgedModel(EC, DC, seed=0)
-    plan = TrainPlan(stage="translation", learning_rate=1e-3)
+    plan = StageConfig(learning_rate=1e-3)
     with pytest.raises(IngestionError, match="empty"):
         train_stage1(model, plan, [], VOCAB)
 
@@ -149,10 +155,8 @@ def test_empty_corpus_rejected():
 def memorized_run():
     ex = translation_example()
     model = BridgedModel(EC, DC, seed=0)
-    plan = TrainPlan(
-        stage="translation", learning_rate=2e-2, epochs=300, batch_size=1, warmup_ratio=0.05, seed=0
-    )
-    result = train_stage1(model, plan, [ex], VOCAB)
+    plan = StageConfig(learning_rate=2e-2, epochs=300, batch_size=1, warmup_ratio=0.05)
+    result = train_stage1(model, plan, [ex], VOCAB, seed=0)
     return model, result, ex
 
 
@@ -324,10 +328,8 @@ TINY_SPEC = SynthSpec(
 @pytest.fixture(scope="module")
 def tiny_benchmark():
     corpus = generate_synthetic_corpus(TINY_SPEC, seed=1)
-    settings = SyntheticRunSettings(
-        stage1_lr=1e-2, stage2_lr=1e-2, batch_size=8, stage1_epochs=1, stage2_epochs=1
-    )
-    return run_synthetic_benchmark(corpus, seed=1, settings=settings, enc_config=EC, dec_config=DC)
+    stage = StageConfig(learning_rate=1e-2, epochs=1, batch_size=8)
+    return run_synthetic_benchmark(corpus, seed=1, stages=(stage, stage), enc_config=EC, dec_config=DC)
 
 
 def test_benchmark_runs_expected_stages(tiny_benchmark):
