@@ -14,12 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layerbridge.data import generate_synthetic_corpus
-from layerbridge.training import (
-    benchmark_spec,
-    run_synthetic_benchmark,
-)
-
-ARMS = ("full", "skip_stage1", "no_aligner", "untrained")
+from layerbridge.training import ARMS, benchmark_spec, run_synthetic_benchmark
 
 
 def main():
@@ -33,7 +28,7 @@ def main():
     for seed in seeds:
         corpus = generate_synthetic_corpus(spec, seed=seed)
         t0 = time.time()
-        outcomes = run_synthetic_benchmark(corpus, seed, arms=ARMS)
+        outcomes = run_synthetic_benchmark(corpus, seed)
         elapsed = time.time() - t0
         lrl = {name: outcomes[name].report.aggregates["Lrl"] for name in ARMS}
         rows.append((seed, lrl, elapsed))

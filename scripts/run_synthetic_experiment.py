@@ -14,18 +14,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layerbridge.data import generate_synthetic_corpus
-from layerbridge.training import (
-    benchmark_spec,
-    run_synthetic_benchmark,
-    write_trace,
-)
+from layerbridge.training import ARMS, benchmark_spec, run_synthetic_benchmark, write_trace
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", help="directory for results.csv and trace files")
-    ap.add_argument("--arms", default="full,skip_stage1,no_aligner,untrained")
+    ap.add_argument("--arms", default=",".join(ARMS))
     args = ap.parse_args()
 
     arms = tuple(a.strip() for a in args.arms.split(",") if a.strip())

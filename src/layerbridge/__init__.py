@@ -13,7 +13,7 @@ from .bridge import Adapter, LayerSubset, LayerWiseAligner, aligner_weight_matri
 from .config import RunConfig, build_model, config_digest, load_run_config
 from .data import SynthCorpus, SynthSpec, Vocabulary, generate_synthetic_corpus
 from .decoder import Decoder, DecoderConfig, DynamicGates, GateVector, generate
-from .encoder import Encoder, EncoderConfig, LayerStack, layer_similarity_profile
+from .encoder import Encoder, EncoderConfig, LayerStack
 from .errors import (
     ConfigError,
     ContractError,
@@ -77,7 +77,6 @@ __all__ = [
     "evaluate",
     "generate",
     "generate_synthetic_corpus",
-    "layer_similarity_profile",
     "load_run_config",
     "run_synthetic_benchmark",
     "subset_from_spec",

@@ -9,7 +9,7 @@ widens it to the whole sequence. Padding positions are never pooled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

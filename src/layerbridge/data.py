@@ -511,7 +511,7 @@ def load_corpus_dir(corpus_dir: str | Path) -> SynthCorpus:
         if "tasks" in raw:
             raw["tasks"] = tuple(raw["tasks"])
         spec = SynthSpec(**raw)
-    except TypeError as err:
+    except (TypeError, ConfigError) as err:
         raise IngestionError(f"{spec_path}: {err}") from None
     seed = payload.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:

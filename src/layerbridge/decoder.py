@@ -118,12 +118,11 @@ class DynamicGates:
 
 @dataclass
 class DecoderState:
-    """Forward-pass record: hidden sequences T_0..T_m, the validity mask, and
-    per-layer per-token output norms of the two attention paths (the CA norm
-    already carries its gate factor)."""
+    """Forward-pass record: hidden sequences T_0..T_m and per-layer per-token
+    output norms of the two attention paths (the CA norm already carries its
+    gate factor)."""
 
     states: list[Tensor]
-    valid: np.ndarray
     sa_norms: list[np.ndarray] = field(default_factory=list)
     ca_norms: list[np.ndarray] = field(default_factory=list)
 
@@ -176,14 +175,18 @@ class Decoder:
         out.update(self.head.named_params(f"{prefix}.head"))
         return out
 
-    def embed_tokens(self, tokens: np.ndarray) -> Tensor:
-        """Frozen embedding lookup, [batch, length, d_dec]."""
+    def token_ids(self, tokens: np.ndarray) -> np.ndarray:
+        """``tokens`` as int64, each checked to index a row of ``tok_emb``."""
         idx = np.asarray(tokens, dtype=np.int64)
         bad = (idx < 0) | (idx >= self.config.vocab_size)
         if bad.any():
             pos = tuple(map(int, np.argwhere(bad)[0]))
             raise ConfigError(f"token id {idx[pos]} at {pos} outside decoder vocab")
-        return Tensor(self.tok_emb.data[idx])
+        return idx
+
+    def embed_tokens(self, tokens: np.ndarray) -> Tensor:
+        """Frozen embedding lookup, [batch, length, d_dec]."""
+        return Tensor(self.tok_emb.data[self.token_ids(tokens)])
 
     def forward(
         self,
@@ -228,7 +231,7 @@ class Decoder:
         sa_bias = None if offset else causal_bias(dec_len) + padding_bias(valid)
 
         x = ad.add(t0, Tensor(self.pos_emb.data[offset : offset + dec_len][None]))
-        state = DecoderState(states=[t0], valid=valid)
+        state = DecoderState(states=[t0])
         for i in range(1, c.n_layers + 1):
             x, sa_norm, ca_norm = self.block(i, x, sa_bias, fused, gates, cache)
             state.sa_norms.append(sa_norm)

@@ -121,44 +121,3 @@ class Encoder:
             h = feed_forward(layer, ad.add(h, attended))
             states.append(h.data)
         return LayerStack(states=states, mask=mask)
-
-
-@dataclass
-class SimilarityProfile:
-    """Mean per-position cosine of each layer against a reference layer.
-
-    ``values[i]`` averages cosine(H_i[pos], H_ref[pos]) over real (non-pad)
-    positions; positions where either vector is exactly zero are skipped and
-    counted per layer in ``skipped``."""
-
-    values: np.ndarray
-    skipped: np.ndarray
-    reference: str
-
-    @property
-    def total_skipped(self) -> int:
-        return int(self.skipped.sum())
-
-
-def layer_similarity_profile(stack: LayerStack, reference: str = "embedding") -> SimilarityProfile:
-    if reference not in ("embedding", "last"):
-        raise ConfigError(f"reference must be 'embedding' or 'last', got {reference!r}")
-    if not stack.states:
-        raise ContractError("empty layer stack")
-    ref = stack.states[0] if reference == "embedding" else stack.states[-1]
-    valid = stack.mask
-    n_states = len(stack.states)
-    values = np.zeros(n_states)
-    skipped = np.zeros(n_states, dtype=np.int64)
-    ref_norm = np.linalg.norm(ref.astype(np.float64), axis=-1)
-    for i, h in enumerate(stack.states):
-        h_norm = np.linalg.norm(h.astype(np.float64), axis=-1)
-        usable = valid & (h_norm > 0) & (ref_norm > 0)
-        skipped[i] = int((valid & ((h_norm == 0) | (ref_norm == 0))).sum())
-        if not usable.any():
-            values[i] = np.nan
-            continue
-        dots = np.sum(h.astype(np.float64) * ref.astype(np.float64), axis=-1)
-        cos = dots[usable] / (h_norm[usable] * ref_norm[usable])
-        values[i] = float(cos.mean())
-    return SimilarityProfile(values=values, skipped=skipped, reference=reference)

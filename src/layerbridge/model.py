@@ -1,11 +1,12 @@
 """End-to-end model: frozen encoder -> trainable bridge -> frozen decoder.
 
-Handles batch assembly with per-example packing: each example's decoder
-sequence is [bos; soft prompt; sep; user tokens?; teacher-forced targets]
-built at its own true lengths, then right-padded so padding never sits
-between real tokens. Ablation flags rewire the forward pass itself, so
-"component removed" means the corresponding encoder states are genuinely
-unused, not merely down-weighted.
+Each example's decoder row is [bos; soft prompt; sep; user tokens?;
+teacher-forced targets] at its own true length, right-padded so padding
+never sits between real tokens. The batch's T_0 is one gather: an id matrix
+indexes a table of the decoder's token embeddings with the adapter's
+soft-prompt rows stacked below them. Ablation flags rewire the forward pass
+itself, so "component removed" means the corresponding encoder states are
+genuinely unused, not merely down-weighted.
 """
 
 from __future__ import annotations
@@ -64,17 +65,13 @@ class AblationFlags:
 
 @dataclass
 class PackedBatch:
-    """One assembled training batch: T_0, validity, flattened supervision.
-
-    ``user_spans`` holds each example's (start, length) of raw input-token
-    positions inside T_0 — (0, 0) when the layout carries none."""
+    """One assembled training batch: T_0, validity, flattened supervision."""
 
     t0: Tensor
     valid: np.ndarray
     labels: np.ndarray
     loss_mask: np.ndarray
     prompt_lens: list[int]
-    user_spans: list[tuple[int, int]]
 
 
 class BridgedModel:
@@ -173,73 +170,54 @@ class BridgedModel:
 
     def _pack(
         self,
-        stack: LayerStack,
         i_map: Tensor | None,
         stage: str,
         src_seqs: list[np.ndarray],
         tgt_seqs: list[np.ndarray] | None,
     ) -> PackedBatch:
-        """Per-example assembly then right-padding to the batch maximum."""
-        dec = self.decoder
+        """Lay out every row's ids, then gather T_0 in one lookup.
+
+        The table stacks ``i_map``'s rows below ``tok_emb``, so soft-prompt slot j
+        of example e holds ``vocab_size + e * S + j``. Every other slot holds a
+        token id, checked against the decoder vocabulary before those go in.
+        """
         c = self.dec_config
         batch = len(src_seqs)
+        src_lens = np.array([len(s) for s in src_seqs])
         use_user = stage == STAGE_TASK and not self.ablations.no_llm_input
-        bos = dec.embed_tokens(np.array([[c.bos_id]]))
-        sep = dec.embed_tokens(np.array([[c.sep_id]]))
-
-        rows: list[list[Tensor]] = []
-        prompt_lens: list[int] = []
-        user_spans: list[tuple[int, int]] = []
-        lengths: list[int] = []
-        for e in range(batch):
-            p = len(src_seqs[e])
-            parts = [bos]
-            if i_map is not None:
-                parts.append(ad.narrow(ad.narrow(i_map, 0, e, 1), 1, 0, p))
-            parts.append(sep)
-            frame_len = 1 + (p if i_map is not None else 0) + 1
-            if use_user:
-                parts.append(dec.embed_tokens(src_seqs[e][None, :]))
-                user_spans.append((frame_len, p))
-            else:
-                user_spans.append((0, 0))
-            prompt_len = frame_len + (p if use_user else 0)
-            if tgt_seqs is not None and len(tgt_seqs[e]):
-                parts.append(dec.embed_tokens(tgt_seqs[e][None, :]))
-            rows.append(parts)
-            prompt_lens.append(prompt_len)
-            lengths.append(prompt_len + (len(tgt_seqs[e]) if tgt_seqs is not None else 0))
-
-        width = max(lengths)
+        sep_at = 1 + src_lens * (i_map is not None)
+        prompt_lens = sep_at + 1 + src_lens * use_user
+        lengths = prompt_lens + (np.array([len(t) for t in tgt_seqs]) if tgt_seqs is not None else 0)
+        width = int(lengths.max())
         if width > c.max_positions:
             raise ConfigError(f"assembled length {width} exceeds max_positions {c.max_positions}")
-        valid = np.zeros((batch, width), dtype=bool)
+        ids = np.full((batch, width), c.pad_id, dtype=np.int64)
         labels = np.zeros((batch, width), dtype=np.int64)
         loss_mask = np.zeros((batch, width), dtype=bool)
-        padded_rows = []
-        for e in range(batch):
-            deficit = width - lengths[e]
-            parts = rows[e]
-            if deficit:
-                parts = parts + [dec.embed_tokens(np.full((1, deficit), c.pad_id, dtype=np.int64))]
-            padded_rows.append(ad.concat(parts, axis=1) if len(parts) > 1 else parts[0])
-            valid[e, : lengths[e]] = True
+        ids[:, 0] = c.bos_id
+        ids[np.arange(batch), sep_at] = c.sep_id
+        for e, p0 in enumerate(prompt_lens):
+            if use_user:
+                ids[e, p0 - src_lens[e] : p0] = src_seqs[e]
             if tgt_seqs is not None:
-                tgt = tgt_seqs[e]
-                p0 = prompt_lens[e] - 1
-                for j, tok in enumerate(tgt):
-                    labels[e, p0 + j] = tok
-                    loss_mask[e, p0 + j] = True
-                labels[e, p0 + len(tgt)] = c.eos_id
-                loss_mask[e, p0 + len(tgt)] = True
-        t0 = ad.concat(padded_rows, axis=0) if batch > 1 else padded_rows[0]
+                end = p0 + len(tgt_seqs[e])
+                ids[e, p0:end] = labels[e, p0 - 1 : end - 1] = tgt_seqs[e]
+                labels[e, end - 1] = c.eos_id
+                loss_mask[e, p0 - 1 : end] = True
+        self.decoder.token_ids(ids)
+        table = self.decoder.tok_emb
+        if i_map is not None:
+            _, src_len, d = i_map.shape
+            in_prompt = np.arange(src_len) < src_lens[:, None]
+            rows = c.vocab_size + np.arange(batch * src_len).reshape(batch, src_len)
+            ids[:, 1 : 1 + src_len][in_prompt] = rows[in_prompt]
+            table = ad.concat([table, ad.reshape(i_map, (batch * src_len, d))], axis=0)
         return PackedBatch(
-            t0=t0,
-            valid=valid,
+            t0=ad.embedding(table, ids),
+            valid=np.arange(width) < lengths[:, None],
             labels=labels,
             loss_mask=loss_mask,
-            prompt_lens=prompt_lens,
-            user_spans=user_spans,
+            prompt_lens=prompt_lens.tolist(),
         )
 
     def forward_batch(
@@ -251,9 +229,8 @@ class BridgedModel:
         """Logits over the packed batch; targets are teacher-forced when given."""
         if stage not in (STAGE_TRANSLATION, STAGE_TASK):
             raise ConfigError(f"unknown stage {stage!r}")
-        stack = self.encode_sources(src_seqs)
-        i_map, fused = self.bridge_outputs(stack)
-        packed = self._pack(stack, i_map, stage, src_seqs, tgt_seqs)
+        i_map, fused = self.bridge_outputs(self.encode_sources(src_seqs))
+        packed = self._pack(i_map, stage, src_seqs, tgt_seqs)
         logits, state = self.decoder.forward(packed.t0, fused, self.gates, valid=packed.valid)
         return logits, state, packed
 
@@ -267,25 +244,7 @@ class BridgedModel:
 
     def generate_answer(self, stage: str, src_seq: np.ndarray, max_new_tokens: int = 16) -> list[int]:
         """Greedy answer tokens for one source sequence."""
-        stack = self.encode_sources([np.asarray(src_seq, dtype=np.int64)])
-        i_map, fused = self.bridge_outputs(stack)
-        packed = self._pack(stack, i_map, stage, [np.asarray(src_seq, dtype=np.int64)], None)
+        src = [np.asarray(src_seq, dtype=np.int64)]
+        i_map, fused = self.bridge_outputs(self.encode_sources(src))
+        packed = self._pack(i_map, stage, src, None)
         return generate(self.decoder, packed.t0, fused, self.gates, max_new_tokens)
-
-    def pooled_final_state(
-        self, stage: str, src_seq: np.ndarray, include_prompt: bool = False
-    ) -> np.ndarray:
-        """Mean over real positions of the last layer's hidden state T_m.
-
-        By default pooling covers only the raw input-token span, excluding
-        the soft prompt and its frame markers; when the layout carries no
-        input tokens (translation stage) the whole valid span is pooled.
-        ``include_prompt`` forces whole-span pooling.
-        """
-        _, state, packed = self.forward_batch(stage, [np.asarray(src_seq, dtype=np.int64)], None)
-        final = state.states[-1].data[0]
-        length = int(packed.valid[0].sum())
-        start, span = packed.user_spans[0]
-        if include_prompt or span == 0:
-            return final[:length].mean(axis=0)
-        return final[start : start + span].mean(axis=0)

@@ -305,6 +305,14 @@ def evaluate(
 # should change only with a fresh three-seed check.
 SYNTHETIC_STAGES = (StageConfig(2e-2, 3, 32), StageConfig(1e-2, 6, 32))
 
+# The benchmark arms: name -> (ablations, whether the arm trains at all).
+ARMS: dict[str, tuple[AblationFlags, bool]] = {
+    "full": (AblationFlags(), True),
+    "skip_stage1": (AblationFlags(skip_stage1=True), True),
+    "no_aligner": (AblationFlags(no_aligner=True), True),
+    "untrained": (AblationFlags(), False),
+}
+
 
 def benchmark_spec(**overrides) -> SynthSpec:
     """The calibrated three-language benchmark corpus.
@@ -380,22 +388,16 @@ def run_synthetic_benchmark(
     corpus: SynthCorpus,
     seed: int,
     stages: tuple[StageConfig, StageConfig] = SYNTHETIC_STAGES,
-    arms: tuple[str, ...] = ("full", "skip_stage1", "no_aligner", "untrained"),
+    arms: tuple[str, ...] = tuple(ARMS),
     enc_config=None,
     dec_config=None,
 ) -> dict[str, ArmOutcome]:
     """Train the requested arms on one corpus and evaluate each on the task split."""
-    wiring = {
-        "full": (AblationFlags(), True),
-        "skip_stage1": (AblationFlags(skip_stage1=True), True),
-        "no_aligner": (AblationFlags(no_aligner=True), True),
-        "untrained": (AblationFlags(), False),
-    }
     out: dict[str, ArmOutcome] = {}
     for arm in arms:
-        if arm not in wiring:
+        if arm not in ARMS:
             raise ConfigError(f"unknown benchmark arm {arm!r}")
-        ablations, do_train = wiring[arm]
+        ablations, do_train = ARMS[arm]
         _, outcome = train_arm(
             corpus, ablations, stages, seed, arm,
             enc_config=enc_config, dec_config=dec_config, train=do_train,

@@ -21,7 +21,7 @@ from layerbridge.data import generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
 from layerbridge.model import AblationFlags, BridgedModel
-from layerbridge.training import SYNTHETIC_STAGES, benchmark_spec, train_arm
+from layerbridge.training import ARMS, SYNTHETIC_STAGES, benchmark_spec, train_arm
 
 SEED = 0
 
@@ -45,7 +45,7 @@ def random_batches(rng, n, enc_vocab, max_len=6):
 
 def downstream_logits(model, stack, stage, srcs):
     i_map, fused = model.bridge_outputs(stack)
-    packed = model._pack(stack, i_map, stage, srcs, None)
+    packed = model._pack(i_map, stage, srcs, None)
     logits, _ = model.decoder.forward(packed.t0, fused, model.gates, valid=packed.valid)
     return logits.data
 
@@ -60,21 +60,13 @@ def perturbed_stack(stack, layer, eps=0.5):
 # the shared synthetic experiment (criteria 3, 5, 6, 7-after-training)
 # ---------------------------------------------------------------------------
 
-ARM_WIRING = {
-    "full": (AblationFlags(), True),
-    "skip_stage1": (AblationFlags(skip_stage1=True), True),
-    "no_aligner": (AblationFlags(no_aligner=True), True),
-    "untrained": (AblationFlags(), False),
-}
-
-
 @pytest.fixture(scope="module")
 def experiment():
     spec = benchmark_spec()
     corpus = generate_synthetic_corpus(spec, seed=SEED)
     models, outcomes = {}, {}
     t0 = time.monotonic()
-    for arm, (ablations, do_train) in ARM_WIRING.items():
+    for arm, (ablations, do_train) in ARMS.items():
         model, outcome = train_arm(corpus, ablations, SYNTHETIC_STAGES, SEED, arm, train=do_train)
         models[arm] = model
         outcomes[arm] = outcome
@@ -191,7 +183,7 @@ def test_criterion_04_ablation_perturbation():
 
 def test_criterion_05_synthetic_two_stage_experiment(experiment):
     _, _, outcomes, elapsed = experiment
-    lrl = {name: outcomes[name].report.aggregates["Lrl"] for name in ARM_WIRING}
+    lrl = {name: outcomes[name].report.aggregates["Lrl"] for name in ARMS}
     m_skip = lrl["full"] - lrl["skip_stage1"]
     m_na = lrl["full"] - lrl["no_aligner"]
     m_un = lrl["full"] - lrl["untrained"]
@@ -200,7 +192,7 @@ def test_criterion_05_synthetic_two_stage_experiment(experiment):
     assert m_un >= 30.0, f"full vs untrained margin {m_un:.1f} < 30"
     assert elapsed < 1800.0, f"experiment took {elapsed:.0f}s, budget is 30 min"
     announce(5, "low-resource exact-match "
-                + ", ".join(f"{n}={lrl[n]:.1f}" for n in ARM_WIRING)
+                + ", ".join(f"{n}={lrl[n]:.1f}" for n in ARMS)
                 + f"; margins {m_skip:.1f}/{m_na:.1f}/{m_un:.1f}, {elapsed:.0f}s")
 
 

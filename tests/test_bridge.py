@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerbridge.autodiff import Tape, Tensor, backward, sum_, mul
+from layerbridge.autodiff import Tape, add, backward, mul, sum_
 from layerbridge.bridge import (
     Adapter,
     LayerSubset,
@@ -211,7 +211,7 @@ def test_gradients_reach_mixing_logits_and_fusion_net(rng):
     stack = _stack(rng)
     with Tape() as tape:
         k, v = aligner.fuse_one(stack, 2)
-        loss = sum_(mul(k, k)) + sum_(mul(v, v))
+        loss = add(sum_(mul(k, k)), sum_(mul(v, v)))
     backward(tape, loss)
     assert aligner.mixing_logits.grad is not None
     # only the addressed row receives gradient, and only support columns

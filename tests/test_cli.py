@@ -327,6 +327,8 @@ BLANK_TARGET = {"src": "baba", "tgt": " ", "lang": "lang1", "stage": "translatio
          "'src' must be str"),
         ("spec.json", "[]", "expected an object"),
         ("spec.json", json.dumps({"seed": 0, "spec": 5}), "expected an object"),
+        ("spec.json", json.dumps({"seed": 0, "spec": {"lrl_fraction": 2.0}}),
+         "spec.json: lrl_fraction must be in (0, 1]"),
     ],
 )
 def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, needle):

@@ -1,16 +1,11 @@
-"""Frozen bidirectional encoder: shapes, determinism, masking, diagnostics."""
+"""Frozen bidirectional encoder: shapes, determinism, masking, validation."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from layerbridge.encoder import (
-    Encoder,
-    EncoderConfig,
-    LayerStack,
-    layer_similarity_profile,
-)
+from layerbridge.encoder import Encoder, EncoderConfig
 from layerbridge.errors import ConfigError, InputError
 
 
@@ -113,69 +108,3 @@ def test_config_validation():
         EncoderConfig(n_layers=0)
     with pytest.raises(ConfigError):
         EncoderConfig(vocab_size=0)
-
-
-# ---------------------------------------------------------------------------
-# similarity diagnostic against a naive oracle
-# ---------------------------------------------------------------------------
-
-
-def _naive_profile(states, mask, ref_states):
-    """Cosine means computed with explicit loops, skipping zero vectors."""
-    values, skipped = [], []
-    for h in states:
-        total, count, skip = 0.0, 0, 0
-        for b in range(h.shape[0]):
-            for t in range(h.shape[1]):
-                if not mask[b, t]:
-                    continue
-                u, v = h[b, t].astype(np.float64), ref_states[b, t].astype(np.float64)
-                nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-                if nu == 0 or nv == 0:
-                    skip += 1
-                    continue
-                total += float(u @ v / (nu * nv))
-                count += 1
-        values.append(total / count if count else float("nan"))
-        skipped.append(skip)
-    return np.array(values), np.array(skipped)
-
-
-def test_similarity_profile_matches_naive_loop(encoder, rng):
-    tokens = _tokens(rng, 3, 7)
-    mask = rng.random((3, 7)) < 0.8
-    mask[:, 0] = True
-    stack = encoder.forward(tokens, mask)
-    prof = layer_similarity_profile(stack, reference="embedding")
-    want_values, want_skipped = _naive_profile(stack.states, stack.mask, stack.states[0])
-    assert np.allclose(prof.values, want_values, atol=1e-6)
-    assert np.array_equal(prof.skipped, want_skipped)
-
-
-def test_similarity_profile_last_reference_ends_at_one(encoder, rng):
-    stack = encoder.forward(_tokens(rng, 2, 5))
-    prof = layer_similarity_profile(stack, reference="last")
-    assert prof.values[-1] == pytest.approx(1.0, abs=1e-6)
-    assert np.all(prof.values[np.isfinite(prof.values)] <= 1.0 + 1e-6)
-
-
-def test_similarity_profile_tallies_zero_vectors():
-    d = 4
-    states = [np.ones((1, 3, d), dtype=np.float32) for _ in range(3)]
-    states[1] = states[1].copy()
-    states[1][0, 1] = 0.0  # zero vector at a real position
-    for h in states:
-        h.flags.writeable = False
-    mask = np.ones((1, 3), dtype=bool)
-    stack = LayerStack(states=states, mask=mask)
-    prof = layer_similarity_profile(stack, reference="embedding")
-    assert prof.skipped[1] == 1
-    assert prof.total_skipped == 1
-    assert prof.values[1] == pytest.approx(1.0)
-
-
-def test_unknown_reference_rejected(encoder, rng):
-    stack = encoder.forward(_tokens(rng, 1, 3))
-    with pytest.raises(ConfigError):
-        layer_similarity_profile(stack, reference="middle")
-

@@ -1,4 +1,4 @@
-"""End-to-end model wiring: batch packing, ablation rewiring, pooling, and
+"""End-to-end model wiring: batch packing, ablation rewiring, generation and
 the frozen-backbone digest.
 
 The perturbation tests mutate individual encoder layers and re-run the rest
@@ -29,7 +29,7 @@ def model():
 def logits_from_stack(model, stack, stage, src_seqs):
     """Re-run everything downstream of the encoder on a hand-edited stack."""
     i_map, fused = model.bridge_outputs(stack)
-    packed = model._pack(stack, i_map, stage, src_seqs, None)
+    packed = model._pack(i_map, stage, src_seqs, None)
     logits, _ = model.decoder.forward(packed.t0, fused, model.gates, valid=packed.valid)
     return logits.data
 
@@ -55,7 +55,6 @@ def test_translation_packing_layout(model):
     assert packed.t0.shape == (2, 7, 16)
     assert logits.shape == (2, 7, 32)
     assert packed.prompt_lens == [5, 3]
-    assert packed.user_spans == [(0, 0), (0, 0)]
     assert packed.valid.all()
     want_labels = np.array([[0, 0, 0, 0, 10, 11, 3], [0, 0, 12, 13, 14, 15, 3]])
     want_mask = np.array([[0, 0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 1, 1]], dtype=bool)
@@ -77,7 +76,6 @@ def test_task_packing_appends_user_tokens(model):
     _, _, packed = model.forward_batch("task", SRC, TGT)
     # [bos; soft prompt(p); sep; user(p); targets]
     assert packed.prompt_lens == [8, 4]
-    assert packed.user_spans == [(5, 3), (3, 1)]
     assert packed.t0.shape[1] == 10
     t0 = packed.t0.data
     assert np.array_equal(t0[0, 5:8], embeddings(model, SRC[0]))
@@ -96,18 +94,45 @@ def test_no_llm_input_drops_user_block():
     m = BridgedModel(EC, DC, ablations=AblationFlags(no_llm_input=True), seed=0)
     _, _, packed = m.forward_batch("task", SRC, TGT)
     assert packed.prompt_lens == [5, 3]
-    assert packed.user_spans == [(0, 0), (0, 0)]
 
 
 def test_no_adapter_drops_soft_prompt():
     m = BridgedModel(EC, DC, ablations=AblationFlags(no_adapter=True), seed=0)
     _, _, packed = m.forward_batch("task", SRC, TGT)
     assert packed.prompt_lens == [5, 3]
-    assert packed.user_spans == [(2, 3), (2, 1)]
     # [bos; sep; user(p); targets]
     t0 = packed.t0.data
     assert np.array_equal(t0[0, :2], embeddings(m, [DC.bos_id, DC.sep_id]))
     assert np.array_equal(t0[0, 2:5], embeddings(m, SRC[0]))
+    # translation rows then carry only [bos; sep; targets]
+    _, _, packed = m.forward_batch("translation", SRC, TGT)
+    assert packed.prompt_lens == [2, 2]
+    assert np.array_equal(packed.t0.data[1, :6], embeddings(m, [DC.bos_id, DC.sep_id, *TGT[1]]))
+
+
+def test_target_outside_decoder_vocab_rejected(model):
+    # id vocab_size is exactly the gather's first soft-prompt row
+    with pytest.raises(ConfigError, match=f"token id {DC.vocab_size} .*outside decoder vocab"):
+        model.forward_batch("translation", SRC, [TGT[0], np.array([12, DC.vocab_size])])
+
+
+# an encoder vocabulary wider than the decoder's lets a source id reach the
+# decoder's check instead of the encoder's
+EC_WIDE = EncoderConfig(vocab_size=64, d_enc=16, n_layers=3, n_heads=2, d_ff=24, max_positions=16)
+
+
+def test_task_source_outside_decoder_vocab_rejected():
+    m = BridgedModel(EC_WIDE, DC, seed=0)
+    with pytest.raises(ConfigError, match=f"token id {DC.vocab_size} .*outside decoder vocab"):
+        m.forward_batch("task", [SRC[0], np.array([DC.vocab_size])], TGT)
+
+
+def test_translation_source_only_needs_encoder_vocab():
+    # translation rows carry no user tokens, so the source never reads tok_emb
+    m = BridgedModel(EC_WIDE, DC, seed=0)
+    logits, _, packed = m.forward_batch("translation", [SRC[0], np.array([DC.vocab_size])], TGT)
+    assert packed.prompt_lens == [5, 3]
+    assert np.isfinite(logits.data).all()
 
 
 def test_packing_overflow_raises(model):
@@ -209,32 +234,8 @@ def test_ablation_active_listing():
 
 
 # ---------------------------------------------------------------------------
-# pooling, generation, digest
+# generation, digest
 # ---------------------------------------------------------------------------
-
-
-def test_pooled_state_covers_user_span(model):
-    _, state, packed = model.forward_batch("task", [SRC[0]], None)
-    final = state.states[-1].data[0]
-    start, span = packed.user_spans[0]
-    want = final[start : start + span].mean(axis=0)
-    assert np.array_equal(model.pooled_final_state("task", SRC[0]), want)
-
-
-def test_pooled_state_include_prompt(model):
-    _, state, packed = model.forward_batch("task", [SRC[0]], None)
-    final = state.states[-1].data[0]
-    length = int(packed.valid[0].sum())
-    want = final[:length].mean(axis=0)
-    assert np.array_equal(model.pooled_final_state("task", SRC[0], include_prompt=True), want)
-
-
-def test_pooled_state_translation_uses_whole_span(model):
-    _, state, packed = model.forward_batch("translation", [SRC[0]], None)
-    final = state.states[-1].data[0]
-    length = int(packed.valid[0].sum())
-    want = final[:length].mean(axis=0)
-    assert np.array_equal(model.pooled_final_state("translation", SRC[0]), want)
 
 
 def test_generate_answer_is_deterministic(model):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from layerbridge.autodiff import Tape, Tensor, backward, mul, sum_
+from layerbridge.autodiff import Tape, Tensor, add, backward, mul, sum_
 from layerbridge.errors import ContractError
 from layerbridge.optim import AdamState, adam_step, global_grad_norm
 
@@ -39,7 +39,7 @@ def test_quadratic_converges():
     state = AdamState(base_lr=2e-2)
     for _ in range(900):
         with Tape() as tape:
-            diff = p - Tensor(target)
+            diff = add(p, Tensor(-target))
             loss = sum_(mul(diff, diff))
         backward(tape, loss)
         adam_step(state, {"p": p})

@@ -19,6 +19,7 @@ from layerbridge.encoder import EncoderConfig
 from layerbridge.errors import ConfigError, IngestionError
 from layerbridge.model import BridgedModel
 from layerbridge.training import (
+    ARMS,
     DEFAULT_BATCH,
     DEFAULT_EPOCHS,
     DEFAULT_WARMUP_RATIO,
@@ -333,6 +334,7 @@ def tiny_benchmark():
 
 
 def test_benchmark_runs_expected_stages(tiny_benchmark):
+    assert list(tiny_benchmark) == list(ARMS)
     assert [r.stage for r in tiny_benchmark["full"].results] == ["translation", "task"]
     assert [r.stage for r in tiny_benchmark["skip_stage1"].results] == ["task"]
     assert [r.stage for r in tiny_benchmark["no_aligner"].results] == ["translation", "task"]
