@@ -203,6 +203,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g):
         ga = gb = None
+        if a_data.ndim > 2 and b_data.ndim == 2:
+            # activation times weight: flatten the leading dims so each
+            # gradient is one GEMM, with no per-batch temporary to sum
+            g2 = g.reshape(-1, g.shape[-1])
+            if na:
+                ga = (g2 @ b_data.T).reshape(a_data.shape)
+            if nb:
+                gb = a_data.reshape(-1, a_data.shape[-1]).T @ g2
+            return ga, gb
         if na:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
         if nb:
@@ -395,8 +404,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gb = np.sum(g, axis=lead)
         if nx:
             dxhat = g * gain_data
-            m1 = np.mean(dxhat, axis=-1, keepdims=True)
-            m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
             gx = inv * (dxhat - m1 - xhat * m2)
         return gx, gg, gb
 

@@ -99,7 +99,7 @@ def load_checkpoint(
             (str(e["name"]), tuple(int(n) for n in e["shape"]), int(e["offset"]))
             for e in header["tensors"]
         ]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise IngestionError(f"{path}: malformed checkpoint header: {err!r}") from err
     if expected_digest is not None and digest != expected_digest and not force:
         raise ConfigError(
@@ -116,7 +116,10 @@ def load_checkpoint(
         end = start + 4 * math.prod(shape)
         if end > len(payload):
             raise IngestionError(f"{path}: truncated payload for tensor {name!r}")
-        tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+        except ValueError as err:  # an empty shape numpy cannot represent
+            raise IngestionError(f"{path}: bad shape {shape} for tensor {name!r}: {err}") from err
     return Checkpoint(config_digest=digest, stage=stage, step=step, tensors=tensors)
 
 

@@ -72,6 +72,51 @@ def test_matmul_batched_gradients(rng):
     assert_grad_matches(lambda: sum_(matmul(a, b)), [a, b])
 
 
+@pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)])
+def test_matmul_activation_times_weight_gradients(rng, needs):
+    # the flattened one-GEMM rule: a 3-d activation times a 2-d weight,
+    # each operand tracked alone and both together
+    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=needs[0])
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=needs[1])
+    r = Tensor(rng.normal(size=(2, 3, 5)))
+    tracked = [t for t, need in zip((a, w), needs) if need]
+    assert_grad_matches(lambda: sum_(mul(matmul(a, w), r)), tracked)
+    for t, need in zip((a, w), needs):
+        assert (t.grad is not None) == need
+
+
+def test_matmul_activation_times_weight_non_contiguous(rng):
+    # a transposed view as the activation, and a transposed upstream gradient
+    x = _t(rng, 3, 2, 4)
+    w = _t(rng, 4, 5)
+    r = Tensor(rng.normal(size=(5, 3, 2)))
+
+    def loss():
+        a = transpose(x, (1, 0, 2))
+        assert not a.data.flags.c_contiguous
+        return sum_(mul(transpose(matmul(a, w), (2, 1, 0)), r))
+
+    assert_grad_matches(loss, [x, w])
+
+
+def test_matmul_activation_times_weight_4d_leading_shape(rng):
+    a = _t(rng, 2, 3, 2, 4)
+    w = _t(rng, 4, 5)
+    r = Tensor(rng.normal(size=(2, 3, 2, 5)))
+    assert_grad_matches(lambda: sum_(mul(matmul(a, w), r)), [a, w])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_activation_times_weight_forward_is_np_matmul(rng, dtype):
+    a = rng.normal(size=(4, 7, 64)).astype(dtype)
+    w = rng.normal(size=(64, 32)).astype(dtype)
+    with Tape():
+        out = matmul(Tensor(a, requires_grad=True), Tensor(w, requires_grad=True))
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.data, np.matmul(a, w))
+    np.testing.assert_array_equal(matmul(Tensor(a), Tensor(w)).data, np.matmul(a, w))
+
+
 def test_matmul_broadcast_left_operand(rng):
     # [1, k] @ [k, n] with batch dims only on one side
     a = _t(rng, 1, 4)

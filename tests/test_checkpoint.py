@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from layerbridge.autodiff import Tensor
 from layerbridge.checkpoint import (
@@ -161,6 +163,9 @@ MALFORMED_HEADERS = {
     "header is a list": lambda h: [h],
     "negative offset": lambda h: {**h, "tensors": [{**h["tensors"][0], "offset": -8}]},
     "negative extent": lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [-1, 4]}]},
+    # a digit flipped to an exponent, "300E400", parses as infinity
+    "infinite extent": lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [float("inf"), 4]}]},
+    "empty tensor too wide for numpy": lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [0, 2**70]}]},
 }
 
 
@@ -170,6 +175,31 @@ def test_malformed_header_is_ingestion_error(tmp_path, edit):
     rewrite_header(path, edit)
     with pytest.raises(IngestionError, match="m.ckpt"):
         load_checkpoint(path, expected_digest="abc123")
+
+
+# bytes that turn a header digit, bracket or quote into other valid JSON
+# (an exponent, a sign, a float) as well as arbitrary ones
+DAMAGE_BYTES = st.one_of(st.integers(0, 255), st.sampled_from(list(b'-.0123456789eE[]{}",:')))
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_bytes_load_or_raise_ingestion_error(tmp_path, data):
+    ckpt = make_ckpt()
+    # multi-digit extents and offsets give a flipped byte room to make big numbers
+    ckpt.tensors["adapter.w"] = np.zeros((30, 400), dtype=np.float32)
+    path = save_checkpoint(tmp_path / "m.ckpt", ckpt)
+    blob = bytearray(path.read_bytes())
+    # payload bytes are any float32 values; the header is where damage can bite
+    header_end = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    for at, byte in data.draw(st.lists(st.tuples(st.integers(0, header_end - 1), DAMAGE_BYTES), max_size=4)):
+        blob[at] = byte
+    path.write_bytes(blob[: data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))])
+    try:
+        loaded = load_checkpoint(path)
+    except IngestionError:
+        return
+    assert isinstance(loaded, Checkpoint)
 
 
 def test_duplicate_names_refused_on_save(tmp_path):

@@ -9,10 +9,12 @@ allowed to read, not just output shapes.
 import numpy as np
 import pytest
 
+from conftest import assert_grad_matches
+from layerbridge import autodiff as ad
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
 from layerbridge.errors import ConfigError, ContractError
-from layerbridge.model import AblationFlags, BridgedModel
+from layerbridge.model import AblationFlags, BridgedModel, BridgeSettings
 
 EC = EncoderConfig(vocab_size=32, d_enc=16, n_layers=3, n_heads=2, d_ff=24, max_positions=16)
 DC = DecoderConfig(vocab_size=32, d_dec=16, n_layers=2, n_heads=2, d_ff=24, max_positions=24)
@@ -80,6 +82,21 @@ def test_task_packing_appends_user_tokens(model):
     t0 = packed.t0.data
     assert np.array_equal(t0[0, 5:8], embeddings(model, SRC[0]))
     assert np.array_equal(t0[1, 3:4], embeddings(model, SRC[1]))
+
+
+def test_soft_prompt_gradient_reads_each_slot_once(model):
+    with ad.Tape() as tape:
+        i_map, _ = model.bridge_outputs(model.encode_sources(SRC))
+        packed = model._pack(i_map, "task", SRC, TGT)
+        weights = ad.Tensor(np.random.default_rng(0).normal(size=packed.t0.shape).astype(np.float32))
+        loss = ad.sum_(ad.mul(packed.t0, weights))
+    ad.backward(tape, loss)
+    # each soft-prompt slot reads its own i_map row once, so its gradient is
+    # exactly that slot's weight; rows past a shorter source read nothing
+    want = np.zeros(i_map.shape, dtype=np.float32)
+    want[0, :3] = weights.data[0, 1:4]
+    want[1, :1] = weights.data[1, 1:2]
+    np.testing.assert_array_equal(i_map.grad, want)
 
 
 def test_supervision_starts_on_last_prompt_position(model):
@@ -255,6 +272,15 @@ def test_frozen_digest_tracks_backbone_config():
         vocab_size=32, d_dec=16, n_layers=2, n_heads=2, d_ff=24, max_positions=24, head_scale=2.0
     )
     assert BridgedModel(EC, DC, seed=0).frozen_digest() != BridgedModel(EC, other, seed=0).frozen_digest()
+
+
+def test_deep_adapter_gradients_match_finite_differences():
+    m = BridgedModel(EC, DC, BridgeSettings(deep_adapter=True), seed=0)
+    for p in m.named_params().values():
+        p.data = p.data.astype(np.float64)
+    adapter = {name: p for name, p in m.trainable_params().items() if name.startswith("adapter.")}
+    assert {"adapter.pre.weight", "adapter.pre.bias"} <= set(adapter)
+    assert_grad_matches(lambda: m.loss_on_batch("task", SRC, TGT), list(adapter.values()), rtol=1e-5)
 
 
 def test_bridge_seed_changes_trainable_init():
