@@ -17,8 +17,8 @@ import numpy as np
 from .bridge import aligner_weight_matrix
 from .data import Vocabulary
 from .errors import ConfigError, ContractError, PairingError
+from .files import write_atomic
 from .model import BridgedModel
-from .training import TraceRow
 
 
 @dataclass
@@ -141,20 +141,18 @@ class NormRatioProfile:
     values: np.ndarray
     skipped: np.ndarray
 
-    @property
-    def total_skipped(self) -> int:
-        return int(self.skipped.sum())
-
 
 def norm_ratio_profile(
     model: BridgedModel,
     examples: list[tuple[str, np.ndarray]],
 ) -> NormRatioProfile:
-    """Run each (stage, source tokens) example and average the cached ratios.
+    """Run each (stage, source tokens) example and average, per layer, the
+    token ratio |g| * ||CA|| / ||SA|| of its recorded attention outputs.
 
-    Per-token ratios are averaged over valid positions within an example,
-    then across examples. Positions with zero self-attention norm are
-    excluded and tallied per layer.
+    Norms are taken in float32; a layer without cross-attention has ratio 0.
+    Ratios are averaged over valid positions within an example, then across
+    examples. Positions with zero self-attention norm are excluded and
+    tallied per layer.
     """
     if not examples:
         raise ContractError("norm_ratio_profile needs a nonempty dataset")
@@ -165,38 +163,17 @@ def norm_ratio_profile(
         _, state, packed = model.forward_batch(stage, [np.asarray(src, dtype=np.int64)], None)
         valid = packed.valid[0]
         for i in range(m):
-            sa = state.sa_norms[i][0].astype(np.float64)
-            ca = state.ca_norms[i][0].astype(np.float64)
+            sa = np.linalg.norm(state.sa_outputs[i].data, axis=-1)[0].astype(np.float64)
+            ca = np.zeros_like(sa)
+            if state.ca_outputs[i] is not None:
+                ca_norm = np.linalg.norm(state.ca_outputs[i].data, axis=-1, keepdims=True)
+                ca = (np.abs(state.gates[i].data) * ca_norm)[0, :, 0].astype(np.float64)
             usable = valid & (sa > 0)
             skipped[i] += int((valid & (sa == 0)).sum())
             if not usable.any():
                 continue
             sums[i] += float((ca[usable] / sa[usable]).mean())
     return NormRatioProfile(values=sums / len(examples), skipped=skipped)
-
-
-@dataclass
-class GateTrajectory:
-    steps: list[int]
-    series: list[list[float]]  # one series per decoder layer
-    partial: bool
-
-    @property
-    def n_snapshots(self) -> int:
-        return len(self.steps)
-
-
-def gate_trajectory(trace: list[TraceRow]) -> GateTrajectory:
-    """Per-layer gate series from trace snapshots, flagged when ragged."""
-    rows = [r for r in trace if r.gates]
-    if not rows:
-        raise ContractError("trace carries no gate snapshots")
-    n_gates = max(len(r.gates) for r in rows)
-    partial = any(len(r.gates) != n_gates for r in rows) or len(rows) != len(trace)
-    usable = [r for r in rows if len(r.gates) == n_gates]
-    steps = [r.step for r in usable]
-    series = [[r.gates[i] for r in usable] for i in range(n_gates)]
-    return GateTrajectory(steps=steps, series=series, partial=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +232,10 @@ def write_report(out_dir: str | Path, report: DiagnosticsReport, plots: bool = F
     gates.csv; with ``plots`` also renders PNGs for each.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     def emit(name: str, lines: list[str]) -> None:
-        path = out_dir / name
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        tmp.replace(path)
-        written.append(path)
+        written.append(write_atomic(out_dir / name, "\n".join(lines) + "\n"))
 
     # every numeric cell goes through float() before repr: numpy scalars repr
     # as 'np.float64(...)' and would poison the CSVs

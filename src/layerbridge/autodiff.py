@@ -359,11 +359,6 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (x,), rule)
 
 
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = x.size if axis is None else x.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``."""
     if not -x.ndim <= axis < x.ndim:

@@ -3,15 +3,14 @@
 Layout: 4-byte magic, uint32 format version, uint64 header length, a
 canonical JSON header (sorted keys, no whitespace), then the raw payload of
 all tensors as little-endian float32, concatenated in header-table order.
-Writes go through a temp file and an atomic rename so an interrupted run
-never leaves a partial checkpoint behind.
+Writes go through ``files.write_atomic``, so an interrupted run never leaves
+a partial checkpoint behind.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, IngestionError
+from .files import write_atomic
 
 MAGIC = b"LBCK"
 FORMAT_VERSION = 1
@@ -34,7 +34,6 @@ class Checkpoint:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> Path:
-    path = Path(path)
     names = sorted(ckpt.tensors)
     if len(names) != len(set(names)):
         raise ContractError("duplicate tensor names in checkpoint")
@@ -56,16 +55,8 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> Path:
         "tensors": table,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(bytes(payload))
-    os.replace(tmp, path)
-    return path
+    blob = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
+    return write_atomic(path, blob)
 
 
 def load_checkpoint(

@@ -1,9 +1,9 @@
 """Command-line entry point: gen-synth, train, eval, analyze.
 
 Every command is deterministic given (config, seed, corpus bytes): outputs
-carry no timestamps, floats are written with repr, and all files go through
-write-then-rename. Exit codes: 0 success, 2 configuration or contract
-problem, 3 numeric failure, 4 I/O problem.
+carry no timestamps, floats are written with repr, and every file but the
+optional PNG plots goes through ``files.write_atomic``. Exit codes: 0 success, 2 configuration or
+contract problem, 3 numeric failure, 4 I/O problem.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     NumericError,
     PairingError,
 )
+from .files import write_atomic
 from .model import AblationFlags
 from .training import (
     EvalReport,
@@ -43,7 +44,7 @@ STAGE_NAMES = {"1": "translation", "2": "task"}
 
 def _apply_cli_overrides(config: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "out", None) is not None:
         config.out_dir = args.out
     updates: dict = {}
@@ -58,10 +59,6 @@ def _apply_cli_overrides(config: RunConfig, args) -> RunConfig:
             updates[name] = True
     if getattr(args, "layers", None) is not None:
         updates["layer_subset"] = args.layers
-    if getattr(args, "dynamic_gate", False):
-        updates["dynamic_gate"] = True
-    if getattr(args, "no_llm_input", False):
-        updates["no_llm_input"] = True
     if updates:
         config.ablations = dataclasses.replace(config.ablations, **updates)
     return config
@@ -71,12 +68,6 @@ def _load_corpus(config: RunConfig):
     if config.data.corpus_dir is not None:
         return load_corpus_dir(config.data.corpus_dir)
     return generate_synthetic_corpus(config.data.synth, config.seed)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(path)
 
 
 def cmd_gen_synth(args) -> int:
@@ -160,7 +151,7 @@ def cmd_train(args) -> int:
         "gates": model.gates.snapshot(),
         "corpus_rows": len(examples),
     }
-    _write_json(out_dir / "metadata.json", metadata)
+    write_atomic(out_dir / "metadata.json", json.dumps(metadata, sort_keys=True, indent=2) + "\n")
     print(f"stage {args.stage} done: {result.steps} steps, final loss {result.final_loss:.4f}")
     print(f"checkpoint: {ckpt_path}")
     if not np.isfinite(result.final_loss):
@@ -182,22 +173,7 @@ def write_eval_csv(path: Path, report: EvalReport) -> None:
         lines.append(f"{lang},language,{acc!r}")
     for key in ("Avg", "Lrl", "Hrl"):
         lines.append(f"{key},aggregate,{report.aggregates[key]!r}")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
-
-
-def read_eval_csv(path: Path) -> tuple[dict[str, float], dict[str, float]]:
-    per_lang: dict[str, float] = {}
-    aggregates: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "name,kind,accuracy":
-            raise IngestionError(f"{path}: unexpected eval header {header!r}")
-        for line in fh:
-            name, kind, acc = line.strip().split(",")
-            (per_lang if kind == "language" else aggregates)[name] = float(acc)
-    return per_lang, aggregates
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def cmd_eval(args) -> int:
@@ -206,9 +182,7 @@ def cmd_eval(args) -> int:
     model = _restore_for_inference(config, args.checkpoint, args.force)
     split = corpus.eval_task if args.split == "task" else corpus.stage2
     report = evaluate(model, split, corpus.vocab, corpus.tiers())
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_eval_csv(out_dir / "eval.csv", report)
+    write_eval_csv(Path(config.out_dir) / "eval.csv", report)
     for lang, acc in sorted(report.per_lang.items()):
         print(f"{lang:12s} {acc:6.1f}")
     for key in ("Avg", "Lrl", "Hrl"):
@@ -238,8 +212,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="override config output directory")
     parser.add_argument("--ablate", help="comma-separated ablation flags to enable")
     parser.add_argument("--layers", help="encoder layer subset spec, e.g. first:4 or last_hidden")
-    parser.add_argument("--dynamic-gate", action="store_true", help="use input-conditioned gates")
-    parser.add_argument("--no-llm-input", action="store_true", help="drop the user-turn tokens")
     parser.add_argument("--force", action="store_true", help="skip config digest checks on load")
 
 

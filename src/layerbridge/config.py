@@ -53,6 +53,10 @@ class RunConfig:
     ablations: AblationFlags = field(default_factory=AblationFlags)
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+
 
 _NESTED: dict[str, type] = {
     "encoder": EncoderConfig,
@@ -65,13 +69,16 @@ _NESTED: dict[str, type] = {
     "diagnostics": DiagnosticsConfig,
 }
 _DATA_NESTED = {"synth": SynthSpec}
+# the JSON type each leaf annotation admits; a bool is never taken as a number
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "tuple[str, ...]": (list, tuple), "dict[str, str]": dict, "dict[str, dict[int, int]]": dict}
 
 
 def _build(cls, data: dict, path: str, nested: dict[str, type]):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown keys {unknown}")
     kwargs = {}
@@ -80,10 +87,13 @@ def _build(cls, data: dict, path: str, nested: dict[str, type]):
         if key in nested:
             sub_nested = _DATA_NESTED if nested[key] is DataConfig else {}
             kwargs[key] = _build(nested[key], value, dotted, sub_nested)
-        elif isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+            continue
+        kind = _JSON_TYPES[types[key].removesuffix(" | None")]
+        if not (value is None and types[key].endswith(" | None")) and (
+            not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+        ):
+            raise ConfigError(f"{dotted}: expected {types[key]}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except TypeError as err:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IngestionError, InputError
+from .files import write_atomic
 
 PAD, BOS, SEP, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = {"<pad>": PAD, "<bos>": BOS, "<sep>": SEP, "<eos>": EOS}
@@ -170,13 +171,21 @@ class SynthSpec:
             raise ConfigError(
                 f"active_words {self.active_words} smaller than sentence_max_words {self.sentence_max_words}"
             )
+        # sums must be number words, and train and eval each need operand pairs
+        if not 2 <= self.max_operand <= (len(NUMBER_WORDS) - 1) // 2:
+            raise ConfigError(f"max_operand must be in 2..{(len(NUMBER_WORDS) - 1) // 2}, got {self.max_operand}")
+        if self.sentence_max_words < 2 or not 1 <= self.copy_max_words <= self.active_words:
+            raise ConfigError("need sentence_max_words >= 2 and 1 <= copy_max_words <= active_words")
         if self.explicit_ciphers is not None:
             # JSON round-trips turn int keys into strings; normalize here so
             # every ingestion path (config file, corpus dir) hits one code path
-            fixed = {
-                lang: {int(k): int(v) for k, v in mapping.items()}
-                for lang, mapping in self.explicit_ciphers.items()
-            }
+            try:
+                fixed = {
+                    lang: {int(k): int(v) for k, v in mapping.items()}
+                    for lang, mapping in self.explicit_ciphers.items()
+                }
+            except (AttributeError, TypeError, ValueError) as err:
+                raise ConfigError(f"explicit_ciphers must map languages to id tables: {err}") from None
             object.__setattr__(self, "explicit_ciphers", fixed)
 
     def stage1_count(self, lang: str) -> int:
@@ -400,18 +409,9 @@ PARALLEL_FIELDS = {"sid": int, "lang": str, "src": str, "base": str}
 
 
 def write_corpus(path: str | Path, examples: list[ParallelExample]) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {"src": ex.source_text, "tgt": ex.target_text, "lang": ex.source_lang, "stage": ex.stage},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    tmp.replace(path)
+    rows = ({"src": ex.source_text, "tgt": ex.target_text, "lang": ex.source_lang, "stage": ex.stage}
+            for ex in examples)
+    write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def _read_records(path: Path, fields: dict[str, type], what: str):
@@ -460,12 +460,7 @@ def read_corpus(path: str | Path) -> list[ParallelExample]:
 
 
 def write_parallel(path: str | Path, rows: list[dict]) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    tmp.replace(path)
+    write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def read_parallel(path: str | Path) -> list[dict]:
@@ -482,12 +477,8 @@ def write_corpus_dir(out_dir: str | Path, corpus: SynthCorpus, seed: int) -> lis
     with stale ciphertext.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec_payload = {"seed": seed, "spec": dataclasses.asdict(corpus.spec)}
-    spec_path = out_dir / "spec.json"
-    tmp = spec_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(spec_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(spec_path)
+    spec_path = write_atomic(out_dir / "spec.json", json.dumps(spec_payload, sort_keys=True, indent=2) + "\n")
     write_corpus(out_dir / "stage1.jsonl", corpus.stage1)
     write_corpus(out_dir / "stage2.jsonl", corpus.stage2)
     write_corpus(out_dir / "eval_task.jsonl", corpus.eval_task)
@@ -511,10 +502,10 @@ def load_corpus_dir(corpus_dir: str | Path) -> SynthCorpus:
         if "tasks" in raw:
             raw["tasks"] = tuple(raw["tasks"])
         spec = SynthSpec(**raw)
-    except (TypeError, ConfigError) as err:
+    except (AttributeError, TypeError, ConfigError) as err:  # a list or string where a dict belongs
         raise IngestionError(f"{spec_path}: {err}") from None
     seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise IngestionError(f"{spec_path}: seed must be a non-negative integer, got {seed!r}")
     vocab = Vocabulary(spec.vocab_size)
     ciphers = {

@@ -49,10 +49,11 @@ class DecoderConfig:
     head_scale: float = 1.5
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_dec", "n_layers", "n_heads", "d_ff", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"decoder {name} must be positive, got {getattr(self, name)}")
         if self.d_dec % self.n_heads:
             raise ConfigError(f"d_dec {self.d_dec} not divisible by {self.n_heads} heads")
-        if self.n_layers < 1:
-            raise ConfigError(f"decoder needs at least one layer, got {self.n_layers}")
         if self.emb_scale <= 0 or self.pos_scale <= 0 or self.head_scale <= 0:
             raise ConfigError("init scales must be positive")
         specials = (self.pad_id, self.bos_id, self.sep_id, self.eos_id)
@@ -118,13 +119,14 @@ class DynamicGates:
 
 @dataclass
 class DecoderState:
-    """Forward-pass record: hidden sequences T_0..T_m and per-layer per-token
-    output norms of the two attention paths (the CA norm already carries its
-    gate factor)."""
+    """Forward-pass record: hidden sequences T_0..T_m and, per layer, the
+    self-attention output, the ungated cross-attention output and the gate
+    that scaled it (``None`` for both where the layer read no memory)."""
 
     states: list[Tensor]
-    sa_norms: list[np.ndarray] = field(default_factory=list)
-    ca_norms: list[np.ndarray] = field(default_factory=list)
+    sa_outputs: list[Tensor] = field(default_factory=list)
+    ca_outputs: list[Tensor | None] = field(default_factory=list)
+    gates: list[Tensor | None] = field(default_factory=list)
 
 
 @dataclass
@@ -233,10 +235,11 @@ class Decoder:
         x = ad.add(t0, Tensor(self.pos_emb.data[offset : offset + dec_len][None]))
         state = DecoderState(states=[t0])
         for i in range(1, c.n_layers + 1):
-            x, sa_norm, ca_norm = self.block(i, x, sa_bias, fused, gates, cache)
-            state.sa_norms.append(sa_norm)
-            state.ca_norms.append(ca_norm)
+            x, sa, ca, gate = self.block(i, x, sa_bias, fused, gates, cache)
             state.states.append(x)
+            state.sa_outputs.append(sa)
+            state.ca_outputs.append(ca)
+            state.gates.append(gate)
         if cache is not None:
             cache.offset += dec_len
         final = ad.layer_norm(x, self.final_ln_gain, self.final_ln_bias)
@@ -251,18 +254,17 @@ class Decoder:
         fused: FusedKV | None,
         gates: GateVector | DynamicGates | None,
         cache: DecodeCache | None = None,
-    ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    ) -> tuple[Tensor, Tensor, Tensor | None, Tensor | None]:
         """One gated block (1-based ``index``): x + SA + g * CA, then the FFN.
 
-        Returns (block output, per-token SA output norms, per-token CA output
-        norms with the gate factor applied). Cross-attention reads
-        ``fused.pairs[index - 1]`` through the layer's own projections,
-        reusing the self-attention queries; with ``fused=None`` the block is
-        self-attention only and the CA norms are zero. A ``cache`` supplies
-        and collects this layer's keys and values (see ``DecodeCache``).
+        Returns (block output, SA output, ungated CA output, gate).
+        Cross-attention reads ``fused.pairs[index - 1]`` through the layer's
+        own projections, reusing the self-attention queries; with
+        ``fused=None`` the block is self-attention only and the CA output and
+        gate are ``None``. A ``cache`` supplies and collects this layer's keys
+        and values (see ``DecodeCache``).
         """
         layer = self.layers[index - 1]
-        batch, dec_len, _ = x.shape
         past = None if cache is None else cache.self_kv.get(index)
         sa, q, self_kv = self_attention(layer, x, self.config.n_heads, sa_bias, past)
         if cache is not None:
@@ -281,15 +283,12 @@ class Decoder:
             gate = gates.gate_for(index, x)
             gated = ad.mul(ca, gate)
             out = ad.add(ad.add(x, sa), gated)
-            gate_mag = np.abs(gate.data if gate.ndim == 3 else gate.data.reshape(1, 1, 1))
-            ca_norm = (gate_mag * np.linalg.norm(ca.data, axis=-1, keepdims=True)).reshape(batch, dec_len)
         else:
-            out = ad.add(x, sa)
-            ca_norm = np.zeros((batch, dec_len))
+            out, ca, gate = ad.add(x, sa), None, None
         out = feed_forward(layer, out)
         if not np.all(np.isfinite(out.data)):
             raise NumericError(f"non-finite activations leaving decoder layer {index}")
-        return out, np.linalg.norm(sa.data, axis=-1), ca_norm
+        return out, sa, ca, gate
 
 
 def generate(

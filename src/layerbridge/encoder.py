@@ -34,10 +34,9 @@ class EncoderConfig:
     pos_scale: float = 0.3
 
     def __post_init__(self):
-        if self.vocab_size < 1:
-            raise ConfigError(f"vocab_size must be positive, got {self.vocab_size}")
-        if self.n_layers < 1:
-            raise ConfigError(f"encoder needs at least one layer, got {self.n_layers}")
+        for name in ("vocab_size", "d_enc", "n_layers", "n_heads", "d_ff", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"encoder {name} must be positive, got {getattr(self, name)}")
         if self.d_enc % self.n_heads:
             raise ConfigError(f"d_enc {self.d_enc} not divisible by {self.n_heads} heads")
         if self.emb_scale <= 0 or self.pos_scale <= 0:

@@ -44,6 +44,10 @@ class BridgeSettings:
     deep_adapter: bool = False
     separate_kv: bool = False
 
+    def __post_init__(self):
+        if self.d_hidden < 1:
+            raise ConfigError(f"bridge d_hidden must be positive, got {self.d_hidden}")
+
 
 @dataclass(frozen=True)
 class AblationFlags:

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import ParallelExample, SynthCorpus, SynthSpec, Vocabulary
 from .errors import ConfigError, IngestionError, InputError
+from .files import write_atomic
 from .model import AblationFlags, BridgedModel
 from .optim import AdamState, adam_step
 
@@ -76,40 +77,12 @@ class TrainResult:
 
 
 def write_trace(path: str | Path, rows: list[TraceRow]) -> None:
-    path = Path(path)
     n_gates = len(rows[0].gates) if rows else 0
-    header = ["step", "stage", "loss", "lr"] + [f"gate_{i + 1}" for i in range(n_gates)]
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [str(row.step), row.stage, repr(row.loss), repr(row.lr)]
-            cells += [repr(g) for g in row.gates]
-            fh.write(",".join(cells) + "\n")
-    tmp.replace(path)
-
-
-def read_trace(path: str | Path) -> list[TraceRow]:
-    path = Path(path)
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:4] != ["step", "stage", "loss", "lr"]:
-            raise IngestionError(f"{path}: unexpected trace header {header[:4]}")
-        for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) != len(header):
-                raise IngestionError(f"{path}: ragged trace row {cells}")
-            rows.append(
-                TraceRow(
-                    step=int(cells[0]),
-                    stage=cells[1],
-                    loss=float(cells[2]),
-                    lr=float(cells[3]),
-                    gates=[float(c) for c in cells[4:]],
-                )
-            )
-    return rows
+    lines = [",".join(["step", "stage", "loss", "lr"] + [f"gate_{i + 1}" for i in range(n_gates)])]
+    for row in rows:
+        cells = [str(row.step), row.stage, repr(row.loss), repr(row.lr)] + [repr(g) for g in row.gates]
+        lines.append(",".join(cells))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def tokenize_examples(
@@ -238,9 +211,6 @@ class EvalReport:
     counts: dict[str, int]
     aggregates: dict[str, float]
     untiered: list[str] = field(default_factory=list)
-
-    def accuracy(self, lang: str) -> float:
-        return self.per_lang[lang]
 
 
 def evaluate(

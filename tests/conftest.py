@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,18 @@ def assert_grad_matches(build_loss, params: list[Tensor], h: float = 1e-5, rtol:
         scale = np.maximum(np.abs(want), 1e-4)
         err = np.max(np.abs(got - want) / scale)
         assert err < rtol, f"gradient mismatch: max rel err {err:.3e} for shape {p.data.shape}"
+
+
+def fail_file_writes(monkeypatch) -> None:
+    """Make every ``Path.write_bytes`` put half its payload down, then fail
+    the way a full disk does."""
+    real = Path.write_bytes
+
+    def write_half(self, data):
+        real(self, bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half)
 
 
 @pytest.fixture

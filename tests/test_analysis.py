@@ -1,6 +1,6 @@
 """Representation diagnostics: pooled cosine pairing, PCA against an SVD
-oracle, norm-ratio aggregation and homogeneity, gate trajectories, and the
-CSV report emitter.
+oracle, norm-ratio aggregation against a float64 oracle, and the CSV report
+emitter.
 """
 
 import sys
@@ -12,18 +12,16 @@ from layerbridge.analysis import (
     PooledRep,
     build_report,
     collect_pooled_reps,
-    gate_trajectory,
     norm_ratio_profile,
     pca_project,
     pooled_cosine,
     write_report,
 )
 from layerbridge.data import SynthSpec, generate_synthetic_corpus
-from layerbridge.decoder import DecoderConfig
+from layerbridge.decoder import DecoderConfig, DynamicGates
 from layerbridge.encoder import EncoderConfig
 from layerbridge.errors import ConfigError, ContractError, PairingError
-from layerbridge.model import BridgedModel
-from layerbridge.training import TraceRow
+from layerbridge.model import AblationFlags, BridgedModel
 
 EC = EncoderConfig(vocab_size=64, d_enc=16, n_layers=3, n_heads=2, d_ff=24, max_positions=16)
 DC = DecoderConfig(vocab_size=64, d_dec=16, n_layers=2, n_heads=2, d_ff=24, max_positions=32)
@@ -200,7 +198,31 @@ EXAMPLES = [("translation", np.array([5, 6, 7])), ("translation", np.array([9, 1
 def test_norm_ratio_zero_gates_give_zero_profile(model):
     profile = norm_ratio_profile(model, EXAMPLES)
     assert np.array_equal(profile.values, np.zeros(DC.n_layers))
-    assert profile.total_skipped == 0
+    assert not profile.skipped.any()
+
+
+def _oracle_profile(m, examples):
+    """Float64 norm ratios from the recorded attention outputs, with each
+    layer's gate recomputed from the hidden state entering that layer."""
+    sums = np.zeros(DC.n_layers)
+    for stage, src in examples:
+        _, state, packed = m.forward_batch(stage, [src], None)
+        valid = packed.valid[0]
+        hidden = state.states[0].data[0].astype(np.float64) + m.decoder.pos_emb.data[: valid.size]
+        for i in range(DC.n_layers):
+            sa = np.linalg.norm(state.sa_outputs[i].data[0].astype(np.float64), axis=-1)
+            ca = np.zeros_like(sa)
+            if state.ca_outputs[i] is not None:
+                if isinstance(m.gates, DynamicGates):
+                    net = m.gates.nets[i]
+                    w, b = (net[k].data.astype(np.float64) for k in ("weight", "bias"))
+                    gate = np.tanh(hidden @ w + b)[:, 0]
+                else:
+                    gate = float(m.gates.values[i].data[0])
+                ca = np.abs(gate) * np.linalg.norm(state.ca_outputs[i].data[0].astype(np.float64), axis=-1)
+            sums[i] += (ca[valid] / sa[valid]).mean()
+            hidden = state.states[i + 1].data[0].astype(np.float64)
+    return sums / len(examples)
 
 
 def test_norm_ratio_matches_manual_aggregation():
@@ -208,16 +230,42 @@ def test_norm_ratio_matches_manual_aggregation():
     for g in m.gates.values:
         g.data[...] = 0.4
     profile = norm_ratio_profile(m, EXAMPLES)
+    # the same float32 norms the gated sum SA + g * CA is made of
     sums = np.zeros(DC.n_layers)
     for stage, src in EXAMPLES:
         _, state, packed = m.forward_batch(stage, [src], None)
         valid = packed.valid[0]
         for i in range(DC.n_layers):
-            sa = state.sa_norms[i][0].astype(np.float64)
-            ca = state.ca_norms[i][0].astype(np.float64)
+            sa = np.linalg.norm(state.sa_outputs[i].data, axis=-1)[0].astype(np.float64)
+            gated = np.abs(state.gates[i].data) * np.linalg.norm(state.ca_outputs[i].data, axis=-1)
+            ca = gated[0].astype(np.float64)
             usable = valid & (sa > 0)
             sums[i] += float((ca[usable] / sa[usable]).mean())
     assert np.array_equal(profile.values, sums / len(EXAMPLES))
+    np.testing.assert_allclose(profile.values, _oracle_profile(m, EXAMPLES), rtol=1e-5)
+
+
+def test_norm_ratio_matches_oracle_with_per_position_gates():
+    m = BridgedModel(EC, DC, ablations=AblationFlags(dynamic_gate=True), seed=0)
+    rng = np.random.default_rng(5)
+    for net in m.gates.nets:
+        net["weight"].data[...] = rng.normal(0, 0.3, size=net["weight"].shape)
+        net["bias"].data[...] = 0.2
+    profile = norm_ratio_profile(m, EXAMPLES)
+    want = _oracle_profile(m, EXAMPLES)
+    assert np.all(want > 0)
+    np.testing.assert_allclose(profile.values, want, rtol=1e-5)
+    assert not profile.skipped.any()
+
+
+def test_norm_ratio_is_zero_without_cross_attention():
+    m = BridgedModel(EC, DC, ablations=AblationFlags(no_aligner=True), seed=0)
+    for g in m.gates.values:
+        g.data[...] = 0.5  # unread: no_aligner removes every cross-attention read
+    profile = norm_ratio_profile(m, EXAMPLES)
+    assert np.array_equal(profile.values, _oracle_profile(m, EXAMPLES))
+    assert np.array_equal(profile.values, np.zeros(DC.n_layers))
+    assert not profile.skipped.any()
 
 
 def test_norm_ratio_doubling_final_gate_doubles_exactly():
@@ -235,49 +283,6 @@ def test_norm_ratio_doubling_final_gate_doubles_exactly():
 def test_norm_ratio_rejects_empty():
     with pytest.raises(ContractError, match="nonempty"):
         norm_ratio_profile(BridgedModel(EC, DC, seed=0), [])
-
-
-# ---------------------------------------------------------------------------
-# gate trajectories
-# ---------------------------------------------------------------------------
-
-
-def _row(step, gates):
-    return TraceRow(step=step, stage="task", loss=1.0, lr=1e-3, gates=gates)
-
-
-def test_gate_trajectory_series_per_layer():
-    trace = [_row(0, [0.0, 0.0]), _row(10, [0.1, -0.2]), _row(20, [0.2, -0.4])]
-    traj = gate_trajectory(trace)
-    assert traj.steps == [0, 10, 20]
-    assert traj.series == [[0.0, 0.1, 0.2], [0.0, -0.2, -0.4]]
-    assert traj.partial is False
-    assert traj.n_snapshots == 3
-
-
-def test_gate_trajectory_starts_at_zero_for_fresh_model():
-    trace = [_row(0, [0.0, 0.0]), _row(10, [0.05, 0.02])]
-    traj = gate_trajectory(trace)
-    assert traj.series[0][0] == 0.0 and traj.series[1][0] == 0.0
-
-
-def test_gate_trajectory_flags_ragged_rows():
-    trace = [_row(0, [0.0, 0.0]), _row(10, [0.1]), _row(20, [0.2, -0.4])]
-    traj = gate_trajectory(trace)
-    assert traj.partial is True
-    assert traj.steps == [0, 20]
-
-
-def test_gate_trajectory_drops_gateless_rows():
-    trace = [_row(0, [0.0, 0.0]), _row(10, []), _row(20, [0.2, -0.4])]
-    traj = gate_trajectory(trace)
-    assert traj.partial is True
-    assert traj.steps == [0, 20]
-
-
-def test_gate_trajectory_rejects_empty():
-    with pytest.raises(ContractError, match="no gate snapshots"):
-        gate_trajectory([_row(0, []), _row(10, [])])
 
 
 # ---------------------------------------------------------------------------

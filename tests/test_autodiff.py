@@ -22,7 +22,6 @@ from layerbridge.autodiff import (
     embedding,
     layer_norm,
     matmul,
-    mean,
     mul,
     narrow,
     relu,
@@ -196,11 +195,6 @@ def test_embedding_gradient(rng):
     table = _t(rng, 7, 4)
     ids = np.array([[1, 1, 5], [0, 6, 5]])
     assert_grad_matches(lambda: sum_(mul(embedding(table, ids), 0.5)), [table])
-
-
-def test_mean_gradient(rng):
-    x = _t(rng, 3, 4)
-    assert_grad_matches(lambda: mean(mul(x, x)), [x])
 
 
 def test_softmax_gradient(rng):

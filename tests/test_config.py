@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from layerbridge.cli import main
 from layerbridge.config import (
     DiagnosticsConfig,
     RunConfig,
@@ -15,7 +18,8 @@ from layerbridge.config import (
     run_config_from_dict,
 )
 from layerbridge import training
-from layerbridge.errors import ConfigError
+from layerbridge.data import generate_synthetic_corpus
+from layerbridge.errors import ConfigError, LayerBridgeError
 from layerbridge.training import (
     DEFAULT_BATCH,
     DEFAULT_EPOCHS,
@@ -247,3 +251,114 @@ def test_diagnostics_config_defaults():
     assert d.plots is False and d.include_prompt is False
     with pytest.raises(ConfigError, match=r"diagnostics: unknown keys \['enabled'\]"):
         run_config_from_dict({"diagnostics": {"enabled": True}})
+
+
+# ---------------------------------------------------------------------------
+# bad values: a named ConfigError, never a traceback
+# ---------------------------------------------------------------------------
+
+SMALL = {
+    "encoder": {"vocab_size": 64, "d_enc": 8, "n_layers": 2, "n_heads": 2, "d_ff": 8, "max_positions": 16},
+    "decoder": {"vocab_size": 64, "d_dec": 8, "n_layers": 2, "n_heads": 2, "d_ff": 8, "max_positions": 24},
+    "bridge": {"d_hidden": 8},
+    "data": {"synth": {"vocab_size": 64, "stage1_per_hrl": 4, "stage2_per_lang": 3, "eval_per_lang": 2,
+                       "parallel_sentences": 2, "active_words": 12, "sentence_max_words": 4,
+                       "copy_max_words": 2}},
+}
+
+# override names the fuzz draws from, without the LAYERBRIDGE_ prefix; each is
+# also a config-file key, so a bad value is reachable from both
+FUZZ_KEYS = [
+    "SEED",
+    *(f"ENCODER__{k}" for k in ("VOCAB_SIZE", "D_ENC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS",
+                                "EMB_SCALE", "POS_SCALE")),
+    *(f"DECODER__{k}" for k in ("VOCAB_SIZE", "D_DEC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS",
+                                "PAD_ID", "EOS_ID", "HEAD_SCALE")),
+    "BRIDGE", "BRIDGE__D_HIDDEN", "BRIDGE__DEEP_ADAPTER", "BRIDGE__SEPARATE_KV",
+    "STAGE1__LEARNING_RATE", "STAGE1__EPOCHS", "STAGE1__BATCH_SIZE", "STAGE1__CLIP_NORM",
+    "STAGE2__WARMUP_RATIO", "STAGE2__TRACE_EVERY",
+    *(f"ABLATIONS__{k}" for k in ("NO_ADAPTER", "NO_ALIGNER", "NO_LLM_INPUT", "DYNAMIC_GATE", "LAYER_SUBSET")),
+    *(f"DATA__SYNTH__{k}" for k in ("VOCAB_SIZE", "LANGUAGES", "STAGE1_PER_HRL", "LRL_FRACTION",
+                                    "STAGE2_PER_LANG", "STAGE2_LRL_FRACTION", "EVAL_PER_LANG",
+                                    "PARALLEL_SENTENCES", "TASKS", "MAX_OPERAND", "COPY_MAX_WORDS",
+                                    "SENTENCE_MAX_WORDS", "ACTIVE_WORDS", "EXPLICIT_CIPHERS")),
+    "DIAGNOSTICS__PLOTS",
+]
+
+_JSON_SCALARS = st.one_of(
+    st.integers(-3, 12),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def small_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "small.json"
+    path.write_text(json.dumps(SMALL))
+    return path
+
+
+def _prepare_run(config_path, environ):
+    """What ``train`` does before its first step."""
+    config = load_run_config(config_path, environ=environ)
+    build_model(config)
+    generate_synthetic_corpus(config.data.synth, config.seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), _JSON_VALUES, min_size=1, max_size=3))
+def test_fuzzed_overrides_raise_only_package_errors(small_config, overrides):
+    environ = {f"LAYERBRIDGE_{key}": json.dumps(value) for key, value in overrides.items()}
+    try:
+        _prepare_run(small_config, environ)
+    except LayerBridgeError:
+        pass
+
+
+# boundary values for every key, so each one meets each kind of bad value
+SWEEP_VALUES = (-1, 0, 1, 2, 1.5, "x", True, None, [], [1], {}, {"a": 1})
+
+
+@pytest.mark.parametrize("key", FUZZ_KEYS)
+def test_every_key_rejects_boundary_values_with_package_errors(small_config, key):
+    for value in SWEEP_VALUES:
+        try:
+            _prepare_run(small_config, {f"LAYERBRIDGE_{key}": json.dumps(value)})
+        except LayerBridgeError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("SEED", '"abc"'),
+        ("SEED", "-1"),
+        ("SEED", "1.5"),
+        ("SEED", "true"),
+        ("ENCODER__N_HEADS", "0"),
+        ("DECODER__N_HEADS", "0"),
+        ("DATA__SYNTH__LANGUAGES", "[1,2]"),
+        ("DATA__SYNTH__EXPLICIT_CIPHERS", "[1]"),
+        ("DATA__SYNTH__STAGE1_PER_HRL", '"x"'),
+    ],
+)
+def test_bad_override_is_config_error(small_config, key, value):
+    with pytest.raises(ConfigError):
+        _prepare_run(small_config, {f"LAYERBRIDGE_{key}": value})
+
+
+def test_negative_seed_from_file_or_flag_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(SMALL, seed=-1, out_dir=str(tmp_path / "out"))))
+    assert main(["gen-synth", "--config", str(path)]) == 2
+    path.write_text(json.dumps(dict(SMALL, out_dir=str(tmp_path / "out"))))
+    assert main(["gen-synth", "--config", str(path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.count("seed must be a non-negative integer") == 2

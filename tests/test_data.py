@@ -559,7 +559,7 @@ def test_load_corpus_dir_rejects_non_object_spec(tmp_path, payload):
         load_corpus_dir(tmp_path)
 
 
-@pytest.mark.parametrize("seed", ["x", -1, 1.5])
+@pytest.mark.parametrize("seed", ["x", -1, 1.5, True])
 def test_load_corpus_dir_rejects_bad_seed(tmp_path, seed):
     (tmp_path / "spec.json").write_text(json.dumps({"seed": seed, "spec": {}}))
     with pytest.raises(IngestionError, match="seed must be a non-negative integer"):
@@ -569,4 +569,15 @@ def test_load_corpus_dir_rejects_bad_seed(tmp_path, seed):
 def test_load_corpus_dir_unknown_spec_field(tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps({"seed": 0, "spec": {"wormholes": 2}}))
     with pytest.raises(IngestionError, match="wormholes"):
+        load_corpus_dir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"languages": [1, 2]}, {"languages": "abc"}, {"tasks": [[1]]},
+     {"explicit_ciphers": [1]}, {"explicit_ciphers": {"lang1": {"a": 5}}}],
+)
+def test_load_corpus_dir_mistyped_spec_field(tmp_path, spec):
+    (tmp_path / "spec.json").write_text(json.dumps({"seed": 0, "spec": spec}))
+    with pytest.raises(IngestionError, match="spec.json"):
         load_corpus_dir(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from layerbridge.autodiff import Tape, Tensor, backward, concat, mean, mul, sum_
+from layerbridge.autodiff import Tape, Tensor, backward, concat, mul, sum_
 from layerbridge.bridge import FusedKV
 from layerbridge.decoder import (
     DecodeCache,
@@ -51,7 +51,7 @@ def _block(decoder, t_prev, h_k, h_v, gates):
     """Decoder layer 1 alone, reading one (K, V) memory whose positions are all valid."""
     batch, src_len, _ = h_k.shape
     fused = FusedKV(pairs=[(h_k, h_v)] * decoder.config.n_layers, mask=np.ones((batch, src_len), dtype=bool))
-    out, _, _ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates)
+    out, *_ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates)
     return out
 
 
@@ -212,7 +212,7 @@ def test_dynamic_gate_gradients_match_finite_differences(decoder, rng):
 
     def loss():
         out = _block(decoder, t_prev, h_k, h_v, dyn)
-        return mean(mul(out, out))
+        return mul(sum_(mul(out, out)), 1.0 / out.size)
 
     assert_grad_matches(loss, params, h=1e-5, rtol=1e-3)
 
@@ -262,12 +262,18 @@ def test_norm_records_have_layer_and_token_shape(decoder, rng):
     fused = _fused(rng, decoder)
     gates = GateVector(decoder.config.n_layers)
     _, state = decoder.forward(t0, fused, gates)
-    assert len(state.sa_norms) == decoder.config.n_layers
-    assert len(state.ca_norms) == decoder.config.n_layers
-    for sa, ca in zip(state.sa_norms, state.ca_norms):
-        assert sa.shape == (2, 5)
-        assert ca.shape == (2, 5)
-        assert np.all(ca == 0.0)  # gates are zero
+    m = decoder.config.n_layers
+    assert len(state.sa_outputs) == len(state.ca_outputs) == len(state.gates) == m
+    for sa, ca, gate, g in zip(state.sa_outputs, state.ca_outputs, state.gates, gates.values):
+        assert sa.shape == ca.shape == (2, 5, decoder.config.d_dec)
+        assert gate is g  # kept by reference, not copied
+        assert np.all(gate.data == 0.0)
+
+
+def test_norm_records_are_none_without_cross_attention(decoder, rng):
+    _, state = decoder.forward(_t0(rng, decoder), None, None)
+    assert len(state.sa_outputs) == decoder.config.n_layers
+    assert state.ca_outputs == state.gates == [None] * decoder.config.n_layers
 
 
 def test_gate_doubling_doubles_recorded_ca_norm(decoder, rng):
@@ -276,9 +282,12 @@ def test_gate_doubling_doubles_recorded_ca_norm(decoder, rng):
     gates = GateVector(decoder.config.n_layers)
     gates.values[0].data[0] = 0.4
     _, state_a = decoder.forward(t0, fused, gates)
+    gate_a = float(state_a.gates[0].data[0])
     gates.values[0].data[0] = 0.8
     _, state_b = decoder.forward(t0, fused, gates)
-    assert np.array_equal(state_b.ca_norms[0], 2.0 * state_a.ca_norms[0])
+    # layer 1's CA output does not depend on its own gate; only the factor moves
+    assert np.array_equal(state_b.ca_outputs[0].data, state_a.ca_outputs[0].data)
+    assert float(state_b.gates[0].data[0]) == 2.0 * gate_a
 
 
 # ---------------------------------------------------------------------------
