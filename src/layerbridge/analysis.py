@@ -2,12 +2,13 @@
 
 All quantities are pure functions of (parameters, data), computed in float64
 and emitted as CSVs so two runs of the same checkpoint produce identical
-bytes. Pooling covers the response span of the final decoder layer; a flag
-widens it to the whole sequence. Padding positions are never pooled.
+bytes. Pooling covers the response span of the final decoder layer, so
+padding positions are never pooled.
 """
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,14 +35,12 @@ def collect_pooled_reps(
     model: BridgedModel,
     parallel_rows: list[dict],
     vocab: Vocabulary,
-    include_prompt: bool = False,
 ) -> dict[str, list[PooledRep]]:
     """Pooled representations per language from a parallel evaluation split.
 
     Each row renders one sentence id in one language; the base sentence is
     teacher-forced as the response so every language's representation is
-    pooled over the same response token positions. ``include_prompt`` pools
-    the whole valid sequence instead (soft prompt and frame included).
+    pooled over the same response token positions.
     """
     out: dict[str, list[PooledRep]] = {}
     for row in sorted(parallel_rows, key=lambda r: (r["lang"], r["sid"])):
@@ -49,12 +48,8 @@ def collect_pooled_reps(
         tgt = vocab.encode(row["base"])
         _, state, packed = model.forward_batch("translation", [src], [tgt])
         final = state.states[-1].data[0].astype(np.float64)
-        if include_prompt:
-            length = int(packed.valid[0].sum())
-            vec = final[:length].mean(axis=0)
-        else:
-            start = packed.prompt_lens[0]
-            vec = final[start : start + len(tgt)].mean(axis=0)
+        start = packed.prompt_lens[0]
+        vec = final[start : start + len(tgt)].mean(axis=0)
         out.setdefault(row["lang"], []).append(PooledRep(lang=row["lang"], sid=row["sid"], vector=vec))
     return out
 
@@ -189,16 +184,14 @@ class DiagnosticsReport:
     norm_ratio: NormRatioProfile
     aligner_matrix: np.ndarray
     gate_values: list[float]
-    include_prompt: bool = False
 
 
 def build_report(
     model: BridgedModel,
     parallel_rows: list[dict],
     vocab: Vocabulary,
-    include_prompt: bool = False,
 ) -> DiagnosticsReport:
-    reps = collect_pooled_reps(model, parallel_rows, vocab, include_prompt=include_prompt)
+    reps = collect_pooled_reps(model, parallel_rows, vocab)
     if "base" not in reps:
         raise ConfigError("parallel split must include the base language rendering")
     cosine = {
@@ -221,7 +214,6 @@ def build_report(
         norm_ratio=profile,
         aligner_matrix=aligner_weight_matrix(model.aligner),
         gate_values=model.gates.snapshot(),
-        include_prompt=include_prompt,
     )
 
 
@@ -272,6 +264,17 @@ def write_report(out_dir: str | Path, report: DiagnosticsReport, plots: bool = F
     return written
 
 
+def _write_png(plt, fig, path: Path) -> Path:
+    """Lay out and close ``fig``, then write it to ``path`` as one atomic PNG."""
+    buf = io.BytesIO()
+    try:
+        fig.tight_layout()
+        fig.savefig(buf, format="png", dpi=120)
+    finally:
+        plt.close(fig)
+    return write_atomic(path, buf.getvalue())
+
+
 def _render_plots(out_dir: Path, report: DiagnosticsReport) -> list[Path]:
     try:
         import matplotlib
@@ -286,11 +289,7 @@ def _render_plots(out_dir: Path, report: DiagnosticsReport) -> list[Path]:
     ax.bar(langs, [report.cosine[lang].mean for lang in langs], color="#4878b0")
     ax.set_ylabel("mean cosine vs base")
     ax.set_ylim(-1, 1)
-    fig.tight_layout()
-    path = out_dir / "cosine.png"
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    paths.append(path)
+    paths.append(_write_png(plt, fig, out_dir / "cosine.png"))
 
     fig, ax = plt.subplots(figsize=(4.5, 4))
     by_lang: dict[str, list[int]] = {}
@@ -302,40 +301,24 @@ def _render_plots(out_dir: Path, report: DiagnosticsReport) -> list[Path]:
     ax.legend(fontsize=7)
     ax.set_xlabel("pc1")
     ax.set_ylabel("pc2")
-    fig.tight_layout()
-    path = out_dir / "pca.png"
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    paths.append(path)
+    paths.append(_write_png(plt, fig, out_dir / "pca.png"))
 
     fig, ax = plt.subplots(figsize=(5, 3.2))
     ax.plot(range(1, len(report.norm_ratio.values) + 1), report.norm_ratio.values, marker="o")
     ax.set_xlabel("decoder layer")
     ax.set_ylabel("||g*CA|| / ||SA||")
-    fig.tight_layout()
-    path = out_dir / "norm_ratio.png"
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    paths.append(path)
+    paths.append(_write_png(plt, fig, out_dir / "norm_ratio.png"))
 
     fig, ax = plt.subplots(figsize=(5, 3.2))
     im = ax.imshow(report.aligner_matrix, aspect="auto", cmap="viridis")
     ax.set_xlabel("encoder layer")
     ax.set_ylabel("decoder layer")
     fig.colorbar(im, ax=ax)
-    fig.tight_layout()
-    path = out_dir / "aligner_matrix.png"
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    paths.append(path)
+    paths.append(_write_png(plt, fig, out_dir / "aligner_matrix.png"))
 
     fig, ax = plt.subplots(figsize=(5, 3.2))
     ax.bar(range(1, len(report.gate_values) + 1), report.gate_values, color="#b04848")
     ax.set_xlabel("decoder layer")
     ax.set_ylabel("gate value")
-    fig.tight_layout()
-    path = out_dir / "gates.png"
-    fig.savefig(path, dpi=120)
-    plt.close(fig)
-    paths.append(path)
+    paths.append(_write_png(plt, fig, out_dir / "gates.png"))
     return paths

@@ -5,7 +5,8 @@ into decoder width, producing the soft prompt spliced into the decoder's
 input. The layer-wise aligner mixes the earlier encoder states (0..n-1 by
 default) with one learned softmax weighting per decoder layer, then pushes
 the mixture through a fusion network shared across decoder layers to
-produce that layer's cross-attention keys and values.
+produce that layer's memory, which the decoder layer reads through its own
+key and value projections.
 
 Encoder states arrive as read-only numpy arrays; they enter the graph as
 constants, so gradients reach only the bridge's own parameters.
@@ -123,15 +124,15 @@ def adapt(adapter: Adapter, stack: LayerStack) -> Tensor:
 
 @dataclass
 class FusedKV:
-    """Per-decoder-layer cross-attention inputs: m (key, value) pairs, each
+    """Per-decoder-layer cross-attention inputs: m memories, each
     [batch, src_len, d_dec], plus the source validity mask."""
 
-    pairs: list[tuple[Tensor, Tensor]]
+    memories: list[Tensor]
     mask: np.ndarray
 
     @property
     def n_layers(self) -> int:
-        return len(self.pairs)
+        return len(self.memories)
 
 
 class LayerWiseAligner:
@@ -141,12 +142,11 @@ class LayerWiseAligner:
     range (states 0..n-1 unless a subset overrides it). Logit storage covers
     all n+1 states so explicit subsets can reach the final state, but the
     default path never reads its column. The mixed sequence runs through
-    linear -> ReLU -> linear into decoder width; with ``separate_kv`` the
-    second linear is duplicated into distinct key and value heads.
+    linear -> ReLU -> linear into decoder width.
     """
 
     def __init__(self, rng: np.random.Generator, n_enc_layers: int, n_dec_layers: int,
-                 d_enc: int, d_hidden: int, d_dec: int, separate_kv: bool = False):
+                 d_enc: int, d_hidden: int, d_dec: int):
         self.n_enc_layers = n_enc_layers
         self.n_dec_layers = n_dec_layers
         self.d_enc = d_enc
@@ -155,14 +155,11 @@ class LayerWiseAligner:
         )
         self.fuse_in = Linear(rng, d_enc, d_hidden)
         self.k_head = Linear(rng, d_hidden, d_dec)
-        self.v_head = Linear(rng, d_hidden, d_dec) if separate_kv else None
 
     def named_params(self, prefix: str = "aligner") -> dict[str, Tensor]:
         out = {f"{prefix}.mixing_logits": self.mixing_logits}
         out.update(self.fuse_in.named_params(f"{prefix}.fuse_in"))
         out.update(self.k_head.named_params(f"{prefix}.k_head"))
-        if self.v_head is not None:
-            out.update(self.v_head.named_params(f"{prefix}.v_head"))
         return out
 
     def _mix(self, stack: LayerStack, layer_index: int, subset: LayerSubset | None) -> Tensor:
@@ -192,16 +189,14 @@ class LayerWiseAligner:
         return ad.reshape(mixed, (batch, src_len, d_enc))
 
     def fuse_one(self, stack: LayerStack, layer_index: int,
-                 subset: LayerSubset | None = None) -> tuple[Tensor, Tensor]:
+                 subset: LayerSubset | None = None) -> Tensor:
         mixed = self._mix(stack, layer_index, subset)
         hidden = ad.relu(self.fuse_in(mixed))
-        k = self.k_head(hidden)
-        v = self.v_head(hidden) if self.v_head is not None else k
-        return k, v
+        return self.k_head(hidden)
 
     def fuse_all(self, stack: LayerStack, subset: LayerSubset | None = None) -> FusedKV:
-        pairs = [self.fuse_one(stack, i, subset) for i in range(1, self.n_dec_layers + 1)]
-        return FusedKV(pairs=pairs, mask=stack.mask)
+        memories = [self.fuse_one(stack, i, subset) for i in range(1, self.n_dec_layers + 1)]
+        return FusedKV(memories=memories, mask=stack.mask)
 
 
 def aligner_weight_matrix(aligner: LayerWiseAligner) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Command-line entry point: gen-synth, train, eval, analyze.
 
 Every command is deterministic given (config, seed, corpus bytes): outputs
-carry no timestamps, floats are written with repr, and every file but the
-optional PNG plots goes through ``files.write_atomic``. Exit codes: 0 success, 2 configuration or
-contract problem, 3 numeric failure, 4 I/O problem.
+carry no timestamps, floats are written with repr, and every file, the
+optional PNG plots included, goes through ``files.write_atomic``. Exit codes:
+0 success, 2 configuration or contract problem, 3 numeric failure, 4 I/O
+problem.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def _reference_defaults() -> dict:
 def cmd_train(args) -> int:
     config = _apply_cli_overrides(load_run_config(args.config), args)
     stage = STAGE_NAMES[args.stage]
+    if stage == "translation" and config.ablations.skip_stage1:
+        raise ConfigError("train --stage 1 conflicts with the skip_stage1 ablation")
     digest = config_digest(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -125,11 +128,6 @@ def cmd_train(args) -> int:
         )
 
     result = train(model, plan, examples, corpus.vocab, config.seed, on_epoch_end)
-
-    save_checkpoint(
-        ckpt_path,
-        checkpoint_from_params(model.trainable_params(), digest, stage, result.steps),
-    )
     write_trace(trace_path, result.trace)
     metadata = {
         "stage": stage,
@@ -194,12 +192,7 @@ def cmd_analyze(args) -> int:
     config = _apply_cli_overrides(load_run_config(args.config), args)
     corpus = _load_corpus(config)
     model = _restore_for_inference(config, args.checkpoint, args.force)
-    report = build_report(
-        model,
-        corpus.eval_parallel,
-        corpus.vocab,
-        include_prompt=config.diagnostics.include_prompt,
-    )
+    report = build_report(model, corpus.eval_parallel, corpus.vocab)
     out_dir = Path(config.out_dir) / "report"
     paths = write_report(out_dir, report, plots=config.diagnostics.plots)
     print(f"wrote {len(paths)} report files under {out_dir}")

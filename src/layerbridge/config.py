@@ -37,7 +37,6 @@ class DataConfig:
 @dataclass
 class DiagnosticsConfig:
     plots: bool = False
-    include_prompt: bool = False
 
 
 @dataclass
@@ -71,7 +70,7 @@ _NESTED: dict[str, type] = {
 _DATA_NESTED = {"synth": SynthSpec}
 # the JSON type each leaf annotation admits; a bool is never taken as a number
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "tuple[str, ...]": (list, tuple), "dict[str, str]": dict, "dict[str, dict[int, int]]": dict}
+               "tuple[str, ...]": (list, tuple), "dict[str, str]": dict}
 
 
 def _build(cls, data: dict, path: str, nested: dict[str, type]):

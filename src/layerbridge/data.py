@@ -135,8 +135,6 @@ class SynthSpec:
     stage1_per_hrl: int = 800
     lrl_fraction: float = 0.10
     stage2_per_lang: int = 260
-    # low-resource languages also see less task data; 1.0 means parity
-    stage2_lrl_fraction: float = 1.0
     eval_per_lang: int = 60
     parallel_sentences: int = 40
     tasks: tuple[str, ...] = ("arithmetic", "copy", "classification")
@@ -146,7 +144,6 @@ class SynthSpec:
     # sentences and tasks draw pseudo-words from a pool this large, so
     # stage-1 exposure can actually cover the working vocabulary
     active_words: int = 120
-    explicit_ciphers: dict[str, dict[int, int]] | None = None
 
     def __post_init__(self):
         if len(self.languages) < 2:
@@ -158,10 +155,6 @@ class SynthSpec:
                 raise ConfigError("'base' names the target language; pick another name")
         if not 0 < self.lrl_fraction <= 1:
             raise ConfigError(f"lrl_fraction must be in (0, 1], got {self.lrl_fraction}")
-        if not 0 < self.stage2_lrl_fraction <= 1:
-            raise ConfigError(
-                f"stage2_lrl_fraction must be in (0, 1], got {self.stage2_lrl_fraction}"
-            )
         unknown = set(self.tasks) - {"arithmetic", "copy", "classification"}
         if unknown:
             raise ConfigError(f"unknown tasks: {sorted(unknown)}")
@@ -176,17 +169,6 @@ class SynthSpec:
             raise ConfigError(f"max_operand must be in 2..{(len(NUMBER_WORDS) - 1) // 2}, got {self.max_operand}")
         if self.sentence_max_words < 2 or not 1 <= self.copy_max_words <= self.active_words:
             raise ConfigError("need sentence_max_words >= 2 and 1 <= copy_max_words <= active_words")
-        if self.explicit_ciphers is not None:
-            # JSON round-trips turn int keys into strings; normalize here so
-            # every ingestion path (config file, corpus dir) hits one code path
-            try:
-                fixed = {
-                    lang: {int(k): int(v) for k, v in mapping.items()}
-                    for lang, mapping in self.explicit_ciphers.items()
-                }
-            except (AttributeError, TypeError, ValueError) as err:
-                raise ConfigError(f"explicit_ciphers must map languages to id tables: {err}") from None
-            object.__setattr__(self, "explicit_ciphers", fixed)
 
     def stage1_count(self, lang: str) -> int:
         tier = self.languages[lang]
@@ -195,33 +177,17 @@ class SynthSpec:
         return max(1, int(round(self.stage1_per_hrl * self.lrl_fraction)))
 
     def stage2_count(self, lang: str) -> int:
-        tier = self.languages[lang]
-        if tier == "hrl":
-            return self.stage2_per_lang
-        return max(1, int(round(self.stage2_per_lang * self.stage2_lrl_fraction)))
+        """Task rows for ``lang``: the same for every tier."""
+        return self.stage2_per_lang
 
     def tiers(self) -> dict[str, str]:
         return dict(self.languages)
 
 
-def build_cipher(vocab: Vocabulary, spec: SynthSpec, lang: str, lang_index: int, seed: int) -> np.ndarray:
-    """Length-vocab permutation array: identity on specials, bijection on
-    content ids. Explicit ciphers are validated against the special range."""
+def build_cipher(vocab: Vocabulary, lang_index: int, seed: int) -> np.ndarray:
+    """Length-vocab permutation array: identity on specials, a seeded
+    bijection on content ids."""
     table = np.arange(vocab.size, dtype=np.int64)
-    if spec.explicit_ciphers and lang in spec.explicit_ciphers:
-        mapping = spec.explicit_ciphers[lang]
-        for src, dst in mapping.items():
-            if src < len(SPECIAL_TOKENS) or dst < len(SPECIAL_TOKENS):
-                raise ConfigError(
-                    f"cipher for {lang!r} touches special token range: {src}->{dst}"
-                )
-            if not (src < vocab.size and dst < vocab.size):
-                raise ConfigError(f"cipher for {lang!r} outside vocabulary: {src}->{dst}")
-            table[src] = dst
-        content = table[len(SPECIAL_TOKENS):]
-        if len(set(content.tolist())) != len(content):
-            raise ConfigError(f"cipher for {lang!r} is not a bijection on content ids")
-        return table
     rng = np.random.default_rng(np.random.SeedSequence([seed, lang_index, 0xC1F]))
     content = vocab.content_ids
     table[content] = rng.permutation(content)
@@ -307,9 +273,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> SynthCorpus:
     """
     vocab = Vocabulary(spec.vocab_size)
     langs = list(spec.languages)
-    ciphers = {
-        lang: build_cipher(vocab, spec, lang, i, seed) for i, lang in enumerate(langs)
-    }
+    ciphers = {lang: build_cipher(vocab, i, seed) for i, lang in enumerate(langs)}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
     # partition arithmetic operand pairs between train and eval
@@ -508,9 +472,7 @@ def load_corpus_dir(corpus_dir: str | Path) -> SynthCorpus:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise IngestionError(f"{spec_path}: seed must be a non-negative integer, got {seed!r}")
     vocab = Vocabulary(spec.vocab_size)
-    ciphers = {
-        lang: build_cipher(vocab, spec, lang, i, seed) for i, lang in enumerate(spec.languages)
-    }
+    ciphers = {lang: build_cipher(vocab, i, seed) for i, lang in enumerate(spec.languages)}
     return SynthCorpus(
         spec=spec,
         vocab=vocab,

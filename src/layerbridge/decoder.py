@@ -258,8 +258,8 @@ class Decoder:
         """One gated block (1-based ``index``): x + SA + g * CA, then the FFN.
 
         Returns (block output, SA output, ungated CA output, gate).
-        Cross-attention reads ``fused.pairs[index - 1]`` through the layer's
-        own projections, reusing the self-attention queries; with
+        Cross-attention reads ``fused.memories[index - 1]`` through the layer's
+        own ``wk`` and ``wv``, reusing the self-attention queries; with
         ``fused=None`` the block is self-attention only and the CA output and
         gate are ``None``. A ``cache`` supplies and collects this layer's keys
         and values (see ``DecodeCache``).
@@ -272,8 +272,8 @@ class Decoder:
         if fused is not None:
             memory = None if cache is None else cache.cross_kv.get(index)
             if memory is None:
-                h_k, h_v = fused.pairs[index - 1]
-                memory = (ad.matmul(h_k, layer["wk"]), ad.matmul(h_v, layer["wv"]))
+                h = fused.memories[index - 1]
+                memory = (ad.matmul(h, layer["wk"]), ad.matmul(h, layer["wv"]))
                 if cache is not None:
                     cache.cross_kv[index] = memory
             ca = ad.matmul(

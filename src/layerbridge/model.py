@@ -11,6 +11,7 @@ genuinely unused, not merely down-weighted.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 
@@ -42,7 +43,6 @@ DECODER_SEED = 11
 class BridgeSettings:
     d_hidden: int = 96
     deep_adapter: bool = False
-    separate_kv: bool = False
 
     def __post_init__(self):
         if self.d_hidden < 1:
@@ -55,13 +55,11 @@ class AblationFlags:
     no_aligner: bool = False
     no_llm_input: bool = False
     skip_stage1: bool = False
-    skip_stage2: bool = False
     dynamic_gate: bool = False
     layer_subset: str | None = None
 
     def active(self) -> list[str]:
-        out = [k for k in ("no_adapter", "no_aligner", "no_llm_input", "skip_stage1",
-                           "skip_stage2", "dynamic_gate") if getattr(self, k)]
+        out = [f.name for f in dataclasses.fields(self) if f.name != "layer_subset" and getattr(self, f.name)]
         if self.layer_subset:
             out.append(f"layer_subset={self.layer_subset}")
         return out
@@ -105,7 +103,6 @@ class BridgedModel:
             d_enc=enc_config.d_enc,
             d_hidden=settings.d_hidden,
             d_dec=dec_config.d_dec,
-            separate_kv=settings.separate_kv,
         )
         self.gates: GateVector | DynamicGates = (
             DynamicGates(dec_config.n_layers, dec_config.d_dec)

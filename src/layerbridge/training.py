@@ -55,6 +55,8 @@ class StageConfig:
             raise ConfigError(f"trace_every must be >= 1, got {self.trace_every}")
         if not 0 <= self.warmup_ratio < 1:
             raise ConfigError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 @dataclass
@@ -340,8 +342,7 @@ def train_arm(
     if train:
         if not ablations.skip_stage1:
             results.append(train_stage1(model, stages[0], corpus.stage1, corpus.vocab, seed))
-        if not ablations.skip_stage2:
-            results.append(train_stage2(model, stages[1], corpus.stage2, corpus.vocab, seed))
+        results.append(train_stage2(model, stages[1], corpus.stage2, corpus.vocab, seed))
     report = evaluate(model, corpus.eval_task, corpus.vocab, corpus.tiers())
     outcome = ArmOutcome(
         name=name,

@@ -4,6 +4,7 @@ emitter.
 """
 
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -307,17 +308,6 @@ def test_collect_pooled_reps_spans(model, corpus):
     assert np.array_equal(got.vector, want)
 
 
-def test_collect_pooled_reps_include_prompt(model, corpus):
-    row = corpus.eval_parallel[0]
-    reps = collect_pooled_reps(model, [row], corpus.vocab, include_prompt=True)
-    src = corpus.vocab.encode(row["src"])
-    tgt = corpus.vocab.encode(row["base"])
-    _, state, packed = model.forward_batch("translation", [src], [tgt])
-    final = state.states[-1].data[0].astype(np.float64)
-    length = int(packed.valid[0].sum())
-    assert np.array_equal(reps[row["lang"]][0].vector, final[:length].mean(axis=0))
-
-
 def test_build_report_requires_base_language(model, corpus):
     rows = [r for r in corpus.eval_parallel if r["lang"] != "base"]
     with pytest.raises(ConfigError, match="base"):
@@ -386,6 +376,55 @@ def test_write_report_renders_plots(tmp_path, report):
     pngs = sorted(p.name for p in written if p.suffix == ".png")
     assert pngs == ["aligner_matrix.png", "cosine.png", "gates.png", "norm_ratio.png", "pca.png"]
     assert all((tmp_path / "report" / n).stat().st_size > 0 for n in pngs)
+
+
+PNG_BYTES = b"\x89PNG\r\n\x1a\n" + bytes(range(256)) * 4
+
+
+def _stub_matplotlib(monkeypatch, fail=False):
+    """Install a stub ``matplotlib`` whose figures save ``PNG_BYTES``; with
+    ``fail``, ``savefig`` puts half of them down and then raises, the way a
+    renderer that dies mid-file does."""
+
+    class Anything:
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: Anything()
+
+    class Figure(Anything):
+        def savefig(self, fname, **kwargs):
+            payload = PNG_BYTES[: len(PNG_BYTES) // 2] if fail else PNG_BYTES
+            if hasattr(fname, "write"):
+                fname.write(payload)
+            else:
+                with open(fname, "wb") as fh:
+                    fh.write(payload)
+            if fail:
+                raise RuntimeError("renderer failed")
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda *args, **kwargs: (Figure(), Anything())
+    pyplot.close = lambda fig: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+
+def test_plots_are_written_atomically(tmp_path, monkeypatch, report):
+    out = tmp_path / "report"
+    _stub_matplotlib(monkeypatch)
+    written = write_report(out, report, plots=True)
+    pngs = sorted(p.name for p in written if p.suffix == ".png")
+    assert pngs == ["aligner_matrix.png", "cosine.png", "gates.png", "norm_ratio.png", "pca.png"]
+    assert all((out / name).read_bytes() == PNG_BYTES for name in pngs)
+    assert not list(out.glob("*.tmp"))
+
+    _stub_matplotlib(monkeypatch, fail=True)
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        write_report(out, report, plots=True)
+    assert (out / "cosine.png").read_bytes() == PNG_BYTES
+    assert not list(out.glob("*.tmp"))
 
 
 def test_write_report_without_matplotlib_still_writes_csvs(tmp_path, monkeypatch, report):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerbridge.autodiff import Tape, add, backward, mul, sum_
+from layerbridge.autodiff import Tape, backward, mul, sum_
 from layerbridge.bridge import (
     Adapter,
     LayerSubset,
@@ -27,8 +27,8 @@ def _stack(rng, n_layers=3, batch=2, src_len=4, d_enc=8):
     return LayerStack(states=states, mask=np.ones((batch, src_len), dtype=bool))
 
 
-def _aligner(rng, n_enc=3, n_dec=2, d_enc=8, d_hidden=6, d_dec=10, **kw):
-    return LayerWiseAligner(rng, n_enc, n_dec, d_enc, d_hidden, d_dec, **kw)
+def _aligner(rng, n_enc=3, n_dec=2, d_enc=8, d_hidden=6, d_dec=10):
+    return LayerWiseAligner(rng, n_enc, n_dec, d_enc, d_hidden, d_dec)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_adapter_parameter_count_at_reference_dims(rng):
 
 
 def _naive_fuse(aligner, stack, layer_index, indices, uniform=False):
-    """Recompute fuse_one with explicit float64 loops."""
+    """Recompute fuse_one's memory with explicit float64 loops."""
     logits = aligner.mixing_logits.data[layer_index - 1, list(indices)].astype(np.float64)
     if uniform:
         w = np.full(len(indices), 1.0 / len(indices))
@@ -105,12 +105,7 @@ def _naive_fuse(aligner, stack, layer_index, indices, uniform=False):
         + aligner.fuse_in.bias.data.astype(np.float64),
         0.0,
     )
-    k = hidden @ aligner.k_head.weight.data.astype(np.float64) + aligner.k_head.bias.data.astype(np.float64)
-    if aligner.v_head is not None:
-        v = hidden @ aligner.v_head.weight.data.astype(np.float64) + aligner.v_head.bias.data.astype(np.float64)
-    else:
-        v = k
-    return k, v
+    return hidden @ aligner.k_head.weight.data.astype(np.float64) + aligner.k_head.bias.data.astype(np.float64)
 
 
 def test_fuse_matches_loop_oracle(rng):
@@ -118,22 +113,17 @@ def test_fuse_matches_loop_oracle(rng):
     aligner.mixing_logits.data[...] = rng.normal(0, 1, size=aligner.mixing_logits.shape)
     stack = _stack(rng)
     for layer in (1, 2):
-        k, v = aligner.fuse_one(stack, layer)
-        want_k, want_v = _naive_fuse(aligner, stack, layer, range(3))
-        assert np.allclose(k.data, want_k, atol=1e-5)
-        assert np.allclose(v.data, want_v, atol=1e-5)
+        memory = aligner.fuse_one(stack, layer)
+        assert np.allclose(memory.data, _naive_fuse(aligner, stack, layer, range(3)), atol=1e-5)
 
 
 def test_fuse_subset_matches_loop_oracle(rng):
-    aligner = _aligner(rng, separate_kv=True)
+    aligner = _aligner(rng)
     aligner.mixing_logits.data[...] = rng.normal(0, 1, size=aligner.mixing_logits.shape)
     stack = _stack(rng)
     subset = LayerSubset(indices=(0, 2, 3))
-    k, v = aligner.fuse_one(stack, 1, subset)
-    want_k, want_v = _naive_fuse(aligner, stack, 1, (0, 2, 3))
-    assert np.allclose(k.data, want_k, atol=1e-5)
-    assert np.allclose(v.data, want_v, atol=1e-5)
-    assert not np.allclose(k.data, v.data)
+    memory = aligner.fuse_one(stack, 1, subset)
+    assert np.allclose(memory.data, _naive_fuse(aligner, stack, 1, (0, 2, 3)), atol=1e-5)
 
 
 def test_dominant_logit_selects_single_layer(rng):
@@ -141,7 +131,7 @@ def test_dominant_logit_selects_single_layer(rng):
     aligner = _aligner(rng)
     aligner.mixing_logits.data[0, 1] = 40.0
     stack = _stack(rng)
-    k, _ = aligner.fuse_one(stack, 1)
+    k = aligner.fuse_one(stack, 1)
     only = [h.copy() for h in stack.states]
     for j in range(len(only)):
         if j != 1:
@@ -149,7 +139,7 @@ def test_dominant_logit_selects_single_layer(rng):
     for h in only:
         h.flags.writeable = False
     pinned = LayerStack(states=only, mask=stack.mask)
-    k_want, _ = aligner.fuse_one(pinned, 1)
+    k_want = aligner.fuse_one(pinned, 1)
     assert np.allclose(k.data, k_want.data, atol=1e-5)
 
 
@@ -173,36 +163,36 @@ def test_weight_matrix_rows_sum_to_one_after_perturbation(rng):
 def test_final_state_excluded_from_default_range(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
-    k_before, _ = aligner.fuse_one(stack, 1)
+    k_before = aligner.fuse_one(stack, 1)
     perturbed = [h.copy() for h in stack.states]
     perturbed[-1] = perturbed[-1] + 5.0
     for h in perturbed:
         h.flags.writeable = False
-    k_after, _ = aligner.fuse_one(LayerStack(states=perturbed, mask=stack.mask), 1)
+    k_after = aligner.fuse_one(LayerStack(states=perturbed, mask=stack.mask), 1)
     assert np.array_equal(k_before.data, k_after.data)
 
 
 def test_support_state_changes_do_reach_output(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
-    k_before, _ = aligner.fuse_one(stack, 1)
+    k_before = aligner.fuse_one(stack, 1)
     perturbed = [h.copy() for h in stack.states]
     perturbed[0] = perturbed[0] + 5.0
     for h in perturbed:
         h.flags.writeable = False
-    k_after, _ = aligner.fuse_one(LayerStack(states=perturbed, mask=stack.mask), 1)
+    k_after = aligner.fuse_one(LayerStack(states=perturbed, mask=stack.mask), 1)
     assert not np.allclose(k_before.data, k_after.data)
 
 
 def test_batch_permutation_equivariance(rng):
     aligner = _aligner(rng, d_enc=8)
     stack = _stack(rng, batch=3)
-    k, _ = aligner.fuse_one(stack, 1)
+    k = aligner.fuse_one(stack, 1)
     perm = [2, 0, 1]
     permuted = [h[perm].copy() for h in stack.states]
     for h in permuted:
         h.flags.writeable = False
-    k_perm, _ = aligner.fuse_one(LayerStack(states=permuted, mask=stack.mask[perm]), 1)
+    k_perm = aligner.fuse_one(LayerStack(states=permuted, mask=stack.mask[perm]), 1)
     assert np.allclose(k.data[perm], k_perm.data, atol=1e-6)
 
 
@@ -210,8 +200,8 @@ def test_gradients_reach_mixing_logits_and_fusion_net(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
     with Tape() as tape:
-        k, v = aligner.fuse_one(stack, 2)
-        loss = add(sum_(mul(k, k)), sum_(mul(v, v)))
+        memory = aligner.fuse_one(stack, 2)
+        loss = sum_(mul(memory, memory))
     backward(tape, loss)
     assert aligner.mixing_logits.grad is not None
     # only the addressed row receives gradient, and only support columns
@@ -227,7 +217,7 @@ def test_frozen_uniform_average_blocks_logit_gradient(rng):
     stack = _stack(rng)
     subset = subset_from_spec("average", 3)
     with Tape() as tape:
-        k, _ = aligner.fuse_one(stack, 1, subset)
+        k = aligner.fuse_one(stack, 1, subset)
         loss = sum_(mul(k, k))
     backward(tape, loss)
     assert aligner.mixing_logits.grad is None or np.all(aligner.mixing_logits.grad == 0)
@@ -237,9 +227,9 @@ def test_single_member_subset_ignores_logit_values(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
     subset = LayerSubset(indices=(2,))
-    k_a, _ = aligner.fuse_one(stack, 1, subset)
+    k_a = aligner.fuse_one(stack, 1, subset)
     aligner.mixing_logits.data[0, 2] = -31.0
-    k_b, _ = aligner.fuse_one(stack, 1, subset)
+    k_b = aligner.fuse_one(stack, 1, subset)
     assert np.allclose(k_a.data, k_b.data, atol=1e-7)
 
 

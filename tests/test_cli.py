@@ -314,9 +314,17 @@ def test_failed_write_keeps_old_output_and_exits_4(tmp_path, monkeypatch, capsys
 
 def test_unknown_ablation_flag(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["train", "--config", cfg, "--stage", "1", "--ablate", "no_such"]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and "no_such" in err
+    for flag in ("no_such", "skip_stage2"):
+        assert main(["train", "--config", cfg, "--stage", "1", "--ablate", flag]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and repr(flag) in err
+
+
+def test_stage1_under_skip_stage1_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", cfg, "--stage", "1", "--ablate", "skip_stage1"]) == 2
+    assert "conflicts with the skip_stage1 ablation" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_ablate_flag_applies(tmp_path):
@@ -363,6 +371,8 @@ BLANK_TARGET = {"src": "baba", "tgt": " ", "lang": "lang1", "stage": "translatio
         ("spec.json", json.dumps({"seed": 0, "spec": 5}), "expected an object"),
         ("spec.json", json.dumps({"seed": 0, "spec": {"lrl_fraction": 2.0}}),
          "spec.json: lrl_fraction must be in (0, 1]"),
+        ("spec.json", json.dumps({"seed": 0, "spec": {"explicit_ciphers": None}}),
+         "spec.json: SynthSpec.__init__() got an unexpected keyword argument 'explicit_ciphers'"),
     ],
 )
 def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, needle):

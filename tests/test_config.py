@@ -64,11 +64,27 @@ def test_unknown_top_level_key():
         run_config_from_dict({"wormhole": 1})
 
 
+# keys an earlier schema accepted; each is now as unknown as a typo
+REMOVED_KEYS = [
+    ("bridge", "separate_kv", False),
+    ("ablations", "skip_stage2", False),
+    ("data.synth", "stage2_lrl_fraction", 1.0),
+    ("data.synth", "explicit_ciphers", None),
+    ("diagnostics", "include_prompt", False),
+]
+
+
 def test_unknown_nested_key_reports_dotted_path():
     with pytest.raises(ConfigError, match=r"encoder: unknown keys \['dd_enc'\]"):
         run_config_from_dict({"encoder": {"dd_enc": 32}})
     with pytest.raises(ConfigError, match=r"data.synth: unknown keys \['vocab'\]"):
         run_config_from_dict({"data": {"synth": {"vocab": 64}}})
+    for section, key, value in REMOVED_KEYS:
+        data = {key: value}
+        for part in reversed(section.split(".")):
+            data = {part: data}
+        with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
+            run_config_from_dict(data)
 
 
 def test_section_must_be_object():
@@ -215,7 +231,7 @@ def test_digest_stable_and_sensitive():
 def test_digest_ignores_out_dir_and_diagnostics():
     base = run_config_from_dict({})
     moved = run_config_from_dict({"out_dir": "elsewhere"})
-    plotted = run_config_from_dict({"diagnostics": {"plots": True, "include_prompt": True}})
+    plotted = run_config_from_dict({"diagnostics": {"plots": True}})
     assert config_digest(moved) == config_digest(base)
     assert config_digest(plotted) == config_digest(base)
 
@@ -248,7 +264,7 @@ def test_stage_sections_parse_to_stage_configs():
 
 def test_diagnostics_config_defaults():
     d = DiagnosticsConfig()
-    assert d.plots is False and d.include_prompt is False
+    assert d.plots is False
     with pytest.raises(ConfigError, match=r"diagnostics: unknown keys \['enabled'\]"):
         run_config_from_dict({"diagnostics": {"enabled": True}})
 
@@ -274,14 +290,13 @@ FUZZ_KEYS = [
                                 "EMB_SCALE", "POS_SCALE")),
     *(f"DECODER__{k}" for k in ("VOCAB_SIZE", "D_DEC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS",
                                 "PAD_ID", "EOS_ID", "HEAD_SCALE")),
-    "BRIDGE", "BRIDGE__D_HIDDEN", "BRIDGE__DEEP_ADAPTER", "BRIDGE__SEPARATE_KV",
+    "BRIDGE", "BRIDGE__D_HIDDEN", "BRIDGE__DEEP_ADAPTER",
     "STAGE1__LEARNING_RATE", "STAGE1__EPOCHS", "STAGE1__BATCH_SIZE", "STAGE1__CLIP_NORM",
     "STAGE2__WARMUP_RATIO", "STAGE2__TRACE_EVERY",
     *(f"ABLATIONS__{k}" for k in ("NO_ADAPTER", "NO_ALIGNER", "NO_LLM_INPUT", "DYNAMIC_GATE", "LAYER_SUBSET")),
     *(f"DATA__SYNTH__{k}" for k in ("VOCAB_SIZE", "LANGUAGES", "STAGE1_PER_HRL", "LRL_FRACTION",
-                                    "STAGE2_PER_LANG", "STAGE2_LRL_FRACTION", "EVAL_PER_LANG",
-                                    "PARALLEL_SENTENCES", "TASKS", "MAX_OPERAND", "COPY_MAX_WORDS",
-                                    "SENTENCE_MAX_WORDS", "ACTIVE_WORDS", "EXPLICIT_CIPHERS")),
+                                    "STAGE2_PER_LANG", "EVAL_PER_LANG", "PARALLEL_SENTENCES", "TASKS",
+                                    "MAX_OPERAND", "COPY_MAX_WORDS", "SENTENCE_MAX_WORDS", "ACTIVE_WORDS")),
     "DIAGNOSTICS__PLOTS",
 ]
 
@@ -327,13 +342,19 @@ def test_fuzzed_overrides_raise_only_package_errors(small_config, overrides):
 SWEEP_VALUES = (-1, 0, 1, 2, 1.5, "x", True, None, [], [1], {}, {"a": 1})
 
 
-@pytest.mark.parametrize("key", FUZZ_KEYS)
+# the removed keys as override names: these refuse every value
+REMOVED_ENV_KEYS = [f"{section.replace('.', '__')}__{key}".upper() for section, key, _ in REMOVED_KEYS]
+
+
+@pytest.mark.parametrize("key", FUZZ_KEYS + REMOVED_ENV_KEYS)
 def test_every_key_rejects_boundary_values_with_package_errors(small_config, key):
     for value in SWEEP_VALUES:
         try:
             _prepare_run(small_config, {f"LAYERBRIDGE_{key}": json.dumps(value)})
         except LayerBridgeError:
             pass
+        else:
+            assert key not in REMOVED_ENV_KEYS, f"removed key {key} took {value!r}"
 
 
 @pytest.mark.parametrize(

@@ -133,67 +133,18 @@ def test_decode_encode_identity(ids):
 @settings(max_examples=30, deadline=None)
 def test_cipher_is_content_permutation_fixing_specials(seed, lang_index):
     vocab = Vocabulary(40)
-    table = build_cipher(vocab, SynthSpec(vocab_size=40, active_words=11), "x", lang_index, seed)
+    table = build_cipher(vocab, lang_index, seed)
     assert np.array_equal(table[:4], np.arange(4))
     assert np.array_equal(np.sort(table), np.arange(40))
 
 
 def test_cipher_determinism_and_distinctness():
     vocab = Vocabulary(512)
-    spec = SynthSpec()
-    a = build_cipher(vocab, spec, "lang1", 0, 0)
-    b = build_cipher(vocab, spec, "lang1", 0, 0)
+    a = build_cipher(vocab, 0, 0)
+    b = build_cipher(vocab, 0, 0)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, build_cipher(vocab, spec, "lang1", 0, 1))
-    assert not np.array_equal(a, build_cipher(vocab, spec, "lang2", 1, 0))
-
-
-def test_explicit_cipher_swap_and_inverse():
-    vocab = Vocabulary(64)
-    spec = SynthSpec(vocab_size=64, active_words=20, explicit_ciphers={"x": {29: 30, 30: 29}})
-    table = build_cipher(vocab, spec, "x", 0, seed=0)
-    ids = np.array([29, 30, 31, 2])
-    assert np.array_equal(apply_cipher(table, ids), [30, 29, 31, 2])
-    inv = np.argsort(table)
-    assert np.array_equal(apply_cipher(inv, apply_cipher(table, ids)), ids)
-
-
-def test_identity_cipher_control():
-    # empty explicit mapping leaves the table as the identity permutation
-    vocab = Vocabulary(64)
-    spec = SynthSpec(vocab_size=64, active_words=20, explicit_ciphers={"x": {}})
-    table = build_cipher(vocab, spec, "x", 0, seed=5)
-    assert np.array_equal(table, np.arange(64))
-
-
-def test_explicit_cipher_rejects_special_range():
-    vocab = Vocabulary(64)
-    spec = SynthSpec(vocab_size=64, active_words=20, explicit_ciphers={"x": {2: 40}})
-    with pytest.raises(ConfigError, match="special"):
-        build_cipher(vocab, spec, "x", 0, seed=0)
-
-
-def test_explicit_cipher_rejects_non_bijection():
-    vocab = Vocabulary(64)
-    spec = SynthSpec(vocab_size=64, active_words=20, explicit_ciphers={"x": {29: 31, 30: 31}})
-    with pytest.raises(ConfigError, match="bijection"):
-        build_cipher(vocab, spec, "x", 0, seed=0)
-
-
-def test_explicit_cipher_rejects_out_of_vocab():
-    vocab = Vocabulary(64)
-    spec = SynthSpec(vocab_size=64, active_words=20, explicit_ciphers={"x": {70: 71}})
-    with pytest.raises(ConfigError, match="outside"):
-        build_cipher(vocab, spec, "x", 0, seed=0)
-
-
-def test_explicit_cipher_string_keys_normalized():
-    # JSON object keys arrive as strings; the spec normalizes them to ints
-    spec = SynthSpec(vocab_size=64, active_words=20, explicit_ciphers={"x": {"29": 30, "30": 29}})
-    assert spec.explicit_ciphers == {"x": {29: 30, 30: 29}}
-    vocab = Vocabulary(64)
-    table = build_cipher(vocab, spec, "x", 0, seed=0)
-    assert table[29] == 30 and table[30] == 29
+    assert not np.array_equal(a, build_cipher(vocab, 0, 1))
+    assert not np.array_equal(a, build_cipher(vocab, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +526,7 @@ def test_load_corpus_dir_unknown_spec_field(tmp_path):
 @pytest.mark.parametrize(
     "spec",
     [{"languages": [1, 2]}, {"languages": "abc"}, {"tasks": [[1]]},
-     {"explicit_ciphers": [1]}, {"explicit_ciphers": {"lang1": {"a": 5}}}],
+     {"lrl_fraction": "half"}, {"max_operand": [3]}],
 )
 def test_load_corpus_dir_mistyped_spec_field(tmp_path, spec):
     (tmp_path / "spec.json").write_text(json.dumps({"seed": 0, "spec": spec}))

@@ -35,22 +35,19 @@ def _t0(rng, decoder, batch=2, length=5):
 
 def _fused(rng, decoder, batch=2, src_len=3, zero=False):
     d = decoder.config.d_dec
-    pairs = []
+    memories = []
     for _ in range(decoder.config.n_layers):
         if zero:
-            k = Tensor(np.zeros((batch, src_len, d), dtype=np.float32))
-            v = Tensor(np.zeros((batch, src_len, d), dtype=np.float32))
+            memories.append(Tensor(np.zeros((batch, src_len, d), dtype=np.float32)))
         else:
-            k = Tensor(rng.normal(0, 1, size=(batch, src_len, d)).astype(np.float32))
-            v = Tensor(rng.normal(0, 1, size=(batch, src_len, d)).astype(np.float32))
-        pairs.append((k, v))
-    return FusedKV(pairs=pairs, mask=np.ones((batch, src_len), dtype=bool))
+            memories.append(Tensor(rng.normal(0, 1, size=(batch, src_len, d)).astype(np.float32)))
+    return FusedKV(memories=memories, mask=np.ones((batch, src_len), dtype=bool))
 
 
-def _block(decoder, t_prev, h_k, h_v, gates):
-    """Decoder layer 1 alone, reading one (K, V) memory whose positions are all valid."""
-    batch, src_len, _ = h_k.shape
-    fused = FusedKV(pairs=[(h_k, h_v)] * decoder.config.n_layers, mask=np.ones((batch, src_len), dtype=bool))
+def _block(decoder, t_prev, h, gates):
+    """Decoder layer 1 alone, reading one memory whose positions are all valid."""
+    batch, src_len, _ = h.shape
+    fused = FusedKV(memories=[h] * decoder.config.n_layers, mask=np.ones((batch, src_len), dtype=bool))
     out, *_ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates)
     return out
 
@@ -93,8 +90,9 @@ def test_nonzero_gate_changes_logits(decoder, rng):
 
 
 def test_zero_valued_kv_is_inert_even_with_open_gates(decoder, rng):
-    """CA over all-zero values returns zero vectors, so the layer reduces to
-    its self-attention-only form regardless of gate size."""
+    """CA over an all-zero memory reads all-zero values (``wv`` has no bias),
+    so the layer reduces to its self-attention-only form regardless of gate
+    size."""
     t0 = _t0(rng, decoder)
     fused = _fused(rng, decoder, zero=True)
     gates = GateVector(decoder.config.n_layers)
@@ -109,7 +107,7 @@ def test_perturbing_fused_inputs_respects_gates(decoder, rng):
     t0 = _t0(rng, decoder)
     fused = _fused(rng, decoder)
     bumped = FusedKV(
-        pairs=[(Tensor(k.data + 3.0), Tensor(v.data - 2.0)) for k, v in fused.pairs],
+        memories=[Tensor(h.data + 3.0) for h in fused.memories],
         mask=fused.mask,
     )
     zero_gates = GateVector(decoder.config.n_layers)
@@ -155,7 +153,7 @@ def _np_attention(q, k, v, n_heads, bias):
     return out.transpose(0, 2, 1, 3).reshape(b, s_q, d)
 
 
-def _oracle_block(decoder, idx, t_prev, h_k, h_v, gate):
+def _oracle_block(decoder, idx, t_prev, h, gate):
     """float64 two-pass recomputation of one gated block."""
     layer = decoder.layers[idx - 1]
     w = {k: v.data.astype(np.float64) for k, v in layer.items()}
@@ -165,7 +163,7 @@ def _oracle_block(decoder, idx, t_prev, h_k, h_v, gate):
     q = normed @ w["wq"]
     causal = causal_bias(dec_len).astype(np.float64)
     sa = _np_attention(q, normed @ w["wk"], normed @ w["wv"], decoder.config.n_heads, causal) @ w["wo"]
-    ca = _np_attention(q, h_k @ w["wk"], h_v @ w["wv"], decoder.config.n_heads, None) @ w["wo"]
+    ca = _np_attention(q, h @ w["wk"], h @ w["wv"], decoder.config.n_heads, None) @ w["wo"]
     x = x + sa + gate * ca
     normed2 = _np_layer_norm(x, w["ln2_gain"], w["ln2_bias"])
     ff = np.maximum(normed2 @ w["ff1_w"] + w["ff1_b"], 0.0) @ w["ff2_w"]
@@ -174,21 +172,19 @@ def _oracle_block(decoder, idx, t_prev, h_k, h_v, gate):
 
 def test_ga_layer_matches_two_pass_oracle(decoder, rng):
     t_prev = Tensor(rng.normal(0, 1, size=(2, 4, 16)).astype(np.float32))
-    h_k = Tensor(rng.normal(0, 1, size=(2, 3, 16)).astype(np.float32))
-    h_v = Tensor(rng.normal(0, 1, size=(2, 3, 16)).astype(np.float32))
-    got = _block(decoder, t_prev, h_k, h_v, _gates(decoder, 0.6))
-    want = _oracle_block(decoder, 1, t_prev.data, h_k.data, h_v.data, 0.6)
+    h = Tensor(rng.normal(0, 1, size=(2, 3, 16)).astype(np.float32))
+    got = _block(decoder, t_prev, h, _gates(decoder, 0.6))
+    want = _oracle_block(decoder, 1, t_prev.data, h.data, 0.6)
     assert np.allclose(got.data, want, atol=1e-5)
 
 
 def test_dynamic_gate_with_constant_bias_equals_static_tanh(decoder, rng):
     t_prev = Tensor(rng.normal(0, 1, size=(1, 4, 16)).astype(np.float32))
-    h_k = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float32))
-    h_v = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float32))
+    h = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float32))
     dyn = DynamicGates(decoder.config.n_layers, 16)
     dyn.nets[0]["bias"].data[0] = 0.9
-    got = _block(decoder, t_prev, h_k, h_v, dyn)
-    static = _block(decoder, t_prev, h_k, h_v, _gates(decoder, np.tanh(np.float32(0.9))))
+    got = _block(decoder, t_prev, h, dyn)
+    static = _block(decoder, t_prev, h, _gates(decoder, np.tanh(np.float32(0.9))))
     assert np.allclose(got.data, static.data, atol=1e-6)
 
 
@@ -203,15 +199,14 @@ def test_zero_initialized_dynamic_gates_reduce_to_baseline(decoder, rng):
 
 def test_dynamic_gate_gradients_match_finite_differences(decoder, rng):
     t_prev = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float64))
-    h_k = Tensor(rng.normal(0, 1, size=(1, 2, 16)).astype(np.float64))
-    h_v = Tensor(rng.normal(0, 1, size=(1, 2, 16)).astype(np.float64))
+    h = Tensor(rng.normal(0, 1, size=(1, 2, 16)).astype(np.float64))
     dyn = DynamicGates(decoder.config.n_layers, 16)
     dyn.nets[0]["weight"].data = rng.normal(0, 0.3, size=(16, 1))
     dyn.nets[0]["bias"].data = rng.normal(0, 0.3, size=(1,))
     params = [dyn.nets[0]["weight"], dyn.nets[0]["bias"]]
 
     def loss():
-        out = _block(decoder, t_prev, h_k, h_v, dyn)
+        out = _block(decoder, t_prev, h, dyn)
         return mul(sum_(mul(out, out)), 1.0 / out.size)
 
     assert_grad_matches(loss, params, h=1e-5, rtol=1e-3)
@@ -428,8 +423,7 @@ def test_decoder_config_validation():
 
 def test_layer_count_mismatch_between_fused_and_decoder(decoder, rng):
     t0 = _t0(rng, decoder)
-    pairs = [(Tensor(np.zeros((2, 3, 16), dtype=np.float32)),) * 2]
-    fused = FusedKV(pairs=pairs, mask=np.ones((2, 3), dtype=bool))
+    fused = FusedKV(memories=[Tensor(np.zeros((2, 3, 16), dtype=np.float32))], mask=np.ones((2, 3), dtype=bool))
     with pytest.raises(ConfigError, match="1 layers"):
         decoder.forward(t0, fused, GateVector(decoder.config.n_layers))
 

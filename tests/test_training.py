@@ -86,6 +86,8 @@ def test_default_plan_overrides():
         {"warmup_ratio": 1.0},
         {"warmup_ratio": -0.1},
         {"learning_rate": 0.0},
+        {"clip_norm": 0.0},
+        {"clip_norm": -1.0},
     ],
 )
 def test_plan_validation(kwargs):
