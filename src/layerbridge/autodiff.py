@@ -346,19 +346,6 @@ def embedding(table: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(np.sum(x.data, axis=axis, keepdims=keepdims))
-    shape = x.data.shape
-
-    def rule(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        grad = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(grad, shape).copy(),)
-
-    return _record(out, (x,), rule)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``."""
     if not -x.ndim <= axis < x.ndim:

@@ -2,11 +2,12 @@
 
 Two components. The adapter maps the encoder's final state position-wise
 into decoder width, producing the soft prompt spliced into the decoder's
-input. The layer-wise aligner mixes the earlier encoder states (0..n-1 by
-default) with one learned softmax weighting per decoder layer, then pushes
-the mixture through a fusion network shared across decoder layers to
-produce that layer's memory, which the decoder layer reads through its own
-key and value projections.
+input. The layer-wise aligner holds one learned softmax weighting over the
+earlier encoder states (0..n-1 by default) per decoder layer. In one pass it
+mixes the stacked states by the whole [m, k] weight matrix, runs the m
+mixtures through the fusion network shared across decoder layers, and hands
+decoder layer i the i-th slice as its memory, which that layer reads
+through its own key and value projections.
 
 Encoder states arrive as read-only numpy arrays; they enter the graph as
 constants, so gradients reach only the bridge's own parameters.
@@ -21,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import LayerStack
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .nn import Linear
 
 SUBSET_KINDS = ("first", "middle", "last", "last_hidden", "average")
@@ -141,7 +142,7 @@ class LayerWiseAligner:
     One logit row per decoder layer; a row's softmax weights the mixing
     range (states 0..n-1 unless a subset overrides it). Logit storage covers
     all n+1 states so explicit subsets can reach the final state, but the
-    default path never reads its column. The mixed sequence runs through
+    default path never reads its column. The mixed sequences run through
     linear -> ReLU -> linear into decoder width.
     """
 
@@ -162,11 +163,9 @@ class LayerWiseAligner:
         out.update(self.k_head.named_params(f"{prefix}.k_head"))
         return out
 
-    def _mix(self, stack: LayerStack, layer_index: int, subset: LayerSubset | None) -> Tensor:
-        if not 1 <= layer_index <= self.n_dec_layers:
-            raise ContractError(
-                f"decoder layer index {layer_index} outside 1..{self.n_dec_layers}"
-            )
+    def fuse_all(self, stack: LayerStack, subset: LayerSubset | None = None) -> FusedKV:
+        """All m memories in one pass: an [m, k] weight matrix times the k
+        chosen states, then one fusion-network run over the m mixtures."""
         if stack.n_layers != self.n_enc_layers:
             raise ConfigError(
                 f"aligner built for {self.n_enc_layers} encoder layers, stack has {stack.n_layers}"
@@ -175,28 +174,21 @@ class LayerWiseAligner:
         for idx in indices:
             if not 0 <= idx <= self.n_enc_layers:
                 raise ConfigError(f"layer index {idx} outside 0..{self.n_enc_layers}")
-        chosen = [stack.states[j] for j in indices]
-        batch, src_len, d_enc = chosen[0].shape
-        flat = np.stack([h.reshape(-1) for h in chosen], axis=0)
-        support = Tensor(flat)  # [k, batch*src_len*d_enc], constant
+        m, k = self.n_dec_layers, len(indices)
+        batch, src_len, d_enc = stack.states[0].shape
+        support = Tensor(np.stack([stack.states[j].reshape(-1) for j in indices], axis=0))
+        # weights are [m, 1, k], not [m, k]: numpy runs each layer's row as a
+        # vector-matrix product, which rounds as a lone row does, where one
+        # [m, k] GEMM can round differently
         if subset is not None and subset.frozen_uniform:
-            weights = Tensor(np.full((1, len(indices)), 1.0 / len(indices), dtype=np.float32))
+            weights = Tensor(np.full((m, 1, k), 1.0 / k, dtype=np.float32))
         else:
-            row = ad.take(self.mixing_logits, [layer_index - 1], axis=0)
-            cols = ad.take(row, list(indices), axis=1)
-            weights = ad.softmax(cols, axis=-1)
-        mixed = ad.matmul(weights, support)
-        return ad.reshape(mixed, (batch, src_len, d_enc))
-
-    def fuse_one(self, stack: LayerStack, layer_index: int,
-                 subset: LayerSubset | None = None) -> Tensor:
-        mixed = self._mix(stack, layer_index, subset)
-        hidden = ad.relu(self.fuse_in(mixed))
-        return self.k_head(hidden)
-
-    def fuse_all(self, stack: LayerStack, subset: LayerSubset | None = None) -> FusedKV:
-        memories = [self.fuse_one(stack, i, subset) for i in range(1, self.n_dec_layers + 1)]
-        return FusedKV(memories=memories, mask=stack.mask)
+            weights = ad.softmax(ad.take(self.mixing_logits, [indices], axis=1), axis=-1)
+        mixed = ad.reshape(ad.matmul(weights, support), (m * batch, src_len, d_enc))
+        memories = self.k_head(ad.relu(self.fuse_in(mixed)))
+        return FusedKV(
+            memories=[ad.narrow(memories, 0, i * batch, batch) for i in range(m)], mask=stack.mask
+        )
 
 
 def aligner_weight_matrix(aligner: LayerWiseAligner) -> np.ndarray:

@@ -370,6 +370,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> SynthCorpus:
 
 RECORD_FIELDS = {"src": str, "tgt": str, "lang": str, "stage": str}
 PARALLEL_FIELDS = {"sid": int, "lang": str, "src": str, "base": str}
+TEXT_FIELDS = ("src", "tgt", "base")
 
 
 def write_corpus(path: str | Path, examples: list[ParallelExample]) -> None:
@@ -378,9 +379,10 @@ def write_corpus(path: str | Path, examples: list[ParallelExample]) -> None:
     write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
-def _read_records(path: Path, fields: dict[str, type], what: str):
+def _read_records(path: Path, fields: dict[str, type], what: str, vocab: Vocabulary | None):
     """Yield (line number, record) for each nonblank line of a JSONL file;
-    every record must be an object carrying each of ``fields`` with its type."""
+    every record must be an object carrying each of ``fields`` with its type,
+    and, given a ``vocab``, text fields holding only its words."""
     try:
         lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as err:
@@ -402,13 +404,18 @@ def _read_records(path: Path, fields: dict[str, type], what: str):
             if not isinstance(record[key], kind):
                 got = type(record[key]).__name__
                 raise IngestionError(f"{path}:{lineno}: field {key!r} must be {kind.__name__}, got {got}")
+        if vocab is not None:
+            for key in (k for k in fields if k in TEXT_FIELDS):
+                for word in record[key].split():
+                    if word not in vocab.index:
+                        raise IngestionError(f"{path}:{lineno}: word {word!r} not in vocabulary")
         yield lineno, record
 
 
-def read_corpus(path: str | Path) -> list[ParallelExample]:
+def read_corpus(path: str | Path, vocab: Vocabulary | None = None) -> list[ParallelExample]:
     path = Path(path)
     out = []
-    for lineno, record in _read_records(path, RECORD_FIELDS, "corpus"):
+    for lineno, record in _read_records(path, RECORD_FIELDS, "corpus", vocab):
         try:
             out.append(
                 ParallelExample(
@@ -427,8 +434,8 @@ def write_parallel(path: str | Path, rows: list[dict]) -> None:
     write_atomic(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
-def read_parallel(path: str | Path) -> list[dict]:
-    return [record for _, record in _read_records(Path(path), PARALLEL_FIELDS, "parallel")]
+def read_parallel(path: str | Path, vocab: Vocabulary | None = None) -> list[dict]:
+    return [record for _, record in _read_records(Path(path), PARALLEL_FIELDS, "parallel", vocab)]
 
 CORPUS_FILES = ("stage1.jsonl", "stage2.jsonl", "eval_task.jsonl", "eval_parallel.jsonl")
 
@@ -477,8 +484,8 @@ def load_corpus_dir(corpus_dir: str | Path) -> SynthCorpus:
         spec=spec,
         vocab=vocab,
         ciphers=ciphers,
-        stage1=read_corpus(corpus_dir / "stage1.jsonl"),
-        stage2=read_corpus(corpus_dir / "stage2.jsonl"),
-        eval_task=read_corpus(corpus_dir / "eval_task.jsonl"),
-        eval_parallel=read_parallel(corpus_dir / "eval_parallel.jsonl"),
+        stage1=read_corpus(corpus_dir / "stage1.jsonl", vocab),
+        stage2=read_corpus(corpus_dir / "stage2.jsonl", vocab),
+        eval_task=read_corpus(corpus_dir / "eval_task.jsonl", vocab),
+        eval_parallel=read_parallel(corpus_dir / "eval_parallel.jsonl", vocab),
     )

@@ -231,11 +231,12 @@ class Decoder:
         if valid is None:
             valid = np.ones((batch, dec_len), dtype=bool)
         sa_bias = None if offset else causal_bias(dec_len) + padding_bias(valid)
+        ca_bias = None if fused is None else padding_bias(fused.mask)
 
         x = ad.add(t0, Tensor(self.pos_emb.data[offset : offset + dec_len][None]))
         state = DecoderState(states=[t0])
         for i in range(1, c.n_layers + 1):
-            x, sa, ca, gate = self.block(i, x, sa_bias, fused, gates, cache)
+            x, sa, ca, gate = self.block(i, x, sa_bias, ca_bias, fused, gates, cache)
             state.states.append(x)
             state.sa_outputs.append(sa)
             state.ca_outputs.append(ca)
@@ -251,6 +252,7 @@ class Decoder:
         index: int,
         x: Tensor,
         sa_bias: np.ndarray | None,
+        ca_bias: np.ndarray | None,
         fused: FusedKV | None,
         gates: GateVector | DynamicGates | None,
         cache: DecodeCache | None = None,
@@ -259,7 +261,8 @@ class Decoder:
 
         Returns (block output, SA output, ungated CA output, gate).
         Cross-attention reads ``fused.memories[index - 1]`` through the layer's
-        own ``wk`` and ``wv``, reusing the self-attention queries; with
+        own ``wk`` and ``wv``, reusing the self-attention queries, with
+        ``ca_bias`` (``padding_bias(fused.mask)``) hiding padded keys; with
         ``fused=None`` the block is self-attention only and the CA output and
         gate are ``None``. A ``cache`` supplies and collects this layer's keys
         and values (see ``DecodeCache``).
@@ -277,7 +280,7 @@ class Decoder:
                 if cache is not None:
                     cache.cross_kv[index] = memory
             ca = ad.matmul(
-                attention(q, *memory, self.config.n_heads, bias=padding_bias(fused.mask)),
+                attention(q, *memory, self.config.n_heads, bias=ca_bias),
                 layer["wo"],
             )
             gate = gates.gate_for(index, x)

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerbridge.autodiff import Tape, Tensor, backward
+from layerbridge.autodiff import Tape, Tensor, backward, matmul, reshape
+
+
+def total(x: Tensor) -> Tensor:
+    """Sum of every element of ``x`` as a [1, 1] tensor, by one matmul of the
+    flattened ``x`` against a ones column: a scalar loss for tests."""
+    return matmul(reshape(x, (1, x.size)), Tensor(np.ones((x.size, 1), dtype=x.dtype)))
 
 
 def central_difference(f, param: Tensor, h: float = 1e-5) -> np.ndarray:

@@ -28,14 +28,13 @@ from layerbridge.autodiff import (
     reshape,
     silu,
     softmax,
-    sum_,
     take,
     tanh,
     transpose,
 )
 from layerbridge.errors import ContractError, EmptyLossError, ShapeError
 
-from conftest import assert_grad_matches
+from conftest import assert_grad_matches, total
 
 
 def _t(rng, *shape, scale=1.0):
@@ -50,25 +49,25 @@ def _t(rng, *shape, scale=1.0):
 def test_add_broadcast_gradients(rng):
     a = _t(rng, 3, 4)
     b = _t(rng, 4)
-    assert_grad_matches(lambda: sum_(mul(add(a, b), add(a, b))), [a, b])
+    assert_grad_matches(lambda: total(mul(add(a, b), add(a, b))), [a, b])
 
 
 def test_mul_gradients(rng):
     a = _t(rng, 2, 5)
     b = _t(rng, 2, 5)
-    assert_grad_matches(lambda: sum_(mul(a, b)), [a, b])
+    assert_grad_matches(lambda: total(mul(a, b)), [a, b])
 
 
 def test_matmul_gradients(rng):
     a = _t(rng, 3, 4)
     b = _t(rng, 4, 2)
-    assert_grad_matches(lambda: sum_(matmul(a, b)), [a, b])
+    assert_grad_matches(lambda: total(matmul(a, b)), [a, b])
 
 
 def test_matmul_batched_gradients(rng):
     a = _t(rng, 2, 3, 4)
     b = _t(rng, 2, 4, 2)
-    assert_grad_matches(lambda: sum_(matmul(a, b)), [a, b])
+    assert_grad_matches(lambda: total(matmul(a, b)), [a, b])
 
 
 @pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)])
@@ -79,7 +78,7 @@ def test_matmul_activation_times_weight_gradients(rng, needs):
     w = Tensor(rng.normal(size=(4, 5)), requires_grad=needs[1])
     r = Tensor(rng.normal(size=(2, 3, 5)))
     tracked = [t for t, need in zip((a, w), needs) if need]
-    assert_grad_matches(lambda: sum_(mul(matmul(a, w), r)), tracked)
+    assert_grad_matches(lambda: total(mul(matmul(a, w), r)), tracked)
     for t, need in zip((a, w), needs):
         assert (t.grad is not None) == need
 
@@ -93,7 +92,7 @@ def test_matmul_activation_times_weight_non_contiguous(rng):
     def loss():
         a = transpose(x, (1, 0, 2))
         assert not a.data.flags.c_contiguous
-        return sum_(mul(transpose(matmul(a, w), (2, 1, 0)), r))
+        return total(mul(transpose(matmul(a, w), (2, 1, 0)), r))
 
     assert_grad_matches(loss, [x, w])
 
@@ -102,7 +101,7 @@ def test_matmul_activation_times_weight_4d_leading_shape(rng):
     a = _t(rng, 2, 3, 2, 4)
     w = _t(rng, 4, 5)
     r = Tensor(rng.normal(size=(2, 3, 2, 5)))
-    assert_grad_matches(lambda: sum_(mul(matmul(a, w), r)), [a, w])
+    assert_grad_matches(lambda: total(mul(matmul(a, w), r)), [a, w])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -120,7 +119,7 @@ def test_matmul_broadcast_left_operand(rng):
     # [1, k] @ [k, n] with batch dims only on one side
     a = _t(rng, 1, 4)
     b = _t(rng, 4, 6)
-    assert_grad_matches(lambda: sum_(matmul(a, b)), [a, b])
+    assert_grad_matches(lambda: total(matmul(a, b)), [a, b])
 
 
 def test_matmul_shape_error_names_both_shapes(rng):
@@ -134,34 +133,34 @@ def test_relu_gradient_away_from_kink(rng):
     x = Tensor(rng.normal(0.0, 1.0, size=(4, 4)).astype(np.float64) + 0.5, requires_grad=True)
     # shift values away from 0 so FD never straddles the kink
     x.data[np.abs(x.data) < 0.1] = 0.3
-    assert_grad_matches(lambda: sum_(relu(x)), [x])
+    assert_grad_matches(lambda: total(relu(x)), [x])
 
 
 def test_silu_gradient(rng):
     x = _t(rng, 3, 5)
-    assert_grad_matches(lambda: sum_(mul(silu(x), silu(x))), [x])
+    assert_grad_matches(lambda: total(mul(silu(x), silu(x))), [x])
 
 
 def test_tanh_gradient(rng):
     x = _t(rng, 6)
-    assert_grad_matches(lambda: sum_(tanh(x)), [x])
+    assert_grad_matches(lambda: total(tanh(x)), [x])
 
 
 def test_reshape_transpose_gradient(rng):
     x = _t(rng, 2, 3, 4)
     assert_grad_matches(
-        lambda: sum_(mul(transpose(reshape(x, (6, 4)), (1, 0)), 1.5)), [x]
+        lambda: total(mul(transpose(reshape(x, (6, 4)), (1, 0)), 1.5)), [x]
     )
     w = _t(rng, 3, 4, 2)  # (1, 2, 0) is not its own inverse
-    assert_grad_matches(lambda: sum_(mul(transpose(x, (1, 2, 0)), w)), [x])
+    assert_grad_matches(lambda: total(mul(transpose(x, (1, 2, 0)), w)), [x])
 
 
 def test_narrow_gradient_and_scatter(rng):
     x = _t(rng, 5, 3)
-    assert_grad_matches(lambda: sum_(mul(narrow(x, 0, 1, 2), narrow(x, 0, 1, 2))), [x])
+    assert_grad_matches(lambda: total(mul(narrow(x, 0, 1, 2), narrow(x, 0, 1, 2))), [x])
     # gradient outside the window is exactly zero
     with Tape() as tape:
-        loss = sum_(narrow(x, 0, 1, 2))
+        loss = total(narrow(x, 0, 1, 2))
     backward(tape, loss)
     assert np.all(x.grad[0] == 0) and np.all(x.grad[3:] == 0)
     assert np.all(x.grad[1:3] == 1)
@@ -176,9 +175,9 @@ def test_narrow_bounds_checked(rng):
 def test_take_gradient_accumulates_duplicates(rng):
     x = _t(rng, 4, 3)
     idx = np.array([0, 0, 2])
-    assert_grad_matches(lambda: sum_(mul(take(x, idx, 0), take(x, idx, 0))), [x])
+    assert_grad_matches(lambda: total(mul(take(x, idx, 0), take(x, idx, 0))), [x])
     with Tape() as tape:
-        loss = sum_(take(x, idx, 0))
+        loss = total(take(x, idx, 0))
     backward(tape, loss)
     assert np.all(x.grad[0] == 2.0)
     assert np.all(x.grad[1] == 0.0)
@@ -188,19 +187,19 @@ def test_take_gradient_accumulates_duplicates(rng):
 def test_concat_gradient(rng):
     a = _t(rng, 2, 3)
     b = _t(rng, 4, 3)
-    assert_grad_matches(lambda: sum_(mul(concat([a, b], 0), concat([a, b], 0))), [a, b])
+    assert_grad_matches(lambda: total(mul(concat([a, b], 0), concat([a, b], 0))), [a, b])
 
 
 def test_embedding_gradient(rng):
     table = _t(rng, 7, 4)
     ids = np.array([[1, 1, 5], [0, 6, 5]])
-    assert_grad_matches(lambda: sum_(mul(embedding(table, ids), 0.5)), [table])
+    assert_grad_matches(lambda: total(mul(embedding(table, ids), 0.5)), [table])
 
 
 def test_softmax_gradient(rng):
     x = _t(rng, 2, 5)
     w = _t(rng, 2, 5)
-    assert_grad_matches(lambda: sum_(mul(softmax(x), w)), [x, w])
+    assert_grad_matches(lambda: total(mul(softmax(x), w)), [x, w])
 
 
 def test_layer_norm_gradient(rng):
@@ -208,7 +207,7 @@ def test_layer_norm_gradient(rng):
     gain = Tensor(rng.normal(1.0, 0.1, size=6).astype(np.float64), requires_grad=True)
     bias = Tensor(rng.normal(0.0, 0.1, size=6).astype(np.float64), requires_grad=True)
     assert_grad_matches(
-        lambda: sum_(mul(layer_norm(x, gain, bias), layer_norm(x, gain, bias))),
+        lambda: total(mul(layer_norm(x, gain, bias), layer_norm(x, gain, bias))),
         [x, gain, bias],
         rtol=1e-5,
     )
@@ -308,7 +307,7 @@ def test_diamond_fanout_gradient_is_exact(rng):
     with Tape() as tape:
         u = mul(x, x)
         v = add(u, u)
-        loss = sum_(v)
+        loss = total(v)
     backward(tape, loss)
     assert np.allclose(x.grad, 4.0 * x.data, rtol=0, atol=0)
 
@@ -334,7 +333,7 @@ def test_grad_is_overwritten_not_accumulated_across_backwards(rng):
     x = _t(rng, 4)
     for _ in range(2):
         with Tape() as tape:
-            loss = sum_(mul(x, x))
+            loss = total(mul(x, x))
         backward(tape, loss)
     assert np.allclose(x.grad, 2.0 * x.data)
 
@@ -365,10 +364,10 @@ def test_nested_tapes_are_independent(rng):
         y = mul(x, x)
         with Tape() as inner:
             z = mul(x, 3.0)
-            inner_loss = sum_(z)
+            inner_loss = total(z)
         backward(inner, inner_loss)
         inner_grad = x.grad.copy()
-        loss = sum_(y)
+        loss = total(y)
     backward(outer, loss)
     assert np.allclose(inner_grad, 3.0)
     assert np.allclose(x.grad, 2.0 * x.data)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerbridge.autodiff import Tape, backward, mul, sum_
+from layerbridge.autodiff import Tape, Tensor, backward, concat, matmul, mul, relu, reshape, softmax, take
 from layerbridge.bridge import (
     Adapter,
     LayerSubset,
@@ -15,7 +15,8 @@ from layerbridge.bridge import (
     subset_from_spec,
 )
 from layerbridge.encoder import LayerStack
-from layerbridge.errors import ConfigError, ContractError
+from layerbridge.errors import ConfigError
+from conftest import assert_grad_matches, total
 
 
 def _stack(rng, n_layers=3, batch=2, src_len=4, d_enc=8):
@@ -90,7 +91,7 @@ def test_adapter_parameter_count_at_reference_dims(rng):
 
 
 def _naive_fuse(aligner, stack, layer_index, indices, uniform=False):
-    """Recompute fuse_one's memory with explicit float64 loops."""
+    """Recompute one decoder layer's memory with explicit float64 loops."""
     logits = aligner.mixing_logits.data[layer_index - 1, list(indices)].astype(np.float64)
     if uniform:
         w = np.full(len(indices), 1.0 / len(indices))
@@ -108,22 +109,63 @@ def _naive_fuse(aligner, stack, layer_index, indices, uniform=False):
     return hidden @ aligner.k_head.weight.data.astype(np.float64) + aligner.k_head.bias.data.astype(np.float64)
 
 
-def test_fuse_matches_loop_oracle(rng):
-    aligner = _aligner(rng)
+def _per_layer_fuse(aligner, stack, subset=None):
+    """The memories as a loop over decoder layers, one mixing row and one
+    fusion-network run per layer: the float32 arithmetic ``fuse_all`` keeps."""
+    indices = tuple(range(aligner.n_enc_layers)) if subset is None else subset.indices
+    batch, src_len, d_enc = stack.states[0].shape
+    support = Tensor(np.stack([stack.states[j].reshape(-1) for j in indices], axis=0))
+    memories = []
+    for layer in range(aligner.n_dec_layers):
+        if subset is not None and subset.frozen_uniform:
+            weights = Tensor(np.full((1, len(indices)), 1.0 / len(indices), dtype=np.float32))
+        else:
+            row = take(aligner.mixing_logits, [layer], axis=0)
+            weights = softmax(take(row, list(indices), axis=1), axis=-1)
+        mixed = reshape(matmul(weights, support), (batch, src_len, d_enc))
+        memories.append(aligner.k_head(relu(aligner.fuse_in(mixed))))
+    return memories
+
+
+def _random_logits(rng, aligner):
     aligner.mixing_logits.data[...] = rng.normal(0, 1, size=aligner.mixing_logits.shape)
+    return aligner
+
+
+def test_fuse_matches_loop_oracle(rng):
+    aligner = _random_logits(rng, _aligner(rng, n_dec=3))
     stack = _stack(rng)
-    for layer in (1, 2):
-        memory = aligner.fuse_one(stack, layer)
+    memories = aligner.fuse_all(stack).memories
+    assert len(memories) == 3
+    for layer, memory in enumerate(memories, start=1):
+        assert memory.shape == (2, 4, 10)
         assert np.allclose(memory.data, _naive_fuse(aligner, stack, layer, range(3)), atol=1e-5)
 
 
 def test_fuse_subset_matches_loop_oracle(rng):
-    aligner = _aligner(rng)
-    aligner.mixing_logits.data[...] = rng.normal(0, 1, size=aligner.mixing_logits.shape)
+    aligner = _random_logits(rng, _aligner(rng, n_dec=3))
     stack = _stack(rng)
-    subset = LayerSubset(indices=(0, 2, 3))
-    memory = aligner.fuse_one(stack, 1, subset)
-    assert np.allclose(memory.data, _naive_fuse(aligner, stack, 1, (0, 2, 3)), atol=1e-5)
+    for spec in ("0,2,3", "average", "last_hidden", "first:2"):
+        subset = subset_from_spec(spec, 3)
+        memories = aligner.fuse_all(stack, subset).memories
+        for layer, memory in enumerate(memories, start=1):
+            want = _naive_fuse(aligner, stack, layer, subset.indices, uniform=subset.frozen_uniform)
+            assert np.allclose(memory.data, want, atol=1e-5), (spec, layer)
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("spec", [None, "average", "last_hidden", "first:4"])
+def test_fuse_all_equals_per_layer_loop_bitwise(rng, batch, spec):
+    """Six encoder layers, four decoder layers, width 64: a shape at which
+    one [m, k] GEMM rounds differently from the per-layer rows."""
+    aligner = _random_logits(rng, _aligner(rng, n_enc=6, n_dec=4, d_enc=64, d_hidden=96, d_dec=128))
+    stack = _stack(rng, n_layers=6, batch=batch, src_len=13, d_enc=64)
+    subset = None if spec is None else subset_from_spec(spec, 6)
+    got = aligner.fuse_all(stack, subset).memories
+    want = _per_layer_fuse(aligner, stack, subset)
+    assert len(got) == len(want) == 4
+    for memory, expected in zip(got, want):
+        assert np.array_equal(memory.data, expected.data)
 
 
 def test_dominant_logit_selects_single_layer(rng):
@@ -131,7 +173,7 @@ def test_dominant_logit_selects_single_layer(rng):
     aligner = _aligner(rng)
     aligner.mixing_logits.data[0, 1] = 40.0
     stack = _stack(rng)
-    k = aligner.fuse_one(stack, 1)
+    k = aligner.fuse_all(stack).memories[0]
     only = [h.copy() for h in stack.states]
     for j in range(len(only)):
         if j != 1:
@@ -139,7 +181,7 @@ def test_dominant_logit_selects_single_layer(rng):
     for h in only:
         h.flags.writeable = False
     pinned = LayerStack(states=only, mask=stack.mask)
-    k_want = aligner.fuse_one(pinned, 1)
+    k_want = aligner.fuse_all(pinned).memories[0]
     assert np.allclose(k.data, k_want.data, atol=1e-5)
 
 
@@ -160,48 +202,51 @@ def test_weight_matrix_rows_sum_to_one_after_perturbation(rng):
     assert mat.shape == (3, 5)
 
 
-def test_final_state_excluded_from_default_range(rng):
-    aligner = _aligner(rng)
-    stack = _stack(rng)
-    k_before = aligner.fuse_one(stack, 1)
-    perturbed = [h.copy() for h in stack.states]
-    perturbed[-1] = perturbed[-1] + 5.0
-    for h in perturbed:
+def _shifted(stack, state, delta=5.0):
+    states = [h.copy() for h in stack.states]
+    states[state] = states[state] + delta
+    for h in states:
         h.flags.writeable = False
-    k_after = aligner.fuse_one(LayerStack(states=perturbed, mask=stack.mask), 1)
-    assert np.array_equal(k_before.data, k_after.data)
+    return LayerStack(states=states, mask=stack.mask)
+
+
+def test_final_state_excluded_from_default_range(rng):
+    aligner = _random_logits(rng, _aligner(rng))
+    stack = _stack(rng)
+    before = aligner.fuse_all(stack).memories
+    after = aligner.fuse_all(_shifted(stack, -1)).memories
+    for a, b in zip(before, after):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_support_state_changes_do_reach_output(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
-    k_before = aligner.fuse_one(stack, 1)
-    perturbed = [h.copy() for h in stack.states]
-    perturbed[0] = perturbed[0] + 5.0
-    for h in perturbed:
-        h.flags.writeable = False
-    k_after = aligner.fuse_one(LayerStack(states=perturbed, mask=stack.mask), 1)
-    assert not np.allclose(k_before.data, k_after.data)
+    before = aligner.fuse_all(stack).memories
+    after = aligner.fuse_all(_shifted(stack, 0)).memories
+    for a, b in zip(before, after):
+        assert not np.allclose(a.data, b.data)
 
 
 def test_batch_permutation_equivariance(rng):
-    aligner = _aligner(rng, d_enc=8)
+    aligner = _random_logits(rng, _aligner(rng, d_enc=8))
     stack = _stack(rng, batch=3)
-    k = aligner.fuse_one(stack, 1)
+    memories = aligner.fuse_all(stack).memories
     perm = [2, 0, 1]
     permuted = [h[perm].copy() for h in stack.states]
     for h in permuted:
         h.flags.writeable = False
-    k_perm = aligner.fuse_one(LayerStack(states=permuted, mask=stack.mask[perm]), 1)
-    assert np.allclose(k.data[perm], k_perm.data, atol=1e-6)
+    permuted_memories = aligner.fuse_all(LayerStack(states=permuted, mask=stack.mask[perm])).memories
+    for k, k_perm in zip(memories, permuted_memories):
+        assert np.allclose(k.data[perm], k_perm.data, atol=1e-6)
 
 
 def test_gradients_reach_mixing_logits_and_fusion_net(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
     with Tape() as tape:
-        memory = aligner.fuse_one(stack, 2)
-        loss = sum_(mul(memory, memory))
+        memory = aligner.fuse_all(stack).memories[1]
+        loss = total(mul(memory, memory))
     backward(tape, loss)
     assert aligner.mixing_logits.grad is not None
     # only the addressed row receives gradient, and only support columns
@@ -212,40 +257,49 @@ def test_gradients_reach_mixing_logits_and_fusion_net(rng):
     assert aligner.k_head.weight.grad is not None
 
 
+def test_fuse_all_gradients_match_finite_differences(rng):
+    aligner = _random_logits(rng, _aligner(rng, n_dec=3))
+    params = list(aligner.named_params().values())
+    for p in params:
+        p.data = p.data.astype(np.float64)
+    states = [h.astype(np.float64) for h in _stack(rng).states]
+    stack = LayerStack(states=states, mask=np.ones(states[0].shape[:2], dtype=bool))
+    weights = [rng.normal(size=(2, 4, 10)) for _ in range(3)]
+
+    def loss():
+        memories = aligner.fuse_all(stack).memories
+        return total(concat([mul(m, w) for m, w in zip(memories, weights)], axis=0))
+
+    assert_grad_matches(loss, params, rtol=1e-5)
+
+
 def test_frozen_uniform_average_blocks_logit_gradient(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
     subset = subset_from_spec("average", 3)
     with Tape() as tape:
-        k = aligner.fuse_one(stack, 1, subset)
-        loss = sum_(mul(k, k))
+        memories = aligner.fuse_all(stack, subset).memories
+        loss = total(concat([mul(k, k) for k in memories], axis=0))
     backward(tape, loss)
     assert aligner.mixing_logits.grad is None or np.all(aligner.mixing_logits.grad == 0)
+    assert aligner.fuse_in.weight.grad is not None
 
 
 def test_single_member_subset_ignores_logit_values(rng):
     aligner = _aligner(rng)
     stack = _stack(rng)
     subset = LayerSubset(indices=(2,))
-    k_a = aligner.fuse_one(stack, 1, subset)
-    aligner.mixing_logits.data[0, 2] = -31.0
-    k_b = aligner.fuse_one(stack, 1, subset)
-    assert np.allclose(k_a.data, k_b.data, atol=1e-7)
-
-
-def test_layer_index_bounds(rng):
-    aligner = _aligner(rng)
-    stack = _stack(rng)
-    with pytest.raises(ContractError):
-        aligner.fuse_one(stack, 0)
-    with pytest.raises(ContractError):
-        aligner.fuse_one(stack, 3)
+    before = aligner.fuse_all(stack, subset).memories
+    aligner.mixing_logits.data[:, 2] = -31.0
+    after = aligner.fuse_all(stack, subset).memories
+    for a, b in zip(before, after):
+        assert np.allclose(a.data, b.data, atol=1e-7)
 
 
 def test_stack_depth_mismatch(rng):
     aligner = _aligner(rng, n_enc=5)
     with pytest.raises(ConfigError, match="5"):
-        aligner.fuse_one(_stack(rng, n_layers=3), 1)
+        aligner.fuse_all(_stack(rng, n_layers=3))
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,32 @@ def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, need
     assert "i/o error" in err and needle in err
 
 
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("stage1.jsonl", ["train", "--stage", "1"]),
+        ("stage2.jsonl", ["train", "--stage", "2"]),
+        ("eval_task.jsonl", ["eval", "CHECKPOINT", "--force"]),
+        ("eval_parallel.jsonl", ["analyze", "CHECKPOINT", "--force"]),
+    ],
+)
+def test_out_of_vocabulary_corpus_word_is_io_error(stage1_run, tmp_path, capsys, name, command):
+    cfg = write_config(tmp_path)
+    assert main(["gen-synth", "--config", cfg]) == 0
+    path = tmp_path / "run" / "corpus" / name
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["src"] += " zzzz"
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    cfg2 = write_config(tmp_path, "fromdir", data={"corpus_dir": str(path.parent)})
+    ckpt = str(stage1_run[0] / "run" / "checkpoint.bin")
+    argv = [ckpt if arg == "CHECKPOINT" else arg for arg in command]
+    assert main(argv + ["--config", cfg2]) == 4
+    err = capsys.readouterr().err
+    assert f"i/o error: {path}:2: word 'zzzz' not in vocabulary" in err
+
+
 def test_corpus_dir_round_trip_through_cli(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["gen-synth", "--config", cfg]) == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from layerbridge.autodiff import Tape, Tensor, backward, concat, mul, sum_
+from layerbridge.autodiff import Tape, Tensor, backward, concat, mul
 from layerbridge.bridge import FusedKV
 from layerbridge.decoder import (
     DecodeCache,
@@ -14,8 +14,8 @@ from layerbridge.decoder import (
     generate,
 )
 from layerbridge.errors import ConfigError, ContractError, NumericError
-from layerbridge.nn import causal_bias
-from conftest import assert_grad_matches
+from layerbridge.nn import causal_bias, padding_bias
+from conftest import assert_grad_matches, total
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,8 @@ def _block(decoder, t_prev, h, gates):
     """Decoder layer 1 alone, reading one memory whose positions are all valid."""
     batch, src_len, _ = h.shape
     fused = FusedKV(memories=[h] * decoder.config.n_layers, mask=np.ones((batch, src_len), dtype=bool))
-    out, *_ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates)
+    sa_bias, ca_bias = causal_bias(t_prev.shape[1]), padding_bias(fused.mask)
+    out, *_ = decoder.block(1, t_prev, sa_bias, ca_bias, fused, gates)
     return out
 
 
@@ -207,7 +208,7 @@ def test_dynamic_gate_gradients_match_finite_differences(decoder, rng):
 
     def loss():
         out = _block(decoder, t_prev, h, dyn)
-        return mul(sum_(mul(out, out)), 1.0 / out.size)
+        return mul(total(mul(out, out)), 1.0 / out.size)
 
     assert_grad_matches(loss, params, h=1e-5, rtol=1e-3)
 

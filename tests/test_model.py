@@ -9,7 +9,7 @@ allowed to read, not just output shapes.
 import numpy as np
 import pytest
 
-from conftest import assert_grad_matches
+from conftest import assert_grad_matches, total
 from layerbridge import autodiff as ad
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
@@ -89,7 +89,7 @@ def test_soft_prompt_gradient_reads_each_slot_once(model):
         i_map, _ = model.bridge_outputs(model.encode_sources(SRC))
         packed = model._pack(i_map, "task", SRC, TGT)
         weights = ad.Tensor(np.random.default_rng(0).normal(size=packed.t0.shape).astype(np.float32))
-        loss = ad.sum_(ad.mul(packed.t0, weights))
+        loss = total(ad.mul(packed.t0, weights))
     ad.backward(tape, loss)
     # each soft-prompt slot reads its own i_map row once, so its gradient is
     # exactly that slot's weight; rows past a shorter source read nothing
@@ -287,3 +287,18 @@ def test_bridge_seed_changes_trainable_init():
     a = BridgedModel(EC, DC, seed=0).trainable_params()["adapter.proj.weight"]
     b = BridgedModel(EC, DC, seed=5).trainable_params()["adapter.proj.weight"]
     assert not np.array_equal(a.data, b.data)
+
+
+def test_training_step_tape_length():
+    """A batch-32 stage-1 step at the benchmark's depths (6 encoder, 4
+    decoder layers) records at most 208 tape entries: the aligner makes one
+    pass for all four memories, not one pass per decoder layer."""
+    enc = EncoderConfig(vocab_size=32, d_enc=16, n_layers=6, n_heads=2, d_ff=24, max_positions=16)
+    dec = DecoderConfig(vocab_size=32, d_dec=16, n_layers=4, n_heads=2, d_ff=24, max_positions=24)
+    model = BridgedModel(enc, dec, seed=0)
+    rng = np.random.default_rng(0)
+    srcs = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
+    tgts = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
+    with ad.Tape() as tape:
+        model.loss_on_batch("translation", srcs, tgts)
+    assert len(tape.entries) <= 208

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from layerbridge.autodiff import Tape, Tensor, add, backward, mul, sum_
+from layerbridge.autodiff import Tape, Tensor, add, backward, mul
 from layerbridge.errors import ContractError
 from layerbridge.optim import AdamState, adam_step, global_grad_norm
+from conftest import total
 
 
 def _param(value):
@@ -40,7 +41,7 @@ def test_quadratic_converges():
     for _ in range(900):
         with Tape() as tape:
             diff = add(p, Tensor(-target))
-            loss = sum_(mul(diff, diff))
+            loss = total(mul(diff, diff))
         backward(tape, loss)
         adam_step(state, {"p": p})
     assert np.max(np.abs(p.data - target)) < 1e-3
