@@ -9,9 +9,10 @@ of the change, on the same workloads and seeds, then:
 
 Measured runs (``--trace 0``) give, per workload, each side's median and
 quartiles of every end-to-end metric in ``BENCHMARK.json``, the pairs (same
-workload and seed on both sides) the change won, and whether the gain rule
-and the regression bound hold. Traced runs (``--trace 1``) give each side's
-per-layer metrics, as the median over its traced runs.
+workload and seed on both sides) the change won, whether the gain rule and
+the regression bound hold, and the load average each paired run started and
+ended under. Traced runs (``--trace 1``) give each side's per-layer
+metrics, as the median over its traced runs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_KEYS = ("python", "numpy", "blas", "nproc", "affinity", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# the 1, 5 and 15 minute load averages as each run started and ended
+LOAD_KEYS = ("driver_load_start", "driver_load_end")
 
 
 def read_runs(path: Path) -> list[dict]:
@@ -47,6 +50,10 @@ def end_to_end(parent: list[dict], change: list[dict], workload: str, bench: dic
         "seeds": paired,
         "all_correct": all(r["correct"] for side in sides.values() for r in side.values()),
         "failed_ops": {name: sum(r["failed"] for r in side.values()) for name, side in sides.items()},
+        "load": {
+            str(s): {name: {k: side[s]["env"].get(k) for k in LOAD_KEYS} for name, side in sides.items()}
+            for s in paired
+        },
         "metrics": {},
     }
     for metric in bench["end_to_end"]:

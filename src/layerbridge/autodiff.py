@@ -192,6 +192,15 @@ def mul(a: Tensor, b) -> Tensor:
     return _record(out, (a, b), rule)
 
 
+def _weight_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, nx: bool, nw: bool):
+    """Gradients of ``x @ w`` for a 2-d ``w``: the leading dims of ``x`` are
+    flattened, so each gradient is one GEMM with no per-batch temporary."""
+    g2 = g.reshape(-1, g.shape[-1])
+    gx = (g2 @ w.T).reshape(x.shape) if nx else None
+    gw = x.reshape(-1, x.shape[-1]).T @ g2 if nw else None
+    return gx, gw
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
@@ -202,16 +211,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def rule(g):
-        ga = gb = None
         if a_data.ndim > 2 and b_data.ndim == 2:
-            # activation times weight: flatten the leading dims so each
-            # gradient is one GEMM, with no per-batch temporary to sum
-            g2 = g.reshape(-1, g.shape[-1])
-            if na:
-                ga = (g2 @ b_data.T).reshape(a_data.shape)
-            if nb:
-                gb = a_data.reshape(-1, a_data.shape[-1]).T @ g2
-            return ga, gb
+            return _weight_grads(g, a_data, b_data, na, nb)
+        ga = gb = None
         if na:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
         if nb:
@@ -219,6 +221,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), rule)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` as one op, for a 2-d weight ``w`` and a bias row ``b``."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs [..., d] x [d, d_out] operands, got {x.shape} x {w.shape}")
+    x_data, w_data = x.data, w.data
+    nx, nw = x.requires_grad, w.requires_grad
+    out = np.matmul(x_data, w_data)
+    if b is None:
+        return _record(Tensor(out), (x, w), lambda g: _weight_grads(g, x_data, w_data, nx, nw))
+    nb, b_shape = b.requires_grad, b.data.shape
+
+    def rule(g):
+        return (*_weight_grads(g, x_data, w_data, nx, nw), _unbroadcast(g, b_shape) if nb else None)
+
+    return _record(Tensor(out + b.data), (x, w, b), rule)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -309,7 +328,7 @@ def take(x: Tensor, indices, axis: int) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     extents = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + extents)
+    offsets = list(itertools.accumulate(extents, initial=0))
     needs = [t.requires_grad for t in tensors]
 
     def rule(g):
@@ -334,8 +353,14 @@ def embedding(table: Tensor, indices) -> Tensor:
     table_shape = table.data.shape
 
     def rule(g):
+        # a stable sort groups repeated ids, and one reduceat sums each group;
+        # a row read once gets its gradient row unchanged
+        flat = idx.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        ids = flat[order]
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
         grad = np.zeros(table_shape, dtype=g.dtype)
-        np.add.at(grad, idx, g)
+        grad[ids[starts]] = np.add.reduceat(g.reshape(flat.size, *table_shape[1:])[order], starts, axis=0)
         return (grad,)
 
     return _record(out, (table,), rule)

@@ -110,7 +110,7 @@ class DynamicGates:
     def gate_for(self, layer_index: int, hidden: Tensor) -> Tensor:
         """Per-position gate [batch, dec_len, 1] for 1-based ``layer_index``."""
         net = self.nets[layer_index - 1]
-        return ad.tanh(ad.add(ad.matmul(hidden, net["weight"]), net["bias"]))
+        return ad.tanh(ad.linear(hidden, net["weight"], net["bias"]))
 
     def snapshot(self) -> list[float]:
         # the constant component of each gate; per-position values vary
@@ -209,6 +209,9 @@ class Decoder:
         and values to the cache. The first call feeds the whole prompt
         causally; every later call feeds one position, which sees every
         cached key.
+
+        Raises ``NumericError`` naming the first layer whose output holds a
+        non-finite value.
         """
         c = self.config
         batch, dec_len, d = t0.shape
@@ -241,6 +244,11 @@ class Decoder:
             state.sa_outputs.append(sa)
             state.ca_outputs.append(ca)
             state.gates.append(gate)
+        # a non-finite value stays non-finite down the residual stream, so
+        # scanning the last layer's output finds every one
+        if not np.all(np.isfinite(x.data)):
+            bad = next(i for i, h in enumerate(state.states[1:], 1) if not np.all(np.isfinite(h.data)))
+            raise NumericError(f"non-finite activations leaving decoder layer {bad}")
         if cache is not None:
             cache.offset += dec_len
         final = ad.layer_norm(x, self.final_ln_gain, self.final_ln_bias)
@@ -288,10 +296,7 @@ class Decoder:
             out = ad.add(ad.add(x, sa), gated)
         else:
             out, ca, gate = ad.add(x, sa), None, None
-        out = feed_forward(layer, out)
-        if not np.all(np.isfinite(out.data)):
-            raise NumericError(f"non-finite activations leaving decoder layer {index}")
-        return out, sa, ca, gate
+        return feed_forward(layer, out), sa, ca, gate
 
 
 def generate(

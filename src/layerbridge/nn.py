@@ -30,10 +30,7 @@ class Linear:
         self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=trainable) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ad.matmul(x, self.weight)
-        if self.bias is not None:
-            out = ad.add(out, self.bias)
-        return out
+        return ad.linear(x, self.weight, self.bias)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.weight": self.weight}
@@ -42,37 +39,52 @@ class Linear:
         return out
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[B, S, D] -> [B, h, S, D/h]."""
-    b, s, d = x.shape
-    if d % n_heads:
-        raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
-    return ad.transpose(ad.reshape(x, (b, s, n_heads, d // n_heads)), (0, 2, 1, 3))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """[B, h, S, D/h] -> [B, S, D]."""
-    b, h, s, dh = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, s, h * dh))
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               bias: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention over pre-projected q/k/v, [B, S, D] each.
 
     ``bias`` is an additive mask broadcastable to [B, 1, S_q, S_k]; blocked
     slots carry a large negative constant rather than -inf so fully blocked
-    rows stay finite.
+    rows stay finite. One tape entry, whose backward reuses the forward's
+    head-split views and attention weights.
     """
-    qh = split_heads(q, n_heads)
-    kh = split_heads(k, n_heads)
-    vh = split_heads(v, n_heads)
-    scale = 1.0 / np.sqrt(qh.shape[-1])
-    scores = ad.mul(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), scale)
+    batch, _, d = q.shape
+    if d % n_heads:
+        raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
+    dh = d // n_heads
+
+    def split(x: np.ndarray) -> np.ndarray:
+        return x.reshape(batch, x.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(0, 2, 1, 3).reshape(batch, x.shape[2], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=scores.dtype)
+    scores = scores * scale
     if bias is not None:
-        scores = ad.add(scores, Tensor(np.asarray(bias, dtype=scores.data.dtype)))
-    weights = ad.softmax(scores, axis=-1)
-    return merge_heads(ad.matmul(weights, vh))
+        scores = scores + np.asarray(bias, dtype=scores.dtype)
+    exp = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    y = exp / np.sum(exp, axis=-1, keepdims=True)
+    out = Tensor(merge(np.matmul(y, vh)))
+    nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def rule(g):
+        gh = split(g)
+        gq = gk = gv = None
+        if nv:
+            gv = merge(np.matmul(np.swapaxes(y, -1, -2), gh))
+        if nq or nk:
+            gy = np.matmul(gh, np.swapaxes(vh, -1, -2))
+            gs = (gy - np.sum(gy * y, axis=-1, keepdims=True)) * y * scale
+            if nq:
+                gq = merge(np.matmul(gs, kh))
+            if nk:
+                gk = merge(np.matmul(np.swapaxes(gs, -1, -2), qh))
+        return gq, gk, gv
+
+    return ad._record(out, (q, k, v), rule)
 
 
 def causal_bias(s: int, dtype=np.float32) -> np.ndarray:
@@ -134,5 +146,5 @@ def self_attention(
 def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:
     """Pre-norm ReLU feed-forward sublayer with its residual: x + FFN(LN(x))."""
     normed = ad.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
-    ff = ad.matmul(ad.relu(ad.add(ad.matmul(normed, layer["ff1_w"]), layer["ff1_b"])), layer["ff2_w"])
-    return ad.add(x, ad.add(ff, layer["ff2_b"]))
+    ff = ad.linear(ad.relu(ad.linear(normed, layer["ff1_w"], layer["ff1_b"])), layer["ff2_w"], layer["ff2_b"])
+    return ad.add(x, ff)

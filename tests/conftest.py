@@ -8,13 +8,38 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerbridge.autodiff import Tape, Tensor, backward, matmul, reshape
+from layerbridge.autodiff import Tape, Tensor, add, backward, matmul, mul, reshape, softmax, transpose
 
 
 def total(x: Tensor) -> Tensor:
     """Sum of every element of ``x`` as a [1, 1] tensor, by one matmul of the
     flattened ``x`` against a ones column: a scalar loss for tests."""
     return matmul(reshape(x, (1, x.size)), Tensor(np.ones((x.size, 1), dtype=x.dtype)))
+
+
+def chain_linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``autodiff.linear`` as the matmul-then-add chain of tape ops it fuses:
+    the reference for its bits."""
+    out = matmul(x, w)
+    return out if b is None else add(out, b)
+
+
+def chain_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) -> Tensor:
+    """``nn.attention`` as the chain of tape ops it fuses (head split, scaled
+    scores, bias, softmax, weighted sum of values, head merge): the
+    reference for its bits."""
+
+    def split(x):
+        b, s, d = x.shape
+        return transpose(reshape(x, (b, s, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = mul(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(qh.shape[-1]))
+    if bias is not None:
+        scores = add(scores, Tensor(np.asarray(bias, dtype=scores.data.dtype)))
+    out = matmul(softmax(scores, axis=-1), vh)
+    b, h, s, dh = out.shape
+    return reshape(transpose(out, (0, 2, 1, 3)), (b, s, h * dh))
 
 
 def central_difference(f, param: Tensor, h: float = 1e-5) -> np.ndarray:

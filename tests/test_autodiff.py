@@ -21,6 +21,7 @@ from layerbridge.autodiff import (
     cross_entropy,
     embedding,
     layer_norm,
+    linear,
     matmul,
     mul,
     narrow,
@@ -33,8 +34,9 @@ from layerbridge.autodiff import (
     transpose,
 )
 from layerbridge.errors import ContractError, EmptyLossError, ShapeError
+from layerbridge.nn import attention, causal_bias, padding_bias
 
-from conftest import assert_grad_matches, total
+from conftest import assert_grad_matches, chain_attention, chain_linear, total
 
 
 def _t(rng, *shape, scale=1.0):
@@ -129,6 +131,119 @@ def test_matmul_shape_error_names_both_shapes(rng):
         matmul(a, b)
 
 
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_gradients(rng, shape, with_bias):
+    x = _t(rng, *shape)
+    w = _t(rng, 4, 3)
+    b = _t(rng, 3) if with_bias else None
+    r = Tensor(rng.normal(size=shape[:-1] + (3,)))
+    params = [x, w] + ([b] if with_bias else [])
+    assert_grad_matches(lambda: total(mul(linear(x, w, b), r)), params)
+
+
+def test_linear_weight_alone(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w = _t(rng, 4, 3)
+    b = Tensor(rng.normal(size=3))
+    r = Tensor(rng.normal(size=(2, 3, 3)))
+    assert_grad_matches(lambda: total(mul(linear(x, w, b), r)), [w])
+    assert x.grad is None and b.grad is None
+
+
+def test_linear_shape_errors_name_both_shapes(rng):
+    with pytest.raises(ShapeError, match=r"3, 4"):
+        linear(_t(rng, 3, 4), _t(rng, 5, 2))
+    with pytest.raises(ShapeError, match=r"2, 4, 2"):
+        linear(_t(rng, 2, 3, 4), _t(rng, 2, 4, 2))
+
+
+def _outputs_and_grads(op, inputs, r):
+    """The output of ``op(*inputs)`` and every input's gradient under the
+    loss sum(op(...) * r)."""
+    for t in inputs:
+        t.grad = None
+    with Tape() as tape:
+        out = op(*inputs)
+        loss = total(mul(out, r))
+    backward(tape, loss)
+    return [out.data] + [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+def test_linear_matches_matmul_then_add_bitwise(rng, batch):
+    x = Tensor(rng.normal(size=(batch, 9, 64)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(64, 48)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=48).astype(np.float32), requires_grad=True)
+    r = Tensor(rng.normal(size=(batch, 9, 48)).astype(np.float32))
+    got = _outputs_and_grads(linear, [x, w, b], r)
+    want = _outputs_and_grads(chain_linear, [x, w, b], r)
+    for g, wt in zip(got, want):
+        np.testing.assert_array_equal(g, wt)
+
+
+def _attention_case(rng, mask, batch=2, d=8, dtype=np.float64):
+    """(q, k, v, bias): self-attention under a causal mask, cross-attention
+    with padded keys or no mask, or a cached one-position query."""
+    s_q, s_k = {"causal": (4, 4), "padding": (4, 5), None: (4, 5), "cached": (1, 6)}[mask]
+    if mask == "cached":
+        batch = 1
+    q, k, v = (
+        Tensor(rng.normal(size=(batch, s, d)).astype(dtype), requires_grad=True) for s in (s_q, s_k, s_k)
+    )
+    bias = None
+    if mask == "causal":
+        bias = causal_bias(s_q) + padding_bias(np.ones((batch, s_q), dtype=bool))
+    elif mask == "padding":
+        valid = np.ones((batch, s_k), dtype=bool)
+        valid[0, -2:] = False
+        bias = padding_bias(valid)
+    return q, k, v, bias
+
+
+@pytest.mark.parametrize("mask", ["causal", "padding", None, "cached"])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_attention_gradients_of_q_k_and_v_separately(rng, mask, which):
+    *qkv, bias = _attention_case(rng, mask)
+    for i, t in enumerate(qkv):
+        t.requires_grad = i == which
+    r = Tensor(rng.normal(size=qkv[0].shape))
+    assert_grad_matches(lambda: total(mul(attention(*qkv, 2, bias=bias), r)), [qkv[which]])
+    assert [t.grad is not None for t in qkv] == [i == which for i in range(3)]
+
+
+def test_attention_gradients_of_all_three_at_once(rng):
+    q, k, v, bias = _attention_case(rng, "padding")
+    r = Tensor(rng.normal(size=q.shape))
+    assert_grad_matches(lambda: total(mul(attention(q, k, v, 2, bias=bias), r)), [q, k, v])
+
+
+@pytest.mark.parametrize("mask", ["causal", "padding", "cached"])
+@pytest.mark.parametrize("batch", [1, 32])
+def test_attention_matches_op_chain_bitwise(rng, mask, batch):
+    # benchmark widths: d_dec 128 over 4 heads
+    q, k, v, bias = _attention_case(rng, mask, batch=batch, d=128, dtype=np.float32)
+    r = Tensor(rng.normal(size=q.shape).astype(np.float32))
+    got = _outputs_and_grads(lambda *t: attention(*t, 4, bias=bias), [q, k, v], r)
+    want = _outputs_and_grads(lambda *t: chain_attention(*t, 4, bias=bias), [q, k, v], r)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float32
+        np.testing.assert_array_equal(g, w)
+
+
+def test_attention_records_one_tape_entry(rng):
+    q, k, v, bias = _attention_case(rng, "causal")
+    with Tape() as tape:
+        attention(q, k, v, 2, bias=bias)
+    assert len(tape.entries) == 1
+
+
+def test_attention_rejects_width_not_divisible_by_heads(rng):
+    q, k, v, _ = _attention_case(rng, None)
+    with pytest.raises(ShapeError, match="not divisible by 3 heads"):
+        attention(q, k, v, 3)
+
+
 def test_relu_gradient_away_from_kink(rng):
     x = Tensor(rng.normal(0.0, 1.0, size=(4, 4)).astype(np.float64) + 0.5, requires_grad=True)
     # shift values away from 0 so FD never straddles the kink
@@ -192,8 +307,26 @@ def test_concat_gradient(rng):
 
 def test_embedding_gradient(rng):
     table = _t(rng, 7, 4)
-    ids = np.array([[1, 1, 5], [0, 6, 5]])
-    assert_grad_matches(lambda: total(mul(embedding(table, ids), 0.5)), [table])
+    ids = np.array([[1, 1, 5], [0, 6, 5], [1, 3, 1]])
+    r = Tensor(rng.normal(size=(3, 3, 4)))
+    assert_grad_matches(lambda: total(mul(embedding(table, ids), r)), [table])
+
+
+def test_embedding_gradient_matches_add_at(rng):
+    # the batch-packing layout: ids 0..39 repeat (token rows), ids 40..71
+    # occur once each (soft-prompt rows), in float32
+    table = Tensor(rng.normal(size=(72, 16)).astype(np.float32), requires_grad=True)
+    ids = np.concatenate([rng.integers(0, 40, size=(32, 12)), rng.permutation(32)[:, None] + 40], axis=1)
+    r = Tensor(rng.normal(size=(32, 13, 16)).astype(np.float32))
+    with Tape() as tape:
+        loss = total(mul(embedding(table, ids), r))
+    backward(tape, loss)
+    want = np.zeros((72, 16), dtype=np.float32)
+    np.add.at(want, ids, r.data)
+    # a row read once gets its one gradient row bit for bit; repeated ids
+    # are summed in another order than np.add.at's, so to float32 rounding
+    np.testing.assert_array_equal(table.grad[40:], want[40:])
+    np.testing.assert_allclose(table.grad[:40], want[:40], rtol=1e-5, atol=1e-5)
 
 
 def test_softmax_gradient(rng):

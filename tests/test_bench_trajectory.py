@@ -11,7 +11,8 @@ bench_trajectory = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_trajectory)
 
 ENV = {"python": "3.11", "numpy": "2.0", "blas": "openblas", "nproc": 2, "affinity": 2,
-       "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "load_start": [0.5]}
+       "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+       "driver_load_start": [0.5, 0.6, 0.7], "driver_load_end": [0.9, 0.7, 0.7]}
 
 
 def record(workload, seed, trace, **metrics):
@@ -35,8 +36,12 @@ def test_summary_pairs_seeds_and_applies_the_gain_rule(tmp_path):
     bench_trajectory.main(["--parent", str(write(tmp_path / "p.jsonl", parent)),
                            "--change", str(write(tmp_path / "c.jsonl", change)), "--out", str(out)])
     summary = json.loads(out.read_text(encoding="utf-8"))
-    assert summary["environment"]["nproc"] == 2 and "load_start" not in summary["environment"]
+    assert summary["environment"]["nproc"] == 2 and "driver_load_start" not in summary["environment"]
     train = summary["workloads"]["train"]
+    assert sorted(train["end_to_end"]["load"]) == [str(s) for s in range(10)]
+    assert train["end_to_end"]["load"]["3"]["change"] == {
+        "driver_load_start": [0.5, 0.6, 0.7], "driver_load_end": [0.9, 0.7, 0.7]
+    }
     speed = train["end_to_end"]["metrics"]["examples_per_s"]
     assert speed["parent"] == {"median": 104.5, "q1": 102.25, "q3": 106.75, "n": 10}
     assert speed["change_wins"] == 9 and speed["pairs"] == 10

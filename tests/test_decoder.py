@@ -1,5 +1,7 @@
 """Frozen decoder with gated fusion attention: equivalences and oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,12 +201,14 @@ def test_zero_initialized_dynamic_gates_reduce_to_baseline(decoder, rng):
 
 
 def test_dynamic_gate_gradients_match_finite_differences(decoder, rng):
-    t_prev = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float64))
-    h = Tensor(rng.normal(0, 1, size=(1, 2, 16)).astype(np.float64))
+    # the gate nets, the block input (self-attention's q, k and v, and the
+    # cross-attention queries) and the memory (cross-attention's k and v)
+    t_prev = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float64), requires_grad=True)
+    h = Tensor(rng.normal(0, 1, size=(1, 2, 16)).astype(np.float64), requires_grad=True)
     dyn = DynamicGates(decoder.config.n_layers, 16)
     dyn.nets[0]["weight"].data = rng.normal(0, 0.3, size=(16, 1))
     dyn.nets[0]["bias"].data = rng.normal(0, 0.3, size=(1,))
-    params = [dyn.nets[0]["weight"], dyn.nets[0]["bias"]]
+    params = [dyn.nets[0]["weight"], dyn.nets[0]["bias"], t_prev, h]
 
     def loss():
         out = _block(decoder, t_prev, h, dyn)
@@ -251,6 +255,15 @@ def test_nonfinite_activation_raises_numeric_error(decoder):
     t0 = Tensor(np.full((1, 2, 16), np.inf, dtype=np.float32))
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 1"):
         decoder.forward(t0, None, None)
+
+
+def test_numeric_error_names_the_first_non_finite_layer(config, rng):
+    # layer 2 of 3 adds inf; layer 3's output stays non-finite through the
+    # residual stream, and the error still names layer 2
+    dec = Decoder(dataclasses.replace(config, n_layers=3), seed=11)
+    dec.layers[1]["ff2_b"].data[0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 2$"):
+        dec.forward(_t0(rng, dec), None, None)
 
 
 def test_norm_records_have_layer_and_token_shape(decoder, rng):

@@ -9,8 +9,10 @@ allowed to read, not just output shapes.
 import numpy as np
 import pytest
 
-from conftest import assert_grad_matches, total
+from conftest import assert_grad_matches, chain_attention, chain_linear, total
 from layerbridge import autodiff as ad
+from layerbridge import decoder as decoder_module
+from layerbridge import nn
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
 from layerbridge.errors import ConfigError, ContractError
@@ -291,8 +293,9 @@ def test_bridge_seed_changes_trainable_init():
 
 def test_training_step_tape_length():
     """A batch-32 stage-1 step at the benchmark's depths (6 encoder, 4
-    decoder layers) records at most 208 tape entries: the aligner makes one
-    pass for all four memories, not one pass per decoder layer."""
+    decoder layers) records at most 100 tape entries: the aligner makes one
+    pass for all four memories, each attention call is one entry and each
+    biased projection another."""
     enc = EncoderConfig(vocab_size=32, d_enc=16, n_layers=6, n_heads=2, d_ff=24, max_positions=16)
     dec = DecoderConfig(vocab_size=32, d_dec=16, n_layers=4, n_heads=2, d_ff=24, max_positions=24)
     model = BridgedModel(enc, dec, seed=0)
@@ -301,4 +304,34 @@ def test_training_step_tape_length():
     tgts = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
     with ad.Tape() as tape:
         model.loss_on_batch("translation", srcs, tgts)
-    assert len(tape.entries) <= 208
+    assert len(tape.entries) <= 100
+
+
+@pytest.mark.parametrize("dynamic_gate", [False, True])
+def test_fused_ops_keep_loss_and_gradients_bitwise(monkeypatch, dynamic_gate):
+    """A batch-32 stage-1 and stage-2 step give the same loss and trainable
+    gradients, bit for bit, as with attention and every biased projection
+    run as the chains of single tape ops they fuse."""
+    m = BridgedModel(EC, DC, ablations=AblationFlags(dynamic_gate=dynamic_gate), seed=0)
+    rng = np.random.default_rng(0)
+    for name, p in m.trainable_params().items():
+        if name.startswith("gates"):
+            p.data[...] = rng.normal(0.5, 0.2, size=p.shape)
+    srcs = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
+    tgts = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
+
+    def step(stage):
+        with ad.Tape() as tape:
+            loss = m.loss_on_batch(stage, srcs, tgts)
+        ad.backward(tape, loss)
+        return [loss.data] + [p.grad for p in m.trainable_params().values()]
+
+    fused = [step(stage) for stage in ("translation", "task")]
+    monkeypatch.setattr(ad, "linear", chain_linear)
+    monkeypatch.setattr(nn, "attention", chain_attention)
+    monkeypatch.setattr(decoder_module, "attention", chain_attention)
+    chained = [step(stage) for stage in ("translation", "task")]
+    for got, want in zip(fused, chained):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
