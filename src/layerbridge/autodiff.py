@@ -223,21 +223,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one op, for a 2-d weight ``w`` and a bias row ``b``."""
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear needs [..., d] x [d, d_out] operands, got {x.shape} x {w.shape}")
     x_data, w_data = x.data, w.data
-    nx, nw = x.requires_grad, w.requires_grad
-    out = np.matmul(x_data, w_data)
-    if b is None:
-        return _record(Tensor(out), (x, w), lambda g: _weight_grads(g, x_data, w_data, nx, nw))
-    nb, b_shape = b.requires_grad, b.data.shape
+    nx, nw, nb, b_shape = x.requires_grad, w.requires_grad, b.requires_grad, b.data.shape
 
     def rule(g):
         return (*_weight_grads(g, x_data, w_data, nx, nw), _unbroadcast(g, b_shape) if nb else None)
 
-    return _record(Tensor(out + b.data), (x, w, b), rule)
+    return _record(Tensor(np.matmul(x_data, w_data) + b.data), (x, w, b), rule)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -349,6 +345,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def embedding(table: Tensor, indices) -> Tensor:
     """Row gather: out[..., :] = table[indices[...], :]."""
     idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and idx.min() < 0:
+        # numpy would wrap a negative id to a row from the end, which the
+        # grouped backward below does not sum with that row's other reads
+        raise ShapeError(f"embedding ids must be non-negative, got {idx.min()}")
     out = Tensor(table.data[idx])
     table_shape = table.data.shape
 

@@ -162,7 +162,7 @@ class Decoder:
         # head columns need unit-order norms: after the final layer norm the
         # hidden state has norm ~sqrt(d_dec), and confident predictions need
         # peak logits well above log(vocab), which glorot columns cannot reach
-        self.head = Linear(rng, c.d_dec, c.vocab_size, bias=True, trainable=False)
+        self.head = Linear(rng, c.d_dec, c.vocab_size, trainable=False)
         self.head.weight.data = rng.normal(
             0, c.head_scale / np.sqrt(c.d_dec), size=(c.d_dec, c.vocab_size)
         ).astype(np.float32)
@@ -244,11 +244,6 @@ class Decoder:
             state.sa_outputs.append(sa)
             state.ca_outputs.append(ca)
             state.gates.append(gate)
-        # a non-finite value stays non-finite down the residual stream, so
-        # scanning the last layer's output finds every one
-        if not np.all(np.isfinite(x.data)):
-            bad = next(i for i, h in enumerate(state.states[1:], 1) if not np.all(np.isfinite(h.data)))
-            raise NumericError(f"non-finite activations leaving decoder layer {bad}")
         if cache is not None:
             cache.offset += dec_len
         final = ad.layer_norm(x, self.final_ln_gain, self.final_ln_bias)
@@ -296,7 +291,10 @@ class Decoder:
             out = ad.add(ad.add(x, sa), gated)
         else:
             out, ca, gate = ad.add(x, sa), None, None
-        return feed_forward(layer, out), sa, ca, gate
+        out = feed_forward(layer, out)
+        if not np.all(np.isfinite(out.data)):
+            raise NumericError(f"non-finite activations leaving decoder layer {index}")
+        return out, sa, ca, gate
 
 
 def generate(

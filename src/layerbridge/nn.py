@@ -22,21 +22,18 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float32
 
 
 class Linear:
-    """y = x @ W (+ b). Weight is [d_in, d_out]."""
+    """y = x @ W + b. Weight is [d_in, d_out]."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
-                 bias: bool = True, trainable: bool = True, dtype=np.float32):
+                 trainable: bool = True, dtype=np.float32):
         self.weight = Tensor(glorot(rng, d_in, d_out, dtype), requires_grad=trainable)
-        self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=trainable) if bias else None
+        self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=trainable)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}.bias"] = self.bias
-        return out
+        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,

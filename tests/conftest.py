@@ -17,11 +17,10 @@ def total(x: Tensor) -> Tensor:
     return matmul(reshape(x, (1, x.size)), Tensor(np.ones((x.size, 1), dtype=x.dtype)))
 
 
-def chain_linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def chain_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``autodiff.linear`` as the matmul-then-add chain of tape ops it fuses:
     the reference for its bits."""
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
+    return add(matmul(x, w), b)
 
 
 def chain_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) -> Tensor:

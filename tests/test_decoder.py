@@ -258,8 +258,8 @@ def test_nonfinite_activation_raises_numeric_error(decoder):
 
 
 def test_numeric_error_names_the_first_non_finite_layer(config, rng):
-    # layer 2 of 3 adds inf; layer 3's output stays non-finite through the
-    # residual stream, and the error still names layer 2
+    # layer 2 of 3 adds inf, which the residual stream would carry into
+    # layer 3; the error names layer 2
     dec = Decoder(dataclasses.replace(config, n_layers=3), seed=11)
     dec.layers[1]["ff2_b"].data[0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 2$"):
