@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import LayerStack
 from .errors import ConfigError
-from .nn import Linear
+from .nn import Linear, padding_bias
 
 SUBSET_KINDS = ("first", "middle", "last", "last_hidden", "average")
 
@@ -126,10 +126,11 @@ def adapt(adapter: Adapter, stack: LayerStack) -> Tensor:
 @dataclass
 class FusedKV:
     """Per-decoder-layer cross-attention inputs: m memories, each
-    [batch, src_len, d_dec], plus the source validity mask."""
+    [batch, src_len, d_dec], plus the additive key bias that hides padded
+    source positions (``nn.padding_bias`` of the source mask)."""
 
     memories: list[Tensor]
-    mask: np.ndarray
+    bias: np.ndarray
 
     @property
     def n_layers(self) -> int:
@@ -187,7 +188,8 @@ class LayerWiseAligner:
         mixed = ad.reshape(ad.matmul(weights, support), (m * batch, src_len, d_enc))
         memories = self.k_head(ad.relu(self.fuse_in(mixed)))
         return FusedKV(
-            memories=[ad.narrow(memories, 0, i * batch, batch) for i in range(m)], mask=stack.mask
+            memories=[ad.narrow(memories, 0, i * batch, batch) for i in range(m)],
+            bias=padding_bias(stack.mask),
         )
 
 

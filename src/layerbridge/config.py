@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,35 +58,26 @@ class RunConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
-_NESTED: dict[str, type] = {
-    "encoder": EncoderConfig,
-    "decoder": DecoderConfig,
-    "bridge": BridgeSettings,
-    "stage1": StageConfig,
-    "stage2": StageConfig,
-    "data": DataConfig,
-    "ablations": AblationFlags,
-    "diagnostics": DiagnosticsConfig,
-}
-_DATA_NESTED = {"synth": SynthSpec}
 # the JSON type each leaf annotation admits; a bool is never taken as a number
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
                "tuple[str, ...]": (list, tuple), "dict[str, str]": dict}
 
 
-def _build(cls, data: dict, path: str, nested: dict[str, type]):
+def _build(cls, data: dict, path: str):
+    """``cls`` from a JSON object; a field whose type is a dataclass is a
+    nested section, built the same way."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"{path or 'config'}: unknown keys {unknown}")
     kwargs = {}
     for key, value in data.items():
         dotted = f"{path}.{key}" if path else key
-        if key in nested:
-            sub_nested = _DATA_NESTED if nested[key] is DataConfig else {}
-            kwargs[key] = _build(nested[key], value, dotted, sub_nested)
+        if dataclasses.is_dataclass(hints[key]):
+            kwargs[key] = _build(hints[key], value, dotted)
             continue
         kind = _JSON_TYPES[types[key].removesuffix(" | None")]
         if not (value is None and types[key].endswith(" | None")) and (
@@ -100,7 +92,7 @@ def _build(cls, data: dict, path: str, nested: dict[str, type]):
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    return _build(RunConfig, data, "", _NESTED)
+    return _build(RunConfig, data, "")
 
 
 def _parse_env_value(raw: str):

@@ -13,6 +13,11 @@ hidden state.
 
 Greedy decoding runs the same forward pass through a ``DecodeCache``: the
 prompt once, then one position per emitted token.
+
+The init scales ``EMB_SCALE``, ``POS_SCALE`` and ``HEAD_SCALE`` are module
+constants, and the special token ids are ``data``'s ``PAD``, ``BOS``,
+``SEP`` and ``EOS``: the frozen stand-in and its vocabulary layout are fixed,
+not experimental variables.
 """
 
 from __future__ import annotations
@@ -24,11 +29,20 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bridge import FusedKV
+from .data import EOS, SPECIAL_TOKENS
 from .errors import ConfigError, ContractError, NumericError
 from .nn import Linear, attention, causal_bias, feed_forward, init_layer, padding_bias, self_attention
 
 STAGE_TRANSLATION = "translation"
 STAGE_TASK = "task"
+
+# frozen stand-in init scales; see encoder.EMB_SCALE for the rationale
+EMB_SCALE = 0.5
+POS_SCALE = 0.3
+# head columns need unit-order norms: after the final layer norm the
+# hidden state has norm ~sqrt(d_dec), and confident predictions need
+# peak logits well above log(vocab), which glorot columns cannot reach
+HEAD_SCALE = 1.5
 
 
 @dataclass(frozen=True)
@@ -39,14 +53,6 @@ class DecoderConfig:
     n_heads: int = 4
     d_ff: int = 256
     max_positions: int = 96
-    pad_id: int = 0
-    bos_id: int = 1
-    sep_id: int = 2
-    eos_id: int = 3
-    # frozen stand-in init scales; see EncoderConfig for the rationale
-    emb_scale: float = 0.5
-    pos_scale: float = 0.3
-    head_scale: float = 1.5
 
     def __post_init__(self):
         for name in ("vocab_size", "d_dec", "n_layers", "n_heads", "d_ff", "max_positions"):
@@ -54,14 +60,10 @@ class DecoderConfig:
                 raise ConfigError(f"decoder {name} must be positive, got {getattr(self, name)}")
         if self.d_dec % self.n_heads:
             raise ConfigError(f"d_dec {self.d_dec} not divisible by {self.n_heads} heads")
-        if self.emb_scale <= 0 or self.pos_scale <= 0 or self.head_scale <= 0:
-            raise ConfigError("init scales must be positive")
-        specials = (self.pad_id, self.bos_id, self.sep_id, self.eos_id)
-        if len(set(specials)) != 4:
-            raise ConfigError(f"special token ids must be distinct, got {specials}")
-        for tid in specials:
-            if not 0 <= tid < self.vocab_size:
-                raise ConfigError(f"special token id {tid} outside vocab of {self.vocab_size}")
+        if self.vocab_size < len(SPECIAL_TOKENS):
+            raise ConfigError(
+                f"decoder vocab_size {self.vocab_size} cannot hold the {len(SPECIAL_TOKENS)} special ids"
+            )
 
 
 class GateVector:
@@ -149,22 +151,19 @@ class DecodeCache:
 class Decoder:
     """Pre-norm causal transformer, random-initialized then frozen."""
 
-    def __init__(self, config: DecoderConfig, seed: int = 11):
+    def __init__(self, config: DecoderConfig, seed: int):
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC0]))
         c = config
         frozen = dict(requires_grad=False)
-        self.tok_emb = Tensor(rng.normal(0, c.emb_scale, size=(c.vocab_size, c.d_dec)).astype(np.float32), **frozen)
-        self.pos_emb = Tensor(rng.normal(0, c.pos_scale, size=(c.max_positions, c.d_dec)).astype(np.float32), **frozen)
+        self.tok_emb = Tensor(rng.normal(0, EMB_SCALE, size=(c.vocab_size, c.d_dec)).astype(np.float32), **frozen)
+        self.pos_emb = Tensor(rng.normal(0, POS_SCALE, size=(c.max_positions, c.d_dec)).astype(np.float32), **frozen)
         self.layers = [init_layer(rng, c.d_dec, c.d_ff) for _ in range(c.n_layers)]
         self.final_ln_gain = Tensor(np.ones(c.d_dec, dtype=np.float32), **frozen)
         self.final_ln_bias = Tensor(np.zeros(c.d_dec, dtype=np.float32), **frozen)
-        # head columns need unit-order norms: after the final layer norm the
-        # hidden state has norm ~sqrt(d_dec), and confident predictions need
-        # peak logits well above log(vocab), which glorot columns cannot reach
         self.head = Linear(rng, c.d_dec, c.vocab_size, trainable=False)
         self.head.weight.data = rng.normal(
-            0, c.head_scale / np.sqrt(c.d_dec), size=(c.d_dec, c.vocab_size)
+            0, HEAD_SCALE / np.sqrt(c.d_dec), size=(c.d_dec, c.vocab_size)
         ).astype(np.float32)
 
     def named_params(self, prefix: str = "decoder") -> dict[str, Tensor]:
@@ -234,12 +233,11 @@ class Decoder:
         if valid is None:
             valid = np.ones((batch, dec_len), dtype=bool)
         sa_bias = None if offset else causal_bias(dec_len) + padding_bias(valid)
-        ca_bias = None if fused is None else padding_bias(fused.mask)
 
         x = ad.add(t0, Tensor(self.pos_emb.data[offset : offset + dec_len][None]))
         state = DecoderState(states=[t0])
         for i in range(1, c.n_layers + 1):
-            x, sa, ca, gate = self.block(i, x, sa_bias, ca_bias, fused, gates, cache)
+            x, sa, ca, gate = self.block(i, x, sa_bias, fused, gates, cache)
             state.states.append(x)
             state.sa_outputs.append(sa)
             state.ca_outputs.append(ca)
@@ -255,7 +253,6 @@ class Decoder:
         index: int,
         x: Tensor,
         sa_bias: np.ndarray | None,
-        ca_bias: np.ndarray | None,
         fused: FusedKV | None,
         gates: GateVector | DynamicGates | None,
         cache: DecodeCache | None = None,
@@ -265,10 +262,10 @@ class Decoder:
         Returns (block output, SA output, ungated CA output, gate).
         Cross-attention reads ``fused.memories[index - 1]`` through the layer's
         own ``wk`` and ``wv``, reusing the self-attention queries, with
-        ``ca_bias`` (``padding_bias(fused.mask)``) hiding padded keys; with
-        ``fused=None`` the block is self-attention only and the CA output and
-        gate are ``None``. A ``cache`` supplies and collects this layer's keys
-        and values (see ``DecodeCache``).
+        ``fused.bias`` hiding padded keys; with ``fused=None`` the block is
+        self-attention only and the CA output and gate are ``None``. A
+        ``cache`` supplies and collects this layer's keys and values (see
+        ``DecodeCache``).
         """
         layer = self.layers[index - 1]
         past = None if cache is None else cache.self_kv.get(index)
@@ -283,7 +280,7 @@ class Decoder:
                 if cache is not None:
                     cache.cross_kv[index] = memory
             ca = ad.matmul(
-                attention(q, *memory, self.config.n_heads, bias=ca_bias),
+                attention(q, *memory, self.config.n_heads, bias=fused.bias),
                 layer["wo"],
             )
             gate = gates.gate_for(index, x)
@@ -325,7 +322,7 @@ def generate(
             break
         logits, _ = decoder.forward(t0, fused, gates, cache=cache)
         next_id = int(np.argmax(logits.data[0, -1]))
-        if next_id == c.eos_id:
+        if next_id == EOS:
             break
         out.append(next_id)
         t0 = decoder.embed_tokens(np.array([[next_id]]))

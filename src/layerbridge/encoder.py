@@ -6,6 +6,9 @@ with the decoder (``nn.self_attention`` and ``nn.feed_forward``); no weight
 requires grad, so those ops record nothing and run as plain numpy. The
 returned states are marked read-only so downstream code cannot mutate what
 the frozen contract checksums.
+
+The init scales ``EMB_SCALE`` and ``POS_SCALE`` are module constants, not
+config: the stand-in is fixed, so they are not an experimental variable.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, InputError
 from .nn import feed_forward, init_layer, padding_bias, self_attention
 
+# init scales of the frozen stand-in weights; position needs to be well
+# represented in the states or downstream alignment cannot route by it
+EMB_SCALE = 0.5
+POS_SCALE = 0.3
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -28,10 +36,6 @@ class EncoderConfig:
     n_heads: int = 4
     d_ff: int = 128
     max_positions: int = 64
-    # init scales of the frozen stand-in weights; position needs to be well
-    # represented in the states or downstream alignment cannot route by it
-    emb_scale: float = 0.5
-    pos_scale: float = 0.3
 
     def __post_init__(self):
         for name in ("vocab_size", "d_enc", "n_layers", "n_heads", "d_ff", "max_positions"):
@@ -39,8 +43,6 @@ class EncoderConfig:
                 raise ConfigError(f"encoder {name} must be positive, got {getattr(self, name)}")
         if self.d_enc % self.n_heads:
             raise ConfigError(f"d_enc {self.d_enc} not divisible by {self.n_heads} heads")
-        if self.emb_scale <= 0 or self.pos_scale <= 0:
-            raise ConfigError("embedding init scales must be positive")
 
 
 @dataclass
@@ -74,13 +76,13 @@ class Encoder:
     """Pre-norm encoder; H_0 is token+position embeddings, H_i the output of
     layer i with no extra final normalization."""
 
-    def __init__(self, config: EncoderConfig, seed: int = 7):
+    def __init__(self, config: EncoderConfig, seed: int):
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE11C]))
         c = config
         frozen = dict(requires_grad=False)
-        self.tok_emb = Tensor(rng.normal(0, c.emb_scale, size=(c.vocab_size, c.d_enc)).astype(np.float32), **frozen)
-        self.pos_emb = Tensor(rng.normal(0, c.pos_scale, size=(c.max_positions, c.d_enc)).astype(np.float32), **frozen)
+        self.tok_emb = Tensor(rng.normal(0, EMB_SCALE, size=(c.vocab_size, c.d_enc)).astype(np.float32), **frozen)
+        self.pos_emb = Tensor(rng.normal(0, POS_SCALE, size=(c.max_positions, c.d_enc)).astype(np.float32), **frozen)
         self.layers = [init_layer(rng, c.d_enc, c.d_ff) for _ in range(c.n_layers)]
 
     def named_params(self, prefix: str = "encoder") -> dict[str, Tensor]:

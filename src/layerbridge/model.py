@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bridge import Adapter, FusedKV, LayerSubset, LayerWiseAligner, adapt, subset_from_spec
+from .data import BOS, EOS, PAD, SEP
 from .decoder import (
     STAGE_TASK,
     STAGE_TRANSLATION,
@@ -154,10 +155,9 @@ class BridgedModel:
     # ------------------------------------------------------------------
 
     def encode_sources(self, src_seqs: list[np.ndarray]) -> LayerStack:
-        pad = self.dec_config.pad_id
         width = max(len(s) for s in src_seqs)
         batch = len(src_seqs)
-        tokens = np.full((batch, width), pad, dtype=np.int64)
+        tokens = np.full((batch, width), PAD, dtype=np.int64)
         mask = np.zeros((batch, width), dtype=bool)
         for i, seq in enumerate(src_seqs):
             tokens[i, : len(seq)] = seq
@@ -192,18 +192,18 @@ class BridgedModel:
         width = int(lengths.max())
         if width > c.max_positions:
             raise ConfigError(f"assembled length {width} exceeds max_positions {c.max_positions}")
-        ids = np.full((batch, width), c.pad_id, dtype=np.int64)
+        ids = np.full((batch, width), PAD, dtype=np.int64)
         labels = np.zeros((batch, width), dtype=np.int64)
         loss_mask = np.zeros((batch, width), dtype=bool)
-        ids[:, 0] = c.bos_id
-        ids[np.arange(batch), sep_at] = c.sep_id
+        ids[:, 0] = BOS
+        ids[np.arange(batch), sep_at] = SEP
         for e, p0 in enumerate(prompt_lens):
             if use_user:
                 ids[e, p0 - src_lens[e] : p0] = src_seqs[e]
             if tgt_seqs is not None:
                 end = p0 + len(tgt_seqs[e])
                 ids[e, p0:end] = labels[e, p0 - 1 : end - 1] = tgt_seqs[e]
-                labels[e, end - 1] = c.eos_id
+                labels[e, end - 1] = EOS
                 loss_mask[e, p0 - 1 : end] = True
         self.decoder.token_ids(ids)
         table = self.decoder.tok_emb

@@ -1,6 +1,7 @@
 """Run configuration: strict parsing, env overrides, and the config digest."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -64,14 +65,34 @@ def test_unknown_top_level_key():
         run_config_from_dict({"wormhole": 1})
 
 
-# keys an earlier schema accepted; each is now as unknown as a typo
+# keys an earlier schema accepted; each is now as unknown as a typo. The
+# special ids and init scales are constants of data, encoder and decoder.
 REMOVED_KEYS = [
     ("bridge", "separate_kv", False),
     ("ablations", "skip_stage2", False),
     ("data.synth", "stage2_lrl_fraction", 1.0),
     ("data.synth", "explicit_ciphers", None),
     ("diagnostics", "include_prompt", False),
+    ("encoder", "emb_scale", 0.5),
+    ("encoder", "pos_scale", 0.3),
+    ("decoder", "pad_id", 0),
+    ("decoder", "bos_id", 5),
+    ("decoder", "sep_id", 2),
+    ("decoder", "eos_id", 4),
+    ("decoder", "emb_scale", 0.5),
+    ("decoder", "pos_scale", 0.3),
+    ("decoder", "head_scale", 1.5),
 ]
+
+
+def _with_key(base: dict, section: str, key: str, value) -> dict:
+    """A copy of the config dict ``base`` with ``section.key`` set."""
+    data = json.loads(json.dumps(base))
+    node = data
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    node[key] = value
+    return data
 
 
 def test_unknown_nested_key_reports_dotted_path():
@@ -80,11 +101,14 @@ def test_unknown_nested_key_reports_dotted_path():
     with pytest.raises(ConfigError, match=r"data.synth: unknown keys \['vocab'\]"):
         run_config_from_dict({"data": {"synth": {"vocab": 64}}})
     for section, key, value in REMOVED_KEYS:
-        data = {key: value}
-        for part in reversed(section.split(".")):
-            data = {part: data}
         with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
-            run_config_from_dict(data)
+            run_config_from_dict(_with_key({}, section, key, value))
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    assert run_config_from_dict(json.loads(example)) == RunConfig()
 
 
 def test_section_must_be_object():
@@ -286,10 +310,8 @@ SMALL = {
 # also a config-file key, so a bad value is reachable from both
 FUZZ_KEYS = [
     "SEED",
-    *(f"ENCODER__{k}" for k in ("VOCAB_SIZE", "D_ENC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS",
-                                "EMB_SCALE", "POS_SCALE")),
-    *(f"DECODER__{k}" for k in ("VOCAB_SIZE", "D_DEC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS",
-                                "PAD_ID", "EOS_ID", "HEAD_SCALE")),
+    *(f"ENCODER__{k}" for k in ("VOCAB_SIZE", "D_ENC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS")),
+    *(f"DECODER__{k}" for k in ("VOCAB_SIZE", "D_DEC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS")),
     "BRIDGE", "BRIDGE__D_HIDDEN", "BRIDGE__DEEP_ADAPTER",
     "STAGE1__LEARNING_RATE", "STAGE1__EPOCHS", "STAGE1__BATCH_SIZE", "STAGE1__CLIP_NORM",
     "STAGE2__WARMUP_RATIO", "STAGE2__TRACE_EVERY",
@@ -355,6 +377,19 @@ def test_every_key_rejects_boundary_values_with_package_errors(small_config, key
             pass
         else:
             assert key not in REMOVED_ENV_KEYS, f"removed key {key} took {value!r}"
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_KEYS, ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
+def test_train_refuses_removed_key_from_file_or_env(tmp_path, monkeypatch, capsys, section, key, value):
+    path = tmp_path / "run.json"
+    base = dict(SMALL, out_dir=str(tmp_path / "out"))
+    path.write_text(json.dumps(_with_key(base, section, key, value)))
+    assert main(["train", "--config", str(path), "--stage", "1"]) == 2
+    path.write_text(json.dumps(base))
+    monkeypatch.setenv(f"LAYERBRIDGE_{section.replace('.', '__')}__{key}".upper(), json.dumps(value))
+    assert main(["train", "--config", str(path), "--stage", "1"]) == 2
+    assert capsys.readouterr().err.count(f"{section}: unknown keys ['{key}']") == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 
 from layerbridge.autodiff import Tape, Tensor, backward, concat, mul
 from layerbridge.bridge import FusedKV
+from layerbridge.data import EOS
 from layerbridge.decoder import (
     DecodeCache,
     Decoder,
@@ -43,15 +44,15 @@ def _fused(rng, decoder, batch=2, src_len=3, zero=False):
             memories.append(Tensor(np.zeros((batch, src_len, d), dtype=np.float32)))
         else:
             memories.append(Tensor(rng.normal(0, 1, size=(batch, src_len, d)).astype(np.float32)))
-    return FusedKV(memories=memories, mask=np.ones((batch, src_len), dtype=bool))
+    return FusedKV(memories=memories, bias=padding_bias(np.ones((batch, src_len), dtype=bool)))
 
 
 def _block(decoder, t_prev, h, gates):
     """Decoder layer 1 alone, reading one memory whose positions are all valid."""
     batch, src_len, _ = h.shape
-    fused = FusedKV(memories=[h] * decoder.config.n_layers, mask=np.ones((batch, src_len), dtype=bool))
-    sa_bias, ca_bias = causal_bias(t_prev.shape[1]), padding_bias(fused.mask)
-    out, *_ = decoder.block(1, t_prev, sa_bias, ca_bias, fused, gates)
+    bias = padding_bias(np.ones((batch, src_len), dtype=bool))
+    fused = FusedKV(memories=[h] * decoder.config.n_layers, bias=bias)
+    out, *_ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates)
     return out
 
 
@@ -111,7 +112,7 @@ def test_perturbing_fused_inputs_respects_gates(decoder, rng):
     fused = _fused(rng, decoder)
     bumped = FusedKV(
         memories=[Tensor(h.data + 3.0) for h in fused.memories],
-        mask=fused.mask,
+        bias=fused.bias,
     )
     zero_gates = GateVector(decoder.config.n_layers)
     a, _ = decoder.forward(t0, fused, zero_gates)
@@ -313,7 +314,7 @@ def test_generate_budget_one_returns_one_token(decoder, rng):
 def test_generate_stops_at_end_marker_without_returning_it(config, rng):
     rigged = Decoder(config, seed=11)
     rigged.head.bias.data[...] = 0.0
-    rigged.head.bias.data[config.eos_id] = 1e4  # eos always wins
+    rigged.head.bias.data[EOS] = 1e4  # eos always wins
     prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, 3)))
     out = generate(rigged, prompt, None, None, max_new_tokens=5)
     assert out == []
@@ -372,7 +373,7 @@ def _recompute_generate(decoder, prompt, fused, gates, max_new_tokens):
             break
         logits, _ = decoder.forward(t0, fused, gates)
         next_id = int(np.argmax(logits.data[0, -1]))
-        if next_id == c.eos_id:
+        if next_id == EOS:
             break
         out.append(next_id)
         t0 = concat([t0, decoder.embed_tokens(np.array([[next_id]]))], axis=1)
@@ -382,7 +383,9 @@ def _recompute_generate(decoder, prompt, fused, gates, max_new_tokens):
 def _gate_sources(decoder, rng):
     n, d = decoder.config.n_layers, decoder.config.d_dec
     fused = _fused(rng, decoder, batch=1, src_len=5)
-    fused.mask[0, [1, 3]] = False
+    mask = np.ones((1, 5), dtype=bool)
+    mask[0, [1, 3]] = False
+    fused.bias = padding_bias(mask)
     gates = GateVector(n)
     for g in gates.values:
         g.data[0] = rng.uniform(0.25, 0.75)
@@ -427,17 +430,16 @@ def test_generate_is_deterministic(decoder, rng):
 def test_decoder_config_validation():
     with pytest.raises(ConfigError):
         DecoderConfig(d_dec=30, n_heads=4)
-    with pytest.raises(ConfigError):
-        DecoderConfig(pad_id=1, bos_id=1)
-    with pytest.raises(ConfigError):
-        DecoderConfig(eos_id=512)
-    with pytest.raises(ConfigError):
-        DecoderConfig(head_scale=0.0)
+    with pytest.raises(ConfigError, match="cannot hold the 4 special ids"):
+        DecoderConfig(vocab_size=3)
+    DecoderConfig(vocab_size=4)
 
 
 def test_layer_count_mismatch_between_fused_and_decoder(decoder, rng):
     t0 = _t0(rng, decoder)
-    fused = FusedKV(memories=[Tensor(np.zeros((2, 3, 16), dtype=np.float32))], mask=np.ones((2, 3), dtype=bool))
+    fused = FusedKV(
+        memories=[Tensor(np.zeros((2, 3, 16), dtype=np.float32))], bias=padding_bias(np.ones((2, 3), dtype=bool))
+    )
     with pytest.raises(ConfigError, match="1 layers"):
         decoder.forward(t0, fused, GateVector(decoder.config.n_layers))
 

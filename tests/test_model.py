@@ -13,6 +13,7 @@ from conftest import assert_grad_matches, chain_attention, chain_linear, total
 from layerbridge import autodiff as ad
 from layerbridge import decoder as decoder_module
 from layerbridge import nn
+from layerbridge.data import BOS, EOS, SEP
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
 from layerbridge.errors import ConfigError, ContractError
@@ -67,11 +68,11 @@ def test_translation_packing_layout(model):
     # row values: frame markers, the adapter's soft prompt, then target embeddings
     i_map, _ = model.bridge_outputs(model.encode_sources(SRC))
     t0 = packed.t0.data
-    assert np.array_equal(t0[:, 0], embeddings(model, [DC.bos_id] * 2))
+    assert np.array_equal(t0[:, 0], embeddings(model, [BOS] * 2))
     assert np.array_equal(t0[0, 1:4], i_map.data[0, :3])
     assert np.array_equal(t0[1, 1:2], i_map.data[1, :1])
-    assert np.array_equal(t0[0, 4], embeddings(model, DC.sep_id))
-    assert np.array_equal(t0[1, 2], embeddings(model, DC.sep_id))
+    assert np.array_equal(t0[0, 4], embeddings(model, SEP))
+    assert np.array_equal(t0[1, 2], embeddings(model, SEP))
     assert np.array_equal(t0[0, 5:7], embeddings(model, TGT[0]))
     assert np.array_equal(t0[1, 3:7], embeddings(model, TGT[1]))
 
@@ -105,7 +106,7 @@ def test_supervision_starts_on_last_prompt_position(model):
     _, _, packed = model.forward_batch("task", [SRC[0]], [np.array([10])])
     p0 = packed.prompt_lens[0] - 1
     assert packed.loss_mask[0, p0] and packed.labels[0, p0] == 10
-    assert packed.labels[0, p0 + 1] == DC.eos_id
+    assert packed.labels[0, p0 + 1] == EOS
     assert packed.loss_mask[0].sum() == 2
 
 
@@ -121,12 +122,12 @@ def test_no_adapter_drops_soft_prompt():
     assert packed.prompt_lens == [5, 3]
     # [bos; sep; user(p); targets]
     t0 = packed.t0.data
-    assert np.array_equal(t0[0, :2], embeddings(m, [DC.bos_id, DC.sep_id]))
+    assert np.array_equal(t0[0, :2], embeddings(m, [BOS, SEP]))
     assert np.array_equal(t0[0, 2:5], embeddings(m, SRC[0]))
     # translation rows then carry only [bos; sep; targets]
     _, _, packed = m.forward_batch("translation", SRC, TGT)
     assert packed.prompt_lens == [2, 2]
-    assert np.array_equal(packed.t0.data[1, :6], embeddings(m, [DC.bos_id, DC.sep_id, *TGT[1]]))
+    assert np.array_equal(packed.t0.data[1, :6], embeddings(m, [BOS, SEP, *TGT[1]]))
 
 
 def test_target_outside_decoder_vocab_rejected(model):
@@ -270,9 +271,7 @@ def test_frozen_digest_ignores_bridge_seed():
 
 
 def test_frozen_digest_tracks_backbone_config():
-    other = DecoderConfig(
-        vocab_size=32, d_dec=16, n_layers=2, n_heads=2, d_ff=24, max_positions=24, head_scale=2.0
-    )
+    other = DecoderConfig(vocab_size=32, d_dec=16, n_layers=2, n_heads=2, d_ff=32, max_positions=24)
     assert BridgedModel(EC, DC, seed=0).frozen_digest() != BridgedModel(EC, other, seed=0).frozen_digest()
 
 
