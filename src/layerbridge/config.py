@@ -63,9 +63,11 @@ _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
                "tuple[str, ...]": (list, tuple), "dict[str, str]": dict}
 
 
-def _build(cls, data: dict, path: str):
-    """``cls`` from a JSON object; a field whose type is a dataclass is a
-    nested section, built the same way."""
+def _build(base, data: dict, path: str):
+    """``base`` with the fields a JSON object sets replaced; a field whose type
+    is a dataclass is a nested section, built the same way over ``base``'s
+    value, so an omitted key keeps the enclosing default, not its class's."""
+    cls = type(base)
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -77,7 +79,7 @@ def _build(cls, data: dict, path: str):
     for key, value in data.items():
         dotted = f"{path}.{key}" if path else key
         if dataclasses.is_dataclass(hints[key]):
-            kwargs[key] = _build(hints[key], value, dotted)
+            kwargs[key] = _build(getattr(base, key), value, dotted)
             continue
         kind = _JSON_TYPES[types[key].removesuffix(" | None")]
         if not (value is None and types[key].endswith(" | None")) and (
@@ -86,13 +88,13 @@ def _build(cls, data: dict, path: str):
             raise ConfigError(f"{dotted}: expected {types[key]}, got {value!r}")
         kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(base, **kwargs)
     except TypeError as err:
         raise ConfigError(f"{path or 'config'}: {err}") from err
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    return _build(RunConfig, data, "")
+    return _build(RunConfig(), data, "")
 
 
 def _parse_env_value(raw: str):

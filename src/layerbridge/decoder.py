@@ -135,15 +135,18 @@ class DecoderState:
 class DecodeCache:
     """What one greedy decode carries from step to step, keyed by 1-based layer.
 
-    ``self_kv`` holds each layer's self-attention keys and values for every
-    position fed so far, [1, offset, d_dec] each, before the head split.
+    ``self_kv`` holds each layer's self-attention key and value buffers,
+    [1, max_positions, d_dec] each, before the head split. The prompt call
+    allocates them; every call writes its positions' keys and values into
+    rows ``offset`` to ``offset + n`` in place, and attention reads rows
+    ``:offset + n`` as views, so a step copies only its own row.
     ``cross_kv`` holds each layer's fused memory projected through ``wk`` and
     ``wv``; it is filled on the first call and reused after, so every call
     sharing a cache must pass the same ``FusedKV``. ``offset`` is the number
     of positions fed so far.
     """
 
-    self_kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    self_kv: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     cross_kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
     offset: int = 0
 
@@ -159,8 +162,6 @@ class Decoder:
         self.tok_emb = Tensor(rng.normal(0, EMB_SCALE, size=(c.vocab_size, c.d_dec)).astype(np.float32), **frozen)
         self.pos_emb = Tensor(rng.normal(0, POS_SCALE, size=(c.max_positions, c.d_dec)).astype(np.float32), **frozen)
         self.layers = [init_layer(rng, c.d_dec, c.d_ff) for _ in range(c.n_layers)]
-        self.final_ln_gain = Tensor(np.ones(c.d_dec, dtype=np.float32), **frozen)
-        self.final_ln_bias = Tensor(np.zeros(c.d_dec, dtype=np.float32), **frozen)
         self.head = Linear(rng, c.d_dec, c.vocab_size, trainable=False)
         self.head.weight.data = rng.normal(
             0, HEAD_SCALE / np.sqrt(c.d_dec), size=(c.d_dec, c.vocab_size)
@@ -171,8 +172,6 @@ class Decoder:
         for i, layer in enumerate(self.layers):
             for key, tensor in layer.items():
                 out[f"{prefix}.layer{i}.{key}"] = tensor
-        out[f"{prefix}.final_ln.gain"] = self.final_ln_gain
-        out[f"{prefix}.final_ln.bias"] = self.final_ln_bias
         out.update(self.head.named_params(f"{prefix}.head"))
         return out
 
@@ -204,10 +203,11 @@ class Decoder:
         ``gates`` scales each layer's CA read.
 
         With a ``cache``, ``t0`` continues the single sequence the cache holds:
-        positions start at ``cache.offset``, and the call appends its keys
-        and values to the cache. The first call feeds the whole prompt
+        positions start at ``cache.offset``, and the call writes its keys and
+        values into the cache's buffers. The first call feeds the whole prompt
         causally; every later call feeds one position, which sees every
-        cached key.
+        cached key. The buffers are written in place, so no tape may record
+        a cached forward of a grad-requiring ``t0``.
 
         Raises ``NumericError`` naming the first layer whose output holds a
         non-finite value.
@@ -221,8 +221,16 @@ class Decoder:
             raise ConfigError(
                 f"sequence length {offset + dec_len} exceeds max_positions {c.max_positions}"
             )
-        if offset and (batch, dec_len) != (1, 1):
-            raise ContractError(f"a cached step feeds one position of one sequence, got {batch}x{dec_len}")
+        if cache is not None:
+            if batch != 1 or (offset and dec_len != 1):
+                raise ContractError(f"a cached step feeds one position of one sequence, got {batch}x{dec_len}")
+            if t0.requires_grad and ad.active_tape() is not None:
+                raise ContractError("a cached forward overwrites its buffers in place, so no tape may record it")
+            if not offset:
+                shape = (1, c.max_positions, d)
+                cache.self_kv = {
+                    i: (np.empty(shape, t0.dtype), np.empty(shape, t0.dtype)) for i in range(1, c.n_layers + 1)
+                }
         if fused is not None:
             if fused.n_layers != c.n_layers:
                 raise ConfigError(
@@ -244,9 +252,7 @@ class Decoder:
             state.gates.append(gate)
         if cache is not None:
             cache.offset += dec_len
-        final = ad.layer_norm(x, self.final_ln_gain, self.final_ln_bias)
-        logits = self.head(final)
-        return logits, state
+        return self.head(ad.layer_norm(x)), state
 
     def block(
         self,
@@ -268,10 +274,8 @@ class Decoder:
         ``DecodeCache``).
         """
         layer = self.layers[index - 1]
-        past = None if cache is None else cache.self_kv.get(index)
-        sa, q, self_kv = self_attention(layer, x, self.config.n_heads, sa_bias, past)
-        if cache is not None:
-            cache.self_kv[index] = self_kv
+        kv, offset = (None, 0) if cache is None else (cache.self_kv[index], cache.offset)
+        sa, q = self_attention(layer, x, self.config.n_heads, sa_bias, kv, offset)
         if fused is not None:
             memory = None if cache is None else cache.cross_kv.get(index)
             if memory is None:
@@ -289,7 +293,7 @@ class Decoder:
         else:
             out, ca, gate = ad.add(x, sa), None, None
         out = feed_forward(layer, out)
-        if not np.all(np.isfinite(out.data)):
+        if not np.isfinite(out.data).all():
             raise NumericError(f"non-finite activations leaving decoder layer {index}")
         return out, sa, ca, gate
 

@@ -118,7 +118,7 @@ class Encoder:
         h = Tensor(self.tok_emb.data[tokens] + self.pos_emb.data[:src_len][None])
         states = [h.data]
         for layer in self.layers:
-            attended, _, _ = self_attention(layer, h, c.n_heads, key_bias)
+            attended, _ = self_attention(layer, h, c.n_heads, key_bias)
             h = feed_forward(layer, ad.add(h, attended))
             states.append(h.data)
         return LayerStack(states=states, mask=mask)

@@ -9,6 +9,8 @@ it through the same two sublayers, ``self_attention`` and ``feed_forward``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -58,12 +60,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=scores.dtype)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=scores.dtype)
     scores = scores * scale
     if bias is not None:
         scores = scores + np.asarray(bias, dtype=scores.dtype)
-    exp = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    y = exp / np.sum(exp, axis=-1, keepdims=True)
+    # the ufunc reductions np.max and np.sum dispatch to, called directly
+    exp = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    y = exp / np.add.reduce(exp, axis=-1, keepdims=True)
     out = Tensor(merge(np.matmul(y, vh)))
     nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
 
@@ -74,7 +77,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             gv = merge(np.matmul(np.swapaxes(y, -1, -2), gh))
         if nq or nk:
             gy = np.matmul(gh, np.swapaxes(vh, -1, -2))
-            gs = (gy - np.sum(gy * y, axis=-1, keepdims=True)) * y * scale
+            gs = (gy - np.add.reduce(gy * y, axis=-1, keepdims=True)) * y * scale
             if nq:
                 gq = merge(np.matmul(gs, kh))
             if nk:
@@ -99,18 +102,15 @@ def padding_bias(valid: np.ndarray, dtype=np.float32) -> np.ndarray:
 def init_layer(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Tensor]:
     """Frozen (no-grad) weights of one pre-norm transformer layer of width ``d``.
 
-    Draws wq, wk, wv, wo, ff1_w, ff2_w from ``rng`` in that order; layer-norm
-    affines start at identity and biases at zero.
+    Draws wq, wk, wv, wo, ff1_w, ff2_w from ``rng`` in that order; biases
+    start at zero. The layer norms carry no affine: a frozen one would stay
+    at identity.
     """
     return {
-        "ln1_gain": Tensor(np.ones(d, dtype=np.float32)),
-        "ln1_bias": Tensor(np.zeros(d, dtype=np.float32)),
         "wq": Tensor(glorot(rng, d, d)),
         "wk": Tensor(glorot(rng, d, d)),
         "wv": Tensor(glorot(rng, d, d)),
         "wo": Tensor(glorot(rng, d, d)),
-        "ln2_gain": Tensor(np.ones(d, dtype=np.float32)),
-        "ln2_bias": Tensor(np.zeros(d, dtype=np.float32)),
         "ff1_w": Tensor(glorot(rng, d, d_ff)),
         "ff1_b": Tensor(np.zeros(d_ff, dtype=np.float32)),
         "ff2_w": Tensor(glorot(rng, d_ff, d)),
@@ -120,28 +120,31 @@ def init_layer(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Tensor]
 
 def self_attention(
     layer: dict[str, Tensor], x: Tensor, n_heads: int, bias: np.ndarray | None,
-    past: tuple[Tensor, Tensor] | None = None,
-) -> tuple[Tensor, Tensor, tuple[Tensor, Tensor]]:
+    kv: tuple[np.ndarray, np.ndarray] | None = None, offset: int = 0,
+) -> tuple[Tensor, Tensor]:
     """Pre-norm self-attention sublayer, residual not added.
 
-    Returns (output projected through ``wo``, queries, (keys, values)); the
-    queries come back so a decoder can reuse them to read its cross-attention
-    memory. ``past`` holds the keys and values of earlier positions of the
-    same sequence, [B, S_past, D] each; they go in front of this call's, and
-    the returned pair is the extended one, so a decoder can cache it.
+    Returns (output projected through ``wo``, queries); the queries come back
+    so a decoder can reuse them to read its cross-attention memory. ``kv`` is
+    a pair of key and value buffers, [B, S_max, D] each, whose rows before
+    ``offset`` hold earlier positions of the same sequences: this call writes
+    its keys and values into the rows from ``offset`` on, in place, and
+    attends over every row up to its own last.
     """
-    normed = ad.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"])
+    normed = ad.layer_norm(x)
     q = ad.matmul(normed, layer["wq"])
     k = ad.matmul(normed, layer["wk"])
     v = ad.matmul(normed, layer["wv"])
-    if past is not None:
-        k = ad.concat([past[0], k], axis=1)
-        v = ad.concat([past[1], v], axis=1)
-    return ad.matmul(attention(q, k, v, n_heads, bias=bias), layer["wo"]), q, (k, v)
+    if kv is not None:
+        end = offset + x.shape[1]
+        kv[0][:, offset:end] = k.data
+        kv[1][:, offset:end] = v.data
+        k, v = Tensor(kv[0][:, :end]), Tensor(kv[1][:, :end])
+    return ad.matmul(attention(q, k, v, n_heads, bias=bias), layer["wo"]), q
 
 
 def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:
     """Pre-norm ReLU feed-forward sublayer with its residual: x + FFN(LN(x))."""
-    normed = ad.layer_norm(x, layer["ln2_gain"], layer["ln2_bias"])
+    normed = ad.layer_norm(x)
     ff = ad.linear(ad.relu(ad.linear(normed, layer["ff1_w"], layer["ff1_b"])), layer["ff2_w"], layer["ff2_b"])
     return ad.add(x, ff)

@@ -342,27 +342,44 @@ def test_softmax_gradient(rng):
 
 
 def test_layer_norm_gradient(rng):
+    # a random weighting: the plain sum of a normalized row is constant
     x = _t(rng, 2, 6)
-    gain = Tensor(rng.normal(1.0, 0.1, size=6).astype(np.float64), requires_grad=True)
-    bias = Tensor(rng.normal(0.0, 0.1, size=6).astype(np.float64), requires_grad=True)
-    assert_grad_matches(
-        lambda: total(mul(layer_norm(x, gain, bias), layer_norm(x, gain, bias))),
-        [x, gain, bias],
-        rtol=1e-5,
-    )
+    w = _t(rng, 2, 6)
+    assert_grad_matches(lambda: total(mul(layer_norm(x), w)), [x], rtol=1e-5)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_layer_norm_matches_numpy_mean_bitwise(rng, dtype):
     x = (rng.normal(0.0, 3.0, size=(4, 7, 128)) + 5.0).astype(dtype)
-    gain = rng.normal(1.0, 0.1, size=128).astype(dtype)
-    bias = rng.normal(0.0, 0.1, size=128).astype(dtype)
     mu = np.mean(x, axis=-1, keepdims=True)
     var = np.mean((x - mu) * (x - mu), axis=-1, keepdims=True)
-    expected = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
-    got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    expected = (x - mu) * (1.0 / np.sqrt(var + 1e-5))
+    got = layer_norm(Tensor(x)).data
     assert got.dtype == dtype
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 128), (1, 12, 128), (32, 12, 128)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_layer_norm_matches_identity_affine_bitwise(rng, shape):
+    """The affine-free norm gives the bits of the affine formula at gain ones
+    and bias zeros, forward and backward, in float32."""
+    x = (rng.normal(0.0, 3.0, size=shape) + 5.0).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    gain, bias, d = np.ones(128, np.float32), np.zeros(128, np.float32), 128
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centered = x - mu
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d + 1e-5)
+    xhat = centered * inv
+    dxhat = g * gain
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = layer_norm(xt)
+    (gx,) = tape.entries[-1].backward_rule(g)
+    np.testing.assert_array_equal(out.data, xhat * gain + bias)
+    np.testing.assert_array_equal(gx, inv * (dxhat - m1 - xhat * m2))
 
 
 def test_cross_entropy_gradient(rng):

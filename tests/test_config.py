@@ -286,6 +286,18 @@ def test_stage_sections_parse_to_stage_configs():
     assert cfg.stage2 == StageConfig(learning_rate=0.01, clip_norm=1.0)
 
 
+def test_partial_stage2_section_keeps_run_config_default_rate():
+    # stage 2's default rate comes from RunConfig's field, not StageConfig's class default
+    cfg = run_config_from_dict({"stage2": {"epochs": 2}})
+    assert cfg.stage2 == StageConfig(learning_rate=STAGE2_DEFAULT_LR, epochs=2)
+    assert cfg.stage2.learning_rate == RunConfig().stage2.learning_rate != StageConfig().learning_rate
+
+
+def test_partial_stage2_env_override_keeps_run_config_default_rate():
+    cfg = load_run_config(None, environ={"LAYERBRIDGE_STAGE2__EPOCHS": "2"})
+    assert cfg.stage2 == StageConfig(learning_rate=STAGE2_DEFAULT_LR, epochs=2)
+
+
 def test_diagnostics_config_defaults():
     d = DiagnosticsConfig()
     assert d.plots is False

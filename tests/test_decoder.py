@@ -132,10 +132,10 @@ def test_perturbing_fused_inputs_respects_gates(decoder, rng):
 # ---------------------------------------------------------------------------
 
 
-def _np_layer_norm(x, gain, bias, eps=1e-5):
+def _np_layer_norm(x, eps=1e-5):
     mu = x.mean(-1, keepdims=True)
     var = ((x - mu) ** 2).mean(-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain + bias
+    return (x - mu) / np.sqrt(var + eps)
 
 
 def _np_attention(q, k, v, n_heads, bias):
@@ -163,13 +163,13 @@ def _oracle_block(decoder, idx, t_prev, h, gate):
     w = {k: v.data.astype(np.float64) for k, v in layer.items()}
     x = t_prev.astype(np.float64)
     dec_len = x.shape[1]
-    normed = _np_layer_norm(x, w["ln1_gain"], w["ln1_bias"])
+    normed = _np_layer_norm(x)
     q = normed @ w["wq"]
     causal = causal_bias(dec_len).astype(np.float64)
     sa = _np_attention(q, normed @ w["wk"], normed @ w["wv"], decoder.config.n_heads, causal) @ w["wo"]
     ca = _np_attention(q, h @ w["wk"], h @ w["wv"], decoder.config.n_heads, None) @ w["wo"]
     x = x + sa + gate * ca
-    normed2 = _np_layer_norm(x, w["ln2_gain"], w["ln2_bias"])
+    normed2 = _np_layer_norm(x)
     ff = np.maximum(normed2 @ w["ff1_w"] + w["ff1_b"], 0.0) @ w["ff2_w"]
     return x + ff + w["ff2_b"]
 
@@ -362,6 +362,33 @@ def test_cached_step_takes_one_position(decoder, rng):
     decoder.forward(_t0(rng, decoder, batch=1, length=3), None, None, cache=cache)
     with pytest.raises(ContractError, match="one position"):
         decoder.forward(_t0(rng, decoder, batch=1, length=2), None, None, cache=cache)
+
+
+def test_cached_decode_allocates_its_buffers_once(decoder, rng):
+    c = decoder.config
+    cache = DecodeCache()
+    decoder.forward(_t0(rng, decoder, batch=1, length=3), None, None, cache=cache)
+    buffers = {i: tuple(kv) for i, kv in cache.self_kv.items()}
+    assert sorted(buffers) == list(range(1, c.n_layers + 1))
+    assert all(b.shape == (1, c.max_positions, c.d_dec) for kv in buffers.values() for b in kv)
+    for _ in range(4):
+        decoder.forward(_t0(rng, decoder, batch=1, length=1), None, None, cache=cache)
+    assert cache.offset == 7
+    for i, (k, v) in cache.self_kv.items():
+        assert k is buffers[i][0] and v is buffers[i][1]
+
+
+def test_cached_forward_takes_one_sequence_from_the_prompt_on(decoder, rng):
+    with pytest.raises(ContractError, match="one sequence"):
+        decoder.forward(_t0(rng, decoder, batch=2, length=3), None, None, cache=DecodeCache())
+
+
+def test_cached_forward_refuses_a_tape_over_a_grad_requiring_input(decoder, rng):
+    t0 = Tensor(_t0(rng, decoder, batch=1, length=3).data, requires_grad=True)
+    with Tape():
+        with pytest.raises(ContractError, match="in place"):
+            decoder.forward(t0, None, None, cache=DecodeCache())
+    decoder.forward(t0, None, None, cache=DecodeCache())  # no tape: nothing to corrupt
 
 
 def _recompute_generate(decoder, prompt, fused, gates, max_new_tokens):
