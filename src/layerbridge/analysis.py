@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bridge import aligner_weight_matrix
-from .data import Vocabulary
+from .data import STAGE_TRANSLATION, Vocabulary
 from .errors import ConfigError, ContractError, PairingError
 from .files import write_atomic
 from .model import BridgedModel
@@ -46,7 +46,7 @@ def collect_pooled_reps(
     for row in sorted(parallel_rows, key=lambda r: (r["lang"], r["sid"])):
         src = vocab.encode(row["src"])
         tgt = vocab.encode(row["base"])
-        _, state, packed = model.forward_batch("translation", [src], [tgt])
+        _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt])
         final = state.states[-1].data[0].astype(np.float64)
         start = packed.prompt_lens[0]
         vec = final[start : start + len(tgt)].mean(axis=0)
@@ -203,7 +203,7 @@ def build_report(
     pca = pca_project(flat)
     labels = [(r.lang, r.sid) for r in flat]
     norm_examples = [
-        ("translation", vocab.encode(row["src"]))
+        (STAGE_TRANSLATION, vocab.encode(row["src"]))
         for row in sorted(parallel_rows, key=lambda r: (r["lang"], r["sid"]))
     ]
     profile = norm_ratio_profile(model, norm_examples)

@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import build_report, write_report
 from .checkpoint import checkpoint_from_params, load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig, build_model, config_digest, load_run_config
-from .data import generate_synthetic_corpus, load_corpus_dir, write_corpus_dir
+from .data import STAGE_TASK, STAGE_TRANSLATION, STAGES, generate_synthetic_corpus, load_corpus_dir, write_corpus_dir
 from .errors import (
     ConfigError,
     ContractError,
@@ -30,8 +30,7 @@ from .errors import (
     NumericError,
     PairingError,
 )
-from .files import write_atomic
-from .model import AblationFlags
+from .files import build, write_atomic
 from .training import (
     EvalReport,
     evaluate,
@@ -40,29 +39,17 @@ from .training import (
     write_trace,
 )
 
-STAGE_NAMES = {"1": "translation", "2": "task"}
+STAGE_NAMES = {str(i): tag for i, tag in enumerate(STAGES, start=1)}
 
 
-def _apply_cli_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if getattr(args, "out", None) is not None:
-        config.out_dir = args.out
-    updates: dict = {}
-    if getattr(args, "ablate", None):
-        valid = {f.name for f in dataclasses.fields(AblationFlags) if f.name != "layer_subset"}
-        for name in args.ablate.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name not in valid:
-                raise ConfigError(f"unknown ablation flag {name!r}; valid: {sorted(valid)}")
-            updates[name] = True
-    if getattr(args, "layers", None) is not None:
-        updates["layer_subset"] = args.layers
-    if updates:
-        config.ablations = dataclasses.replace(config.ablations, **updates)
-    return config
+def _load_config(args) -> RunConfig:
+    """The run config: flags over ``LAYERBRIDGE_*`` variables over the config
+    file, the flags built as one more override object by the same builder."""
+    ablations = {name.strip(): True for name in (args.ablate or "").split(",") if name.strip()}
+    if args.layers is not None:
+        ablations["layer_subset"] = args.layers
+    flags = {"seed": args.seed, "out_dir": args.out, "ablations": ablations}
+    return build(load_run_config(args.config), {k: v for k, v in flags.items() if v is not None}, "")
 
 
 def _load_corpus(config: RunConfig):
@@ -72,7 +59,7 @@ def _load_corpus(config: RunConfig):
 
 
 def cmd_gen_synth(args) -> int:
-    config = _apply_cli_overrides(load_run_config(args.config), args)
+    config = _load_config(args)
     corpus = generate_synthetic_corpus(config.data.synth, config.seed)
     out_dir = Path(config.out_dir) / "corpus"
     paths = write_corpus_dir(out_dir, corpus, config.seed)
@@ -97,15 +84,15 @@ def _reference_defaults() -> dict:
 
 
 def cmd_train(args) -> int:
-    config = _apply_cli_overrides(load_run_config(args.config), args)
+    config = _load_config(args)
     stage = STAGE_NAMES[args.stage]
-    if stage == "translation" and config.ablations.skip_stage1:
+    if stage == STAGE_TRANSLATION and config.ablations.skip_stage1:
         raise ConfigError("train --stage 1 conflicts with the skip_stage1 ablation")
     digest = config_digest(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if stage == "task" and args.resume is None:
+    if stage == STAGE_TASK and args.resume is None:
         config.ablations = dataclasses.replace(config.ablations, skip_stage1=True)
 
     corpus = _load_corpus(config)
@@ -114,7 +101,7 @@ def cmd_train(args) -> int:
         ckpt = load_checkpoint(args.resume, expected_digest=digest, force=args.force)
         restore_params(model.trainable_params(), ckpt)
 
-    if stage == "translation":
+    if stage == STAGE_TRANSLATION:
         plan, examples, train = config.stage1, corpus.stage1, train_stage1
     else:
         plan, examples, train = config.stage2, corpus.stage2, train_stage2
@@ -175,7 +162,7 @@ def write_eval_csv(path: Path, report: EvalReport) -> None:
 
 
 def cmd_eval(args) -> int:
-    config = _apply_cli_overrides(load_run_config(args.config), args)
+    config = _load_config(args)
     corpus = _load_corpus(config)
     model = _restore_for_inference(config, args.checkpoint, args.force)
     split = corpus.eval_task if args.split == "task" else corpus.stage2
@@ -189,7 +176,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = _apply_cli_overrides(load_run_config(args.config), args)
+    config = _load_config(args)
     corpus = _load_corpus(config)
     model = _restore_for_inference(config, args.checkpoint, args.force)
     report = build_report(model, corpus.eval_parallel, corpus.vocab)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IngestionError, InputError
-from .files import write_atomic
+from .files import build, read_json_object, write_atomic
 
 PAD, BOS, SEP, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = {"<pad>": PAD, "<bos>": BOS, "<sep>": SEP, "<eos>": EOS}
@@ -54,7 +54,7 @@ class Vocabulary:
     def __init__(self, size: int = 512):
         base = len(SPECIAL_TOKENS) + len(NUMBER_WORDS) + len(MARKER_WORDS)
         if size < base + 1:
-            raise ConfigError(f"vocab size {size} too small; need at least {base + 1}")
+            raise ConfigError(f"vocab_size {size} too small; need at least {base + 1}")
         words = ["<pad>", "<bos>", "<sep>", "<eos>"]
         words += NUMBER_WORDS
         words += MARKER_WORDS
@@ -101,6 +101,13 @@ class Vocabulary:
         return " ".join(out)
 
 
+# the stage tag every record carries: stage one trains on translation pairs,
+# stage two on task prompts
+STAGE_TRANSLATION = "translation"
+STAGE_TASK = "task"
+STAGES = (STAGE_TRANSLATION, STAGE_TASK)
+
+
 @dataclass(frozen=True)
 class ParallelExample:
     """One training record: ciphered source, language tag, base-language
@@ -114,7 +121,7 @@ class ParallelExample:
     def __post_init__(self):
         if not self.source_text.split() or not self.target_text.split():
             raise ConfigError("parallel example with empty text")
-        if self.stage not in ("translation", "task"):
+        if self.stage not in STAGES:
             raise ConfigError(f"unknown stage tag {self.stage!r}")
 
 
@@ -293,7 +300,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> SynthCorpus:
                     source_text=vocab.decode(apply_cipher(table, base_ids)),
                     source_lang=lang,
                     target_text=vocab.decode(base_ids),
-                    stage="translation",
+                    stage=STAGE_TRANSLATION,
                 )
             )
 
@@ -330,13 +337,13 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> SynthCorpus:
 
     train_keys: set[tuple[str, str]] = set()
     stage2 = task_split(
-        {lang: spec.stage2_count(lang) for lang in langs}, train_pairs, "task", seen=train_keys
+        {lang: spec.stage2_count(lang) for lang in langs}, train_pairs, STAGE_TASK, seen=train_keys
     )
     # eval prompts must not repeat training prompts; arithmetic is held out by
     # operand-pair partition, copy/classification by prompt-string rejection
     eval_seen = set(train_keys)
     eval_task = task_split(
-        {lang: spec.eval_per_lang for lang in langs}, eval_pairs, "task", seen=eval_seen
+        {lang: spec.eval_per_lang for lang in langs}, eval_pairs, STAGE_TASK, seen=eval_seen
     )
 
     eval_parallel: list[dict] = []
@@ -443,9 +450,9 @@ CORPUS_FILES = ("stage1.jsonl", "stage2.jsonl", "eval_task.jsonl", "eval_paralle
 def write_corpus_dir(out_dir: str | Path, corpus: SynthCorpus, seed: int) -> list[Path]:
     """Persist all splits plus the generating spec; every file write is atomic.
 
-    The cipher tables are not stored: they are re-derived from (spec, seed)
-    on load, which also guards against a hand-edited spec silently pairing
-    with stale ciphertext.
+    The cipher tables are not stored: ``load_corpus_dir`` re-derives them
+    from (spec, seed) and never compares them with the stored text, so an
+    edited spec or seed loads without complaint.
     """
     out_dir = Path(out_dir)
     spec_payload = {"seed": seed, "spec": dataclasses.asdict(corpus.spec)}
@@ -460,25 +467,15 @@ def write_corpus_dir(out_dir: str | Path, corpus: SynthCorpus, seed: int) -> lis
 def load_corpus_dir(corpus_dir: str | Path) -> SynthCorpus:
     corpus_dir = Path(corpus_dir)
     spec_path = corpus_dir / "spec.json"
+    payload = read_json_object(spec_path, IngestionError, "corpus spec")
     try:
-        payload = json.loads(spec_path.read_text(encoding="utf-8"))
-    except OSError as err:
-        raise IngestionError(f"{spec_path}: cannot read corpus spec: {err}") from err
-    except json.JSONDecodeError as err:
-        raise IngestionError(f"{spec_path}:{err.lineno}: invalid JSON: {err.msg}") from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("spec", {}), dict):
-        raise IngestionError(f"{spec_path}: expected an object whose 'spec' is an object")
-    raw = dict(payload.get("spec", {}))
-    try:
-        if "tasks" in raw:
-            raw["tasks"] = tuple(raw["tasks"])
-        spec = SynthSpec(**raw)
-    except (AttributeError, TypeError, ConfigError) as err:  # a list or string where a dict belongs
+        spec = build(SynthSpec(), payload.get("spec", {}), "spec")
+        vocab = Vocabulary(spec.vocab_size)
+    except ConfigError as err:
         raise IngestionError(f"{spec_path}: {err}") from None
     seed = payload.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise IngestionError(f"{spec_path}: seed must be a non-negative integer, got {seed!r}")
-    vocab = Vocabulary(spec.vocab_size)
     ciphers = {lang: build_cipher(vocab, i, seed) for i, lang in enumerate(spec.languages)}
     return SynthCorpus(
         spec=spec,

@@ -33,9 +33,6 @@ from .data import EOS, SPECIAL_TOKENS
 from .errors import ConfigError, ContractError, NumericError
 from .nn import Linear, attention, causal_bias, feed_forward, init_layer, padding_bias, self_attention
 
-STAGE_TRANSLATION = "translation"
-STAGE_TASK = "task"
-
 # frozen stand-in init scales; see encoder.EMB_SCALE for the rationale
 EMB_SCALE = 0.5
 POS_SCALE = 0.3

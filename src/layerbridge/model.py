@@ -20,10 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bridge import Adapter, FusedKV, LayerSubset, LayerWiseAligner, adapt, subset_from_spec
-from .data import BOS, EOS, PAD, SEP
+from .data import BOS, EOS, PAD, SEP, STAGE_TASK, STAGES
 from .decoder import (
-    STAGE_TASK,
-    STAGE_TRANSLATION,
     Decoder,
     DecoderConfig,
     DecoderState,
@@ -228,7 +226,7 @@ class BridgedModel:
         tgt_seqs: list[np.ndarray] | None = None,
     ) -> tuple[Tensor, DecoderState, PackedBatch]:
         """Logits over the packed batch; targets are teacher-forced when given."""
-        if stage not in (STAGE_TRANSLATION, STAGE_TASK):
+        if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
         i_map, fused = self.bridge_outputs(self.encode_sources(src_seqs))
         packed = self._pack(i_map, stage, src_seqs, tgt_seqs)

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import ParallelExample, SynthCorpus, SynthSpec, Vocabulary
+from .data import STAGE_TASK, STAGE_TRANSLATION, STAGES, ParallelExample, SynthCorpus, SynthSpec, Vocabulary
+from .decoder import DecoderConfig
+from .encoder import EncoderConfig
 from .errors import ConfigError, IngestionError, InputError
 from .files import write_atomic
 from .model import AblationFlags, BridgedModel
@@ -122,9 +124,8 @@ def _run_stage(
         clip_norm=plan.clip_norm,
     )
     params = model.trainable_params()
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, 1 if expected_tag == "translation" else 2])
-    )
+    # stage one shuffles with stream 1 and stage two with stream 2
+    rng = np.random.default_rng(np.random.SeedSequence([seed, STAGES.index(expected_tag) + 1]))
     trace: list[TraceRow] = []
     epoch_losses: list[float] = []
     step = 0
@@ -184,7 +185,7 @@ def train_stage1(
     seed: int = 0,
     on_epoch_end=None,
 ) -> TrainResult:
-    return _run_stage(model, plan, "translation", corpus, vocab, seed, on_epoch_end)
+    return _run_stage(model, plan, STAGE_TRANSLATION, corpus, vocab, seed, on_epoch_end)
 
 
 def train_stage2(
@@ -195,7 +196,7 @@ def train_stage2(
     seed: int = 0,
     on_epoch_end=None,
 ) -> TrainResult:
-    return _run_stage(model, plan, "task", corpus, vocab, seed, on_epoch_end)
+    return _run_stage(model, plan, STAGE_TASK, corpus, vocab, seed, on_epoch_end)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +329,6 @@ def train_arm(
     dec_config=None,
     train: bool = True,
 ) -> tuple[BridgedModel, ArmOutcome]:
-    from .encoder import EncoderConfig
-    from .decoder import DecoderConfig
-
     model = BridgedModel(
         enc_config or EncoderConfig(),
         dec_config or DecoderConfig(),

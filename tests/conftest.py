@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference oracles and tiny model builders."""
+"""Shared test helpers: finite-difference oracles, tiny model builders and
+the bounded JSON values the input fuzzes draw."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from layerbridge.autodiff import Tape, Tensor, add, backward, matmul, mul, reshape, softmax, transpose
 
@@ -95,6 +97,21 @@ def fail_file_writes(monkeypatch) -> None:
         raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(Path, "write_bytes", write_half)
+
+
+# any JSON value, small enough that no draw asks for a huge vocabulary or split
+_JSON_SCALARS = st.one_of(
+    st.integers(-3, 12),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 @pytest.fixture

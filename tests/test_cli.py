@@ -314,10 +314,10 @@ def test_failed_write_keeps_old_output_and_exits_4(tmp_path, monkeypatch, capsys
 
 def test_unknown_ablation_flag(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    for flag in ("no_such", "skip_stage2"):
+    for flag in ("no_such", "skip_stage2", "layer_subset"):
         assert main(["train", "--config", cfg, "--stage", "1", "--ablate", flag]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and repr(flag) in err
+        assert "configuration error: ablations" in err and flag in err
 
 
 def test_stage1_under_skip_stage1_is_refused(tmp_path, capsys):
@@ -329,9 +329,48 @@ def test_stage1_under_skip_stage1_is_refused(tmp_path, capsys):
 
 def test_ablate_flag_applies(tmp_path):
     cfg = write_config(tmp_path)
-    assert main(["train", "--config", cfg, "--stage", "1", "--ablate", "no_aligner"]) == 0
-    meta = json.loads((tmp_path / "run" / "metadata.json").read_text())
-    assert meta["ablations"] == ["no_aligner"]
+    for names in ("no_aligner", ",no_aligner, "):
+        assert main(["train", "--config", cfg, "--stage", "1", "--ablate", names]) == 0
+        meta = json.loads((tmp_path / "run" / "metadata.json").read_text())
+        assert meta["ablations"] == ["no_aligner"]
+
+
+def stage1_metadata(tmp_path, name, *flags, **config) -> dict:
+    cfg = write_config(tmp_path, name, **config)
+    assert main(["train", "--config", cfg, "--stage", "1", *flags]) == 0
+    return json.loads((tmp_path / name / "metadata.json").read_text())
+
+
+def test_flag_env_and_file_give_one_digest(tmp_path, monkeypatch):
+    by_flag = stage1_metadata(tmp_path, "flag", "--seed", "3")
+    by_file = stage1_metadata(tmp_path, "file", seed=3)
+    monkeypatch.setenv("LAYERBRIDGE_SEED", "3")
+    by_env = stage1_metadata(tmp_path, "env")
+    assert by_flag["seed"] == by_env["seed"] == by_file["seed"] == 3
+    assert by_flag["config_digest"] == by_env["config_digest"] == by_file["config_digest"]
+
+
+def test_ablation_flags_and_section_give_one_digest(tmp_path):
+    by_flags = stage1_metadata(tmp_path, "flags", "--ablate", "no_aligner,dynamic_gate", "--layers", "last:3")
+    by_file = stage1_metadata(
+        tmp_path, "file", ablations={"no_aligner": True, "dynamic_gate": True, "layer_subset": "last:3"}
+    )
+    assert by_flags["ablations"] == by_file["ablations"]
+    assert by_flags["config_digest"] == by_file["config_digest"]
+
+
+def test_flag_beats_env_beats_file(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, seed=1)
+    spec_path = tmp_path / "run" / "corpus" / "spec.json"
+
+    def seed_written(*flags) -> int:
+        assert main(["gen-synth", "--config", cfg, *flags]) == 0
+        return json.loads(spec_path.read_text())["seed"]
+
+    assert seed_written() == 1
+    monkeypatch.setenv("LAYERBRIDGE_SEED", "2")
+    assert seed_written() == 2
+    assert seed_written("--seed", "3") == 3
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -372,7 +411,7 @@ BLANK_TARGET = {"src": "baba", "tgt": " ", "lang": "lang1", "stage": "translatio
         ("spec.json", json.dumps({"seed": 0, "spec": {"lrl_fraction": 2.0}}),
          "spec.json: lrl_fraction must be in (0, 1]"),
         ("spec.json", json.dumps({"seed": 0, "spec": {"explicit_ciphers": None}}),
-         "spec.json: SynthSpec.__init__() got an unexpected keyword argument 'explicit_ciphers'"),
+         "spec.json: spec: unknown keys ['explicit_ciphers']"),
     ],
 )
 def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, needle):
@@ -384,6 +423,25 @@ def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, need
     assert main(["train", "--config", cfg2, "--stage", "1"]) == 4
     err = capsys.readouterr().err
     assert "i/o error" in err and needle in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("vocab_size", 64.0), ("vocab_size", True), ("vocab_size", 10),
+     ("stage1_per_hrl", "x"), ("max_operand", 2.5),
+     ("tasks", [["copy"]]), ("languages", {"lang1": 1, "lang2": "hrl"})],
+)
+def test_mistyped_corpus_spec_field_is_io_error(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path)
+    assert main(["gen-synth", "--config", cfg]) == 0
+    spec_path = tmp_path / "run" / "corpus" / "spec.json"
+    payload = json.loads(spec_path.read_text())
+    payload["spec"][key] = value
+    spec_path.write_text(json.dumps(payload))
+    cfg2 = write_config(tmp_path, "fromdir", data={"corpus_dir": str(spec_path.parent)})
+    assert main(["train", "--config", cfg2, "--stage", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {spec_path}: ") and key in err
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from layerbridge.training import (
     STAGE1_DEFAULT_LR,
     STAGE2_DEFAULT_LR,
 )
+from conftest import JSON_VALUES
 
 
 def test_empty_dict_gives_reference_defaults():
@@ -334,20 +335,6 @@ FUZZ_KEYS = [
     "DIAGNOSTICS__PLOTS",
 ]
 
-_JSON_SCALARS = st.one_of(
-    st.integers(-3, 12),
-    st.floats(-1e3, 1e3, allow_nan=False),
-    st.text(max_size=4),
-    st.booleans(),
-    st.none(),
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-
-
 @pytest.fixture(scope="module")
 def small_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "small.json"
@@ -363,7 +350,7 @@ def _prepare_run(config_path, environ):
 
 
 @settings(max_examples=200, deadline=None)
-@given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), _JSON_VALUES, min_size=1, max_size=3))
+@given(overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), JSON_VALUES, min_size=1, max_size=3))
 def test_fuzzed_overrides_raise_only_package_errors(small_config, overrides):
     environ = {f"LAYERBRIDGE_{key}": json.dumps(value) for key, value in overrides.items()}
     try:

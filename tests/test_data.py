@@ -7,6 +7,7 @@ cipher or the task templates shows up as a semantic mismatch, not just a
 changed hash.
 """
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -33,6 +34,7 @@ from layerbridge.data import (
     write_parallel,
 )
 from layerbridge.errors import ConfigError, IngestionError, InputError
+from conftest import JSON_VALUES
 
 SMALL_SPEC = SynthSpec(
     vocab_size=64,
@@ -526,9 +528,31 @@ def test_load_corpus_dir_unknown_spec_field(tmp_path):
 @pytest.mark.parametrize(
     "spec",
     [{"languages": [1, 2]}, {"languages": "abc"}, {"tasks": [[1]]},
-     {"lrl_fraction": "half"}, {"max_operand": [3]}],
+     {"lrl_fraction": "half"}, {"max_operand": [3]},
+     {"vocab_size": 64.0}, {"vocab_size": True}, {"vocab_size": 10},
+     {"stage1_per_hrl": "x"}, {"max_operand": 2.5}],
 )
 def test_load_corpus_dir_mistyped_spec_field(tmp_path, spec):
     (tmp_path / "spec.json").write_text(json.dumps({"seed": 0, "spec": spec}))
     with pytest.raises(IngestionError, match="spec.json"):
         load_corpus_dir(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus_dir(tmp_path_factory, small_corpus):
+    out = tmp_path_factory.mktemp("fuzz") / "corpus"
+    write_corpus_dir(out, small_corpus, seed=3)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(SynthSpec)]),
+                              JSON_VALUES, min_size=1, max_size=3))
+def test_fuzzed_spec_fields_raise_only_ingestion_errors(fuzz_corpus_dir, fields):
+    spec_path = fuzz_corpus_dir / "spec.json"
+    payload = {"seed": 3, "spec": dict(dataclasses.asdict(SMALL_SPEC), **fields)}
+    spec_path.write_text(json.dumps(payload))
+    try:
+        load_corpus_dir(fuzz_corpus_dir)
+    except IngestionError as err:
+        assert str(fuzz_corpus_dir) in str(err)
