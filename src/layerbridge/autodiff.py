@@ -246,17 +246,6 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), rule)
 
 
-def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * sig)
-    x_data = x.data
-
-    def rule(g):
-        return (g * (sig * (1.0 + x_data * (1.0 - sig))),)
-
-    return _record(out, (x,), rule)
-
-
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
     out = Tensor(t)

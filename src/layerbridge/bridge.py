@@ -88,29 +88,19 @@ def subset_from_spec(spec: str, n_layers: int) -> LayerSubset:
 
 
 class Adapter:
-    """Position-wise map from encoder width to decoder width over the final
-    encoder state. The default is a single linear; the deeper variant inserts
-    an encoder-width linear and a SiLU in front of it."""
+    """Position-wise linear map from encoder width to decoder width over the
+    final encoder state."""
 
-    def __init__(self, rng: np.random.Generator, d_enc: int, d_dec: int, deep: bool = False):
+    def __init__(self, rng: np.random.Generator, d_enc: int, d_dec: int):
         self.d_enc = d_enc
         self.d_dec = d_dec
-        self.deep = deep
-        self.pre = Linear(rng, d_enc, d_enc) if deep else None
         self.proj = Linear(rng, d_enc, d_dec)
 
     def __call__(self, final_state: Tensor) -> Tensor:
-        h = final_state
-        if self.pre is not None:
-            h = ad.silu(self.pre(h))
-        return self.proj(h)
+        return self.proj(final_state)
 
     def named_params(self, prefix: str = "adapter") -> dict[str, Tensor]:
-        out = {}
-        if self.pre is not None:
-            out.update(self.pre.named_params(f"{prefix}.pre"))
-        out.update(self.proj.named_params(f"{prefix}.proj"))
-        return out
+        return self.proj.named_params(f"{prefix}.proj")
 
 
 def adapt(adapter: Adapter, stack: LayerStack) -> Tensor:

@@ -90,7 +90,6 @@ def cmd_train(args) -> int:
         raise ConfigError("train --stage 1 conflicts with the skip_stage1 ablation")
     digest = config_digest(config)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if stage == STAGE_TASK and args.resume is None:
         config.ablations = dataclasses.replace(config.ablations, skip_stage1=True)
@@ -121,13 +120,7 @@ def cmd_train(args) -> int:
         "seed": config.seed,
         "config_digest": digest,
         "ablations": config.ablations.active(),
-        "plan": {
-            "learning_rate": plan.learning_rate,
-            "epochs": plan.epochs,
-            "batch_size": plan.batch_size,
-            "warmup_ratio": plan.warmup_ratio,
-            "clip_norm": plan.clip_norm,
-        },
+        "plan": dataclasses.asdict(plan),
         "reference_defaults": _reference_defaults(),
         "steps": result.steps,
         "rejected_steps": result.rejected_steps,
@@ -165,8 +158,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     corpus = _load_corpus(config)
     model = _restore_for_inference(config, args.checkpoint, args.force)
-    split = corpus.eval_task if args.split == "task" else corpus.stage2
-    report = evaluate(model, split, corpus.vocab, corpus.tiers())
+    report = evaluate(model, corpus.eval_task, corpus.vocab, corpus.tiers())
     write_eval_csv(Path(config.out_dir) / "eval.csv", report)
     for lang, acc in sorted(report.per_lang.items()):
         print(f"{lang:12s} {acc:6.1f}")
@@ -215,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint on the task split")
     _add_common(p)
     p.add_argument("checkpoint")
-    p.add_argument("--split", choices=("task", "train"), default="task")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="write the diagnostics report directory")

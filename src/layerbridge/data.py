@@ -187,9 +187,6 @@ class SynthSpec:
         """Task rows for ``lang``: the same for every tier."""
         return self.stage2_per_lang
 
-    def tiers(self) -> dict[str, str]:
-        return dict(self.languages)
-
 
 def build_cipher(vocab: Vocabulary, lang_index: int, seed: int) -> np.ndarray:
     """Length-vocab permutation array: identity on specials, a seeded
@@ -207,18 +204,17 @@ def apply_cipher(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SynthCorpus:
-    """All generated splits plus the cipher tables that produced them."""
+    """All generated splits of one spec, with the vocabulary they use."""
 
     spec: SynthSpec
     vocab: Vocabulary
-    ciphers: dict[str, np.ndarray]
     stage1: list[ParallelExample]
     stage2: list[ParallelExample]
     eval_task: list[ParallelExample]
     eval_parallel: list[dict]
 
     def tiers(self) -> dict[str, str]:
-        return self.spec.tiers()
+        return dict(self.spec.languages)
 
 
 def _word_pool(vocab: Vocabulary, spec: SynthSpec) -> np.ndarray:
@@ -305,7 +301,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> SynthCorpus:
             )
 
     def task_split(counts: dict[str, int], pool: list[tuple[int, int]], stage_tag: str,
-                   seen: set[tuple[str, str]] | None = None) -> list[ParallelExample]:
+                   seen: set[tuple[str, str]]) -> list[ParallelExample]:
         out = []
         for lang in langs:
             n_per_lang = counts[lang]
@@ -324,11 +320,10 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> SynthCorpus:
                 prompt_ids, answer_ids = _task_item(rng, vocab, spec, task, pool)
                 src = vocab.decode(apply_cipher(table, prompt_ids))
                 tgt = vocab.decode(answer_ids)
-                if seen is not None:
-                    key = (lang, src)
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                key = (lang, src)
+                if key in seen:
+                    continue
+                seen.add(key)
                 out.append(
                     ParallelExample(source_text=src, source_lang=lang, target_text=tgt, stage=stage_tag)
                 )
@@ -363,7 +358,6 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> SynthCorpus:
     return SynthCorpus(
         spec=spec,
         vocab=vocab,
-        ciphers=ciphers,
         stage1=stage1,
         stage2=stage2,
         eval_task=eval_task,
@@ -447,15 +441,24 @@ def read_parallel(path: str | Path, vocab: Vocabulary | None = None) -> list[dic
 CORPUS_FILES = ("stage1.jsonl", "stage2.jsonl", "eval_task.jsonl", "eval_parallel.jsonl")
 
 
-def write_corpus_dir(out_dir: str | Path, corpus: SynthCorpus, seed: int) -> list[Path]:
-    """Persist all splits plus the generating spec; every file write is atomic.
+@dataclass(frozen=True)
+class SpecFile:
+    """The top level of a corpus directory's ``spec.json``."""
 
-    The cipher tables are not stored: ``load_corpus_dir`` re-derives them
-    from (spec, seed) and never compares them with the stored text, so an
-    edited spec or seed loads without complaint.
-    """
+    seed: int = 0
+    spec: SynthSpec = field(default_factory=SynthSpec)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+
+
+def write_corpus_dir(out_dir: str | Path, corpus: SynthCorpus, seed: int) -> list[Path]:
+    """Persist all splits plus the generating (seed, spec); every file write
+    is atomic. No cipher table is stored or re-derived: the ciphered text is
+    the corpus."""
     out_dir = Path(out_dir)
-    spec_payload = {"seed": seed, "spec": dataclasses.asdict(corpus.spec)}
+    spec_payload = dataclasses.asdict(SpecFile(seed, corpus.spec))
     spec_path = write_atomic(out_dir / "spec.json", json.dumps(spec_payload, sort_keys=True, indent=2) + "\n")
     write_corpus(out_dir / "stage1.jsonl", corpus.stage1)
     write_corpus(out_dir / "stage2.jsonl", corpus.stage2)
@@ -469,18 +472,13 @@ def load_corpus_dir(corpus_dir: str | Path) -> SynthCorpus:
     spec_path = corpus_dir / "spec.json"
     payload = read_json_object(spec_path, IngestionError, "corpus spec")
     try:
-        spec = build(SynthSpec(), payload.get("spec", {}), "spec")
+        spec = build(SpecFile(), payload, "").spec
         vocab = Vocabulary(spec.vocab_size)
     except ConfigError as err:
         raise IngestionError(f"{spec_path}: {err}") from None
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise IngestionError(f"{spec_path}: seed must be a non-negative integer, got {seed!r}")
-    ciphers = {lang: build_cipher(vocab, i, seed) for i, lang in enumerate(spec.languages)}
     return SynthCorpus(
         spec=spec,
         vocab=vocab,
-        ciphers=ciphers,
         stage1=read_corpus(corpus_dir / "stage1.jsonl", vocab),
         stage2=read_corpus(corpus_dir / "stage2.jsonl", vocab),
         eval_task=read_corpus(corpus_dir / "eval_task.jsonl", vocab),

@@ -56,12 +56,12 @@ def build(base, data: dict, path: str):
     Any bad key or value raises ``ConfigError`` at its dotted ``path``."""
     cls = type(base)
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
+        raise ConfigError(f"{path or 'top level'}: expected an object, got {type(data).__name__}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(data) - set(types))
     if unknown:
-        raise ConfigError(f"{path or 'config'}: unknown keys {unknown}")
+        raise ConfigError(f"{path or 'top level'}: unknown keys {unknown}")
     kwargs = {}
     for key, value in data.items():
         dotted = f"{path}.{key}" if path else key
@@ -80,4 +80,4 @@ def build(base, data: dict, path: str):
     try:
         return dataclasses.replace(base, **kwargs)
     except TypeError as err:
-        raise ConfigError(f"{path or 'config'}: {err}") from err
+        raise ConfigError(f"{path or 'top level'}: {err}") from err

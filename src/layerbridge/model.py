@@ -41,7 +41,6 @@ DECODER_SEED = 11
 @dataclass(frozen=True)
 class BridgeSettings:
     d_hidden: int = 96
-    deep_adapter: bool = False
 
     def __post_init__(self):
         if self.d_hidden < 1:
@@ -94,7 +93,7 @@ class BridgedModel:
         self.encoder = Encoder(enc_config, seed=ENCODER_SEED)
         self.decoder = Decoder(dec_config, seed=DECODER_SEED)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB21D]))
-        self.adapter = Adapter(rng, enc_config.d_enc, dec_config.d_dec, deep=settings.deep_adapter)
+        self.adapter = Adapter(rng, enc_config.d_enc, dec_config.d_dec)
         self.aligner = LayerWiseAligner(
             rng,
             n_enc_layers=enc_config.n_layers,

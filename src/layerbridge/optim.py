@@ -26,7 +26,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    clip_norm: float | None = None
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -37,15 +36,6 @@ class AdamState:
         if self.warmup_steps > 0 and step < self.warmup_steps:
             return self.base_lr * (step + 1) / self.warmup_steps
         return self.base_lr
-
-
-def global_grad_norm(params: dict[str, Tensor]) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            g = p.grad.astype(np.float64, copy=False)
-            total += float(np.sum(g * g))
-    return float(np.sqrt(total))
 
 
 def adam_step(state: AdamState, params: dict[str, Tensor]) -> bool:
@@ -66,18 +56,12 @@ def adam_step(state: AdamState, params: dict[str, Tensor]) -> bool:
             state.rejected_steps += 1
             return False
 
-    scale = 1.0
-    if state.clip_norm is not None:
-        norm = global_grad_norm(params)
-        if norm > state.clip_norm:
-            scale = state.clip_norm / (norm + 1e-12)
-
     lr = state.lr_at(state.step_count)
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
-        g = p.grad * scale
+        g = p.grad
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p.data)

@@ -10,7 +10,7 @@ synthetic desk-scale runs use the calibrated ``SYNTHETIC_STAGES`` instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ class StageConfig:
     epochs: int = DEFAULT_EPOCHS
     batch_size: int = DEFAULT_BATCH
     warmup_ratio: float = DEFAULT_WARMUP_RATIO
-    clip_norm: float | None = None
     trace_every: int = 10
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class StageConfig:
             raise ConfigError(f"trace_every must be >= 1, got {self.trace_every}")
         if not 0 <= self.warmup_ratio < 1:
             raise ConfigError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 @dataclass
@@ -121,7 +118,6 @@ def _run_stage(
     opt = AdamState(
         base_lr=plan.learning_rate,
         warmup_steps=int(round(plan.warmup_ratio * total_steps)),
-        clip_norm=plan.clip_norm,
     )
     params = model.trainable_params()
     # stage one shuffles with stream 1 and stage two with stream 2
@@ -211,9 +207,7 @@ def normalize_answer(text: str) -> str:
 @dataclass
 class EvalReport:
     per_lang: dict[str, float]
-    counts: dict[str, int]
     aggregates: dict[str, float]
-    untiered: list[str] = field(default_factory=list)
 
 
 def evaluate(
@@ -227,8 +221,7 @@ def evaluate(
 
     Aggregates are unweighted means over languages: Avg over all languages
     present, Lrl/Hrl over languages mapped to that tier. A language missing
-    from ``tiers`` is reported in its own untiered bucket and still counts
-    toward Avg.
+    from ``tiers`` counts toward Avg only.
     """
     if not examples:
         raise ConfigError("evaluate needs a nonempty split")
@@ -248,7 +241,6 @@ def evaluate(
         totals[lang] = totals.get(lang, 0) + 1
         hits[lang] = hits.get(lang, 0) + int(pred == gold)
     per_lang = {lang: 100.0 * hits[lang] / totals[lang] for lang in sorted(totals)}
-    untiered = sorted(lang for lang in per_lang if lang not in tiers)
     lrl = [acc for lang, acc in per_lang.items() if tiers.get(lang) == "lrl"]
     hrl = [acc for lang, acc in per_lang.items() if tiers.get(lang) == "hrl"]
     aggregates = {
@@ -256,7 +248,7 @@ def evaluate(
         "Lrl": float(np.mean(lrl)) if lrl else float("nan"),
         "Hrl": float(np.mean(hrl)) if hrl else float("nan"),
     }
-    return EvalReport(per_lang=per_lang, counts=dict(sorted(totals.items())), aggregates=aggregates, untiered=untiered)
+    return EvalReport(per_lang=per_lang, aggregates=aggregates)
 
 
 # ---------------------------------------------------------------------------

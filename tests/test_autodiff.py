@@ -27,7 +27,6 @@ from layerbridge.autodiff import (
     narrow,
     relu,
     reshape,
-    silu,
     softmax,
     take,
     tanh,
@@ -249,11 +248,6 @@ def test_relu_gradient_away_from_kink(rng):
     assert_grad_matches(lambda: total(relu(x)), [x])
 
 
-def test_silu_gradient(rng):
-    x = _t(rng, 3, 5)
-    assert_grad_matches(lambda: total(mul(silu(x), silu(x))), [x])
-
-
 def test_tanh_gradient(rng):
     x = _t(rng, 6)
     assert_grad_matches(lambda: total(tanh(x)), [x])
@@ -390,7 +384,7 @@ def test_cross_entropy_gradient(rng):
 
 
 def test_composite_mlp_gradient(rng):
-    """One full layer: x @ W1 -> silu -> @ W2 -> softmax CE."""
+    """One full layer: x @ W1 -> tanh -> @ W2 -> softmax CE."""
     x = _t(rng, 4, 6)
     w1 = _t(rng, 6, 8, scale=0.5)
     w2 = _t(rng, 8, 5, scale=0.5)
@@ -398,7 +392,7 @@ def test_composite_mlp_gradient(rng):
     mask = np.ones(4, dtype=bool)
 
     def loss():
-        return cross_entropy(matmul(silu(matmul(x, w1)), w2), targets, mask)
+        return cross_entropy(matmul(tanh(matmul(x, w1)), w2), targets, mask)
 
     assert_grad_matches(loss, [x, w1, w2], rtol=1e-5)
 

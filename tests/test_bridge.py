@@ -66,18 +66,6 @@ def test_adapter_width_mismatch(rng):
         adapt(adapter, _stack(rng, d_enc=8))
 
 
-def test_deep_adapter_has_extra_stage(rng):
-    shallow = Adapter(rng, 8, 10)
-    deep = Adapter(rng, 8, 10, deep=True)
-    assert set(shallow.named_params()) == {"adapter.proj.weight", "adapter.proj.bias"}
-    assert set(deep.named_params()) == {
-        "adapter.pre.weight",
-        "adapter.pre.bias",
-        "adapter.proj.weight",
-        "adapter.proj.bias",
-    }
-
-
 def test_adapter_parameter_count_at_reference_dims(rng):
     """Single linear 2048 -> 4096: weights plus bias."""
     adapter = Adapter(rng, d_enc=2048, d_dec=4096)

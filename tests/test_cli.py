@@ -102,6 +102,8 @@ def test_train_stage1_outputs(stage1_run):
     assert np.isfinite(meta["final_loss"])
     assert len(meta["epoch_losses"]) == 1
     assert meta["plan"]["learning_rate"] == 0.01
+    # the run's plan and the reference defaults share one JSON form
+    assert set(meta["plan"]) == set(meta["reference_defaults"]["stage1"])
 
 
 def test_train_metadata_reference_defaults(stage1_run):
@@ -202,7 +204,6 @@ def test_eval_writes_csv(stage1_run, tmp_path, capsys):
 def test_eval_csv_round_trip(tmp_path):
     report = EvalReport(
         per_lang={"lang1": 50.0, "lang2": 1 / 3 * 100},
-        counts={"lang1": 4, "lang2": 3},
         aggregates={"Avg": 41.66666666666667, "Lrl": float("nan"), "Hrl": 41.66666666666667},
     )
     path = tmp_path / "eval.csv"
@@ -412,6 +413,8 @@ BLANK_TARGET = {"src": "baba", "tgt": " ", "lang": "lang1", "stage": "translatio
          "spec.json: lrl_fraction must be in (0, 1]"),
         ("spec.json", json.dumps({"seed": 0, "spec": {"explicit_ciphers": None}}),
          "spec.json: spec: unknown keys ['explicit_ciphers']"),
+        ("spec.json", json.dumps({"sead": 0, "spec": {}}), "spec.json: top level: unknown keys ['sead']"),
+        ("spec.json", json.dumps({"seed": True, "spec": {}}), "spec.json: seed: expected int, got True"),
     ],
 )
 def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, needle):
@@ -423,6 +426,7 @@ def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, need
     assert main(["train", "--config", cfg2, "--stage", "1"]) == 4
     err = capsys.readouterr().err
     assert "i/o error" in err and needle in err
+    assert not (tmp_path / "fromdir").exists()
 
 
 @pytest.mark.parametrize(
@@ -442,6 +446,15 @@ def test_mistyped_corpus_spec_field_is_io_error(tmp_path, capsys, key, value):
     assert main(["train", "--config", cfg2, "--stage", "1"]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"i/o error: {spec_path}: ") and key in err
+    assert not (tmp_path / "fromdir").exists()
+
+
+def test_missing_resume_checkpoint_is_io_error_and_writes_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    absent = tmp_path / "absent.bin"
+    assert main(["train", "--config", cfg, "--stage", "2", "--resume", str(absent)]) == 4
+    assert str(absent) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,9 @@ def test_unknown_top_level_key():
 # special ids and init scales are constants of data, encoder and decoder.
 REMOVED_KEYS = [
     ("bridge", "separate_kv", False),
+    ("bridge", "deep_adapter", False),
+    ("stage1", "clip_norm", None),
+    ("stage2", "clip_norm", 1.0),
     ("ablations", "skip_stage2", False),
     ("data.synth", "stage2_lrl_fraction", 1.0),
     ("data.synth", "explicit_ciphers", None),
@@ -280,11 +283,11 @@ def test_build_model_uses_config():
 
 def test_stage_sections_parse_to_stage_configs():
     cfg = run_config_from_dict(
-        {"seed": 2, "stage1": {"epochs": 4}, "stage2": {"learning_rate": 0.01, "clip_norm": 1.0}}
+        {"seed": 2, "stage1": {"epochs": 4}, "stage2": {"learning_rate": 0.01, "warmup_ratio": 0.1}}
     )
     assert StageConfig is training.StageConfig
     assert cfg.stage1 == StageConfig(epochs=4)
-    assert cfg.stage2 == StageConfig(learning_rate=0.01, clip_norm=1.0)
+    assert cfg.stage2 == StageConfig(learning_rate=0.01, warmup_ratio=0.1)
 
 
 def test_partial_stage2_section_keeps_run_config_default_rate():
@@ -325,8 +328,8 @@ FUZZ_KEYS = [
     "SEED",
     *(f"ENCODER__{k}" for k in ("VOCAB_SIZE", "D_ENC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS")),
     *(f"DECODER__{k}" for k in ("VOCAB_SIZE", "D_DEC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS")),
-    "BRIDGE", "BRIDGE__D_HIDDEN", "BRIDGE__DEEP_ADAPTER",
-    "STAGE1__LEARNING_RATE", "STAGE1__EPOCHS", "STAGE1__BATCH_SIZE", "STAGE1__CLIP_NORM",
+    "BRIDGE", "BRIDGE__D_HIDDEN",
+    "STAGE1__LEARNING_RATE", "STAGE1__EPOCHS", "STAGE1__BATCH_SIZE",
     "STAGE2__WARMUP_RATIO", "STAGE2__TRACE_EVERY",
     *(f"ABLATIONS__{k}" for k in ("NO_ADAPTER", "NO_ALIGNER", "NO_LLM_INPUT", "DYNAMIC_GATE", "LAYER_SUBSET")),
     *(f"DATA__SYNTH__{k}" for k in ("VOCAB_SIZE", "LANGUAGES", "STAGE1_PER_HRL", "LRL_FRACTION",

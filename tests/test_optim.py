@@ -5,7 +5,7 @@ import pytest
 
 from layerbridge.autodiff import Tape, Tensor, add, backward, mul
 from layerbridge.errors import ContractError
-from layerbridge.optim import AdamState, adam_step, global_grad_norm
+from layerbridge.optim import AdamState, adam_step
 from conftest import total
 
 
@@ -81,46 +81,6 @@ def test_gradient_shape_mismatch_is_a_contract_error():
     state = AdamState(base_lr=0.1)
     with pytest.raises(ContractError, match="shape"):
         adam_step(state, {"p": p})
-
-
-def test_global_norm_clip_matches_prescaled_gradients():
-    """Clipping to norm c must act exactly like feeding gradients scaled by
-    c/||g|| into an unclipped optimizer."""
-    g = np.array([3.0, 4.0])  # norm 5
-    clip = 1.0
-
-    p_clipped = _param([1.0, 1.0])
-    p_clipped.grad = g.copy()
-    s_clipped = AdamState(base_lr=0.1, clip_norm=clip)
-    adam_step(s_clipped, {"p": p_clipped})
-
-    p_manual = _param([1.0, 1.0])
-    p_manual.grad = g * (clip / (np.linalg.norm(g) + 1e-12))
-    s_manual = AdamState(base_lr=0.1)
-    adam_step(s_manual, {"p": p_manual})
-
-    assert np.allclose(p_clipped.data, p_manual.data, atol=1e-12)
-
-
-def test_clip_is_inactive_below_threshold():
-    p = _param([1.0, 1.0])
-    p.grad = np.array([0.3, 0.4])  # norm 0.5
-    s = AdamState(base_lr=0.1, clip_norm=1.0)
-    adam_step(s, {"p": p})
-
-    q = _param([1.0, 1.0])
-    q.grad = np.array([0.3, 0.4])
-    s2 = AdamState(base_lr=0.1)
-    adam_step(s2, {"q": q})
-    assert np.all(p.data == q.data)
-
-
-def test_global_grad_norm_spans_parameters():
-    a = _param([3.0])
-    b = _param([4.0])
-    a.grad = np.array([3.0])
-    b.grad = np.array([4.0])
-    assert global_grad_norm({"a": a, "b": b}) == pytest.approx(5.0)
 
 
 def test_first_step_moves_by_roughly_lr():

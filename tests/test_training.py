@@ -86,8 +86,6 @@ def test_default_plan_overrides():
         {"warmup_ratio": 1.0},
         {"warmup_ratio": -0.1},
         {"learning_rate": 0.0},
-        {"clip_norm": 0.0},
-        {"clip_norm": -1.0},
     ],
 )
 def test_plan_validation(kwargs):
@@ -283,11 +281,9 @@ def test_evaluate_scores_exact_match_per_language():
     )
     report = evaluate(stub, rows, VOCAB, tiers={"A": "hrl", "B": "lrl"})
     assert report.per_lang == {"A": 50.0, "B": 0.0, "C": 100.0}
-    assert report.counts == {"A": 2, "B": 1, "C": 1}
     assert report.aggregates["Avg"] == 50.0
     assert report.aggregates["Hrl"] == 50.0
     assert report.aggregates["Lrl"] == 0.0
-    assert report.untiered == ["C"]
 
 
 def test_evaluate_without_lrl_tier_yields_nan():
