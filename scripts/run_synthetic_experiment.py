@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from layerbridge.data import generate_synthetic_corpus
+from layerbridge.files import write_atomic
 from layerbridge.training import ARMS, benchmark_spec, run_synthetic_benchmark, write_trace
 
 
@@ -55,14 +56,13 @@ def main():
 
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         lines = ["arm,lang,accuracy"]
         for name, outcome in outcomes.items():
             for lang in langs:
                 lines.append(f"{name},{lang},{outcome.report.per_lang[lang]!r}")
             for key in ("Avg", "Lrl", "Hrl"):
                 lines.append(f"{name},{key},{outcome.report.aggregates[key]!r}")
-        (out_dir / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(out_dir / "results.csv", "\n".join(lines) + "\n")
         for name, outcome in outcomes.items():
             for result in outcome.results:
                 write_trace(out_dir / f"trace_{name}_{result.stage}.csv", result.trace)

@@ -2,17 +2,18 @@
 
 A small multilingual-style encoder is frozen, a small decoder LM is frozen,
 and only the pieces between them train: a soft-prompt adapter over the
-encoder's final layer, a per-decoder-layer aligner that mixes all encoder
-layers into fused keys/values, and one zero-initialized gate per decoder
-layer scaling the injected cross-attention. Everything runs on numpy with a
-tape-based autodiff core, at desk scale, deterministically.
+encoder's final layer, an aligner that mixes the encoder layers into one
+memory for each decoder layer, and one zero-initialized gate per decoder
+layer scaling that layer's cross-attention read of its memory. Everything
+runs on numpy with a tape-based autodiff core, at desk scale,
+deterministically.
 """
 
 from .autodiff import Tape, Tensor, backward
-from .bridge import Adapter, LayerSubset, LayerWiseAligner, aligner_weight_matrix, subset_from_spec
+from .bridge import LayerSubset, LayerWiseAligner, aligner_weight_matrix, subset_from_spec
 from .config import RunConfig, build_model, config_digest, load_run_config
 from .data import SynthCorpus, SynthSpec, Vocabulary, generate_synthetic_corpus
-from .decoder import Decoder, DecoderConfig, DynamicGates, GateVector, generate
+from .decoder import Decoder, DecoderConfig, GateVector, generate
 from .encoder import Encoder, EncoderConfig, LayerStack
 from .errors import (
     ConfigError,
@@ -25,7 +26,7 @@ from .errors import (
     PairingError,
     ShapeError,
 )
-from .model import AblationFlags, BridgedModel, BridgeSettings
+from .model import AblationFlags, BridgedModel
 from .training import (
     EvalReport,
     StageConfig,
@@ -40,14 +41,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AblationFlags",
-    "Adapter",
-    "BridgeSettings",
     "BridgedModel",
     "ConfigError",
     "ContractError",
     "Decoder",
     "DecoderConfig",
-    "DynamicGates",
     "EmptyLossError",
     "Encoder",
     "EncoderConfig",

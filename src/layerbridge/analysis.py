@@ -162,7 +162,7 @@ def norm_ratio_profile(
             ca = np.zeros_like(sa)
             if state.ca_outputs[i] is not None:
                 ca_norm = np.linalg.norm(state.ca_outputs[i].data, axis=-1, keepdims=True)
-                ca = (np.abs(state.gates[i].data) * ca_norm)[0, :, 0].astype(np.float64)
+                ca = (np.abs(model.gates.values[i].data) * ca_norm)[0, :, 0].astype(np.float64)
             usable = valid & (sa > 0)
             skipped[i] += int((valid & (sa == 0)).sum())
             if not usable.any():

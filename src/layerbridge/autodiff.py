@@ -246,16 +246,6 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), rule)
 
 
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    out = Tensor(t)
-
-    def rule(g):
-        return (g * (1.0 - t * t),)
-
-    return _record(out, (x,), rule)
-
-
 # ---------------------------------------------------------------------------
 # shape plumbing
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Trainable bridge between the frozen encoder and the frozen decoder.
 
-Two components. The adapter maps the encoder's final state position-wise
-into decoder width, producing the soft prompt spliced into the decoder's
-input. The layer-wise aligner holds one learned softmax weighting over the
-earlier encoder states (0..n-1 by default) per decoder layer. In one pass it
-mixes the stacked states by the whole [m, k] weight matrix, runs the m
-mixtures through the fusion network shared across decoder layers, and hands
-decoder layer i the i-th slice as its memory, which that layer reads
-through its own key and value projections.
+Two components. The adapter is one ``nn.Linear`` that ``adapt`` applies
+position-wise to the encoder's final state, mapping it into decoder width;
+its output is the soft prompt spliced into the decoder's input. The
+layer-wise aligner holds one learned softmax weighting over the earlier
+encoder states (0..n-1 by default) per decoder layer. In one pass it mixes
+the stacked states by the whole [m, k] weight matrix, runs the m mixtures
+through the fusion network shared across decoder layers, and hands decoder
+layer i the i-th slice as its memory, which that layer reads through its
+own key and value projections.
 
 Encoder states arrive as read-only numpy arrays; they enter the graph as
 constants, so gradients reach only the bridge's own parameters.
@@ -87,29 +88,13 @@ def subset_from_spec(spec: str, n_layers: int) -> LayerSubset:
     return LayerSubset(indices=indices)
 
 
-class Adapter:
-    """Position-wise linear map from encoder width to decoder width over the
-    final encoder state."""
-
-    def __init__(self, rng: np.random.Generator, d_enc: int, d_dec: int):
-        self.d_enc = d_enc
-        self.d_dec = d_dec
-        self.proj = Linear(rng, d_enc, d_dec)
-
-    def __call__(self, final_state: Tensor) -> Tensor:
-        return self.proj(final_state)
-
-    def named_params(self, prefix: str = "adapter") -> dict[str, Tensor]:
-        return self.proj.named_params(f"{prefix}.proj")
-
-
-def adapt(adapter: Adapter, stack: LayerStack) -> Tensor:
-    """Soft prompt [batch, src_len, d_dec] from the final encoder state."""
+def adapt(adapter: Linear, stack: LayerStack) -> Tensor:
+    """Soft prompt [batch, src_len, d_dec]: ``adapter`` applied to the final
+    encoder state."""
     final = stack.final
-    if final.shape[-1] != adapter.d_enc:
-        raise ConfigError(
-            f"adapter expects encoder width {adapter.d_enc}, stack carries {final.shape[-1]}"
-        )
+    d_enc = adapter.weight.shape[0]
+    if final.shape[-1] != d_enc:
+        raise ConfigError(f"adapter expects encoder width {d_enc}, stack carries {final.shape[-1]}")
     return adapter(Tensor(final))
 
 

@@ -22,7 +22,7 @@ from .decoder import DecoderConfig
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .files import build, read_json_object
-from .model import AblationFlags, BridgedModel, BridgeSettings
+from .model import AblationFlags, BridgedModel
 from .training import STAGE2_DEFAULT_LR, StageConfig
 
 ENV_PREFIX = "LAYERBRIDGE_"
@@ -47,7 +47,6 @@ class RunConfig:
     out_dir: str = "runs/default"
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
-    bridge: BridgeSettings = field(default_factory=BridgeSettings)
     stage1: StageConfig = field(default_factory=StageConfig)
     stage2: StageConfig = field(default_factory=lambda: StageConfig(learning_rate=STAGE2_DEFAULT_LR))
     data: DataConfig = field(default_factory=DataConfig)
@@ -112,7 +111,6 @@ def build_model(config: RunConfig) -> BridgedModel:
     return BridgedModel(
         enc_config=config.encoder,
         dec_config=config.decoder,
-        settings=config.bridge,
         ablations=config.ablations,
         seed=config.seed,
     )

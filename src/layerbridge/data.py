@@ -160,6 +160,9 @@ class SynthSpec:
                 raise ConfigError(f"language {lang!r} has unknown tier {tier!r}")
             if lang == "base":
                 raise ConfigError("'base' names the target language; pick another name")
+        for name in ("stage1_per_hrl", "stage2_per_lang", "eval_per_lang", "parallel_sentences"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.lrl_fraction <= 1:
             raise ConfigError(f"lrl_fraction must be in (0, 1], got {self.lrl_fraction}")
         unknown = set(self.tasks) - {"arithmetic", "copy", "classification"}

@@ -7,10 +7,6 @@ re-entering the residual stream. Gates start at exactly zero, so an
 untrained model is indistinguishable from the plain decoder; training moves
 only the gates (and bridge parameters), never the decoder weights.
 
-The dynamic-gate variant replaces each scalar with a per-position value
-squashed through tanh from a tiny linear read of the layer's incoming
-hidden state.
-
 Greedy decoding runs the same forward pass through a ``DecodeCache``: the
 prompt once, then one position per emitted token.
 
@@ -74,58 +70,19 @@ class GateVector:
     def named_params(self, prefix: str = "gates") -> dict[str, Tensor]:
         return {f"{prefix}.layer{i + 1}": g for i, g in enumerate(self.values)}
 
-    def gate_for(self, layer_index: int, hidden: Tensor) -> Tensor:
-        """The scalar gate of 1-based ``layer_index``; ``hidden`` is unread."""
-        return self.values[layer_index - 1]
-
     def snapshot(self) -> list[float]:
         return [float(g.data[0]) for g in self.values]
-
-
-class DynamicGates:
-    """Per-layer tanh(linear) gate nets reading the current hidden state.
-
-    Weights and biases start at zero so the initial gate is exactly 0
-    everywhere, preserving the smooth-start behaviour of the scalar gates.
-    """
-
-    def __init__(self, n_layers: int, d_dec: int):
-        self.nets = []
-        for _ in range(n_layers):
-            self.nets.append(
-                {
-                    "weight": Tensor(np.zeros((d_dec, 1), dtype=np.float32), requires_grad=True),
-                    "bias": Tensor(np.zeros(1, dtype=np.float32), requires_grad=True),
-                }
-            )
-
-    def named_params(self, prefix: str = "gates.dynamic") -> dict[str, Tensor]:
-        out = {}
-        for i, net in enumerate(self.nets):
-            out[f"{prefix}.layer{i + 1}.weight"] = net["weight"]
-            out[f"{prefix}.layer{i + 1}.bias"] = net["bias"]
-        return out
-
-    def gate_for(self, layer_index: int, hidden: Tensor) -> Tensor:
-        """Per-position gate [batch, dec_len, 1] for 1-based ``layer_index``."""
-        net = self.nets[layer_index - 1]
-        return ad.tanh(ad.linear(hidden, net["weight"], net["bias"]))
-
-    def snapshot(self) -> list[float]:
-        # the constant component of each gate; per-position values vary
-        return [float(np.tanh(net["bias"].data[0])) for net in self.nets]
 
 
 @dataclass
 class DecoderState:
     """Forward-pass record: hidden sequences T_0..T_m and, per layer, the
-    self-attention output, the ungated cross-attention output and the gate
-    that scaled it (``None`` for both where the layer read no memory)."""
+    self-attention output and the ungated cross-attention output (``None``
+    where the layer read no memory)."""
 
     states: list[Tensor]
     sa_outputs: list[Tensor] = field(default_factory=list)
     ca_outputs: list[Tensor | None] = field(default_factory=list)
-    gates: list[Tensor | None] = field(default_factory=list)
 
 
 @dataclass
@@ -189,7 +146,7 @@ class Decoder:
         self,
         t0: Tensor,
         fused: FusedKV | None,
-        gates: GateVector | DynamicGates | None,
+        gates: GateVector | None,
         valid: np.ndarray | None = None,
         cache: DecodeCache | None = None,
     ) -> tuple[Tensor, DecoderState]:
@@ -242,11 +199,10 @@ class Decoder:
         x = ad.add(t0, Tensor(self.pos_emb.data[offset : offset + dec_len][None]))
         state = DecoderState(states=[t0])
         for i in range(1, c.n_layers + 1):
-            x, sa, ca, gate = self.block(i, x, sa_bias, fused, gates, cache)
+            x, sa, ca = self.block(i, x, sa_bias, fused, gates, cache)
             state.states.append(x)
             state.sa_outputs.append(sa)
             state.ca_outputs.append(ca)
-            state.gates.append(gate)
         if cache is not None:
             cache.offset += dec_len
         return self.head(ad.layer_norm(x)), state
@@ -257,16 +213,16 @@ class Decoder:
         x: Tensor,
         sa_bias: np.ndarray | None,
         fused: FusedKV | None,
-        gates: GateVector | DynamicGates | None,
+        gates: GateVector | None,
         cache: DecodeCache | None = None,
-    ) -> tuple[Tensor, Tensor, Tensor | None, Tensor | None]:
+    ) -> tuple[Tensor, Tensor, Tensor | None]:
         """One gated block (1-based ``index``): x + SA + g * CA, then the FFN.
 
-        Returns (block output, SA output, ungated CA output, gate).
+        Returns (block output, SA output, ungated CA output).
         Cross-attention reads ``fused.memories[index - 1]`` through the layer's
         own ``wk`` and ``wv``, reusing the self-attention queries, with
         ``fused.bias`` hiding padded keys; with ``fused=None`` the block is
-        self-attention only and the CA output and gate are ``None``. A
+        self-attention only and the CA output is ``None``. A
         ``cache`` supplies and collects this layer's keys and values (see
         ``DecodeCache``).
         """
@@ -284,22 +240,21 @@ class Decoder:
                 attention(q, *memory, self.config.n_heads, bias=fused.bias),
                 layer["wo"],
             )
-            gate = gates.gate_for(index, x)
-            gated = ad.mul(ca, gate)
+            gated = ad.mul(ca, gates.values[index - 1])
             out = ad.add(ad.add(x, sa), gated)
         else:
-            out, ca, gate = ad.add(x, sa), None, None
+            out, ca = ad.add(x, sa), None
         out = feed_forward(layer, out)
         if not np.isfinite(out.data).all():
             raise NumericError(f"non-finite activations leaving decoder layer {index}")
-        return out, sa, ca, gate
+        return out, sa, ca
 
 
 def generate(
     decoder: Decoder,
     prompt: Tensor,
     fused: FusedKV | None,
-    gates: GateVector | DynamicGates | None,
+    gates: GateVector | None,
     max_new_tokens: int,
 ) -> list[int]:
     """Greedy decoding from an assembled prompt [1, P, d_dec].

@@ -81,3 +81,8 @@ def build(base, data: dict, path: str):
         return dataclasses.replace(base, **kwargs)
     except TypeError as err:
         raise ConfigError(f"{path or 'top level'}: {err}") from err
+    except ConfigError as err:
+        # a section's own check names a field, not the section holding it
+        if not path:
+            raise
+        raise ConfigError(f"{path}: {err}") from err

@@ -1,12 +1,12 @@
 """End-to-end model: frozen encoder -> trainable bridge -> frozen decoder.
 
-Each example's decoder row is [bos; soft prompt; sep; user tokens?;
-teacher-forced targets] at its own true length, right-padded so padding
-never sits between real tokens. The batch's T_0 is one gather: an id matrix
-indexes a table of the decoder's token embeddings with the adapter's
-soft-prompt rows stacked below them. Ablation flags rewire the forward pass
-itself, so "component removed" means the corresponding encoder states are
-genuinely unused, not merely down-weighted.
+Each example's decoder row is [bos; soft prompt; sep; user tokens (task
+stage only); teacher-forced targets] at its own true length, right-padded
+so padding never sits between real tokens. The batch's T_0 is one gather:
+an id matrix indexes a table of the decoder's token embeddings with the
+adapter's soft-prompt rows stacked below them. Ablation flags rewire the
+forward pass itself, so "component removed" means the corresponding
+encoder states are genuinely unused, not merely down-weighted.
 """
 
 from __future__ import annotations
@@ -19,41 +19,26 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bridge import Adapter, FusedKV, LayerSubset, LayerWiseAligner, adapt, subset_from_spec
+from .bridge import FusedKV, LayerSubset, LayerWiseAligner, adapt, subset_from_spec
 from .data import BOS, EOS, PAD, SEP, STAGE_TASK, STAGES
-from .decoder import (
-    Decoder,
-    DecoderConfig,
-    DecoderState,
-    DynamicGates,
-    GateVector,
-    generate,
-)
+from .decoder import Decoder, DecoderConfig, DecoderState, GateVector, generate
 from .encoder import Encoder, EncoderConfig, LayerStack
 from .errors import ConfigError, ContractError
+from .nn import Linear
 
 # frozen backbones are seed-pinned independently of the training seed so
 # every run trains against the same random encoder and decoder
 ENCODER_SEED = 7
 DECODER_SEED = 11
-
-
-@dataclass(frozen=True)
-class BridgeSettings:
-    d_hidden: int = 96
-
-    def __post_init__(self):
-        if self.d_hidden < 1:
-            raise ConfigError(f"bridge d_hidden must be positive, got {self.d_hidden}")
+# width of the aligner's fusion network between encoder and decoder width
+ALIGNER_HIDDEN = 96
 
 
 @dataclass(frozen=True)
 class AblationFlags:
     no_adapter: bool = False
     no_aligner: bool = False
-    no_llm_input: bool = False
     skip_stage1: bool = False
-    dynamic_gate: bool = False
     layer_subset: str | None = None
 
     def active(self) -> list[str]:
@@ -79,7 +64,6 @@ class BridgedModel:
         self,
         enc_config: EncoderConfig,
         dec_config: DecoderConfig,
-        settings: BridgeSettings = BridgeSettings(),
         ablations: AblationFlags = AblationFlags(),
         seed: int = 0,
     ):
@@ -87,26 +71,20 @@ class BridgedModel:
             raise ConfigError("no_adapter + no_aligner leaves the decoder blind to the encoder")
         self.enc_config = enc_config
         self.dec_config = dec_config
-        self.settings = settings
         self.ablations = ablations
-        self.seed = seed
         self.encoder = Encoder(enc_config, seed=ENCODER_SEED)
         self.decoder = Decoder(dec_config, seed=DECODER_SEED)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB21D]))
-        self.adapter = Adapter(rng, enc_config.d_enc, dec_config.d_dec)
+        self.adapter = Linear(rng, enc_config.d_enc, dec_config.d_dec)
         self.aligner = LayerWiseAligner(
             rng,
             n_enc_layers=enc_config.n_layers,
             n_dec_layers=dec_config.n_layers,
             d_enc=enc_config.d_enc,
-            d_hidden=settings.d_hidden,
+            d_hidden=ALIGNER_HIDDEN,
             d_dec=dec_config.d_dec,
         )
-        self.gates: GateVector | DynamicGates = (
-            DynamicGates(dec_config.n_layers, dec_config.d_dec)
-            if ablations.dynamic_gate
-            else GateVector(dec_config.n_layers)
-        )
+        self.gates = GateVector(dec_config.n_layers)
         self.subset: LayerSubset | None = (
             subset_from_spec(ablations.layer_subset, enc_config.n_layers)
             if ablations.layer_subset
@@ -121,7 +99,7 @@ class BridgedModel:
         out = {}
         out.update(self.encoder.named_params("encoder"))
         out.update(self.decoder.named_params("decoder"))
-        out.update(self.adapter.named_params("adapter"))
+        out.update(self.adapter.named_params("adapter.proj"))
         out.update(self.aligner.named_params("aligner"))
         out.update(self.gates.named_params())
         return out
@@ -130,7 +108,7 @@ class BridgedModel:
         """The bridge parameters the optimizer may touch, after ablations."""
         out: dict[str, Tensor] = {}
         if not self.ablations.no_adapter:
-            out.update(self.adapter.named_params("adapter"))
+            out.update(self.adapter.named_params("adapter.proj"))
         if not self.ablations.no_aligner:
             out.update(self.aligner.named_params("aligner"))
             out.update(self.gates.named_params())
@@ -182,7 +160,7 @@ class BridgedModel:
         c = self.dec_config
         batch = len(src_seqs)
         src_lens = np.array([len(s) for s in src_seqs])
-        use_user = stage == STAGE_TASK and not self.ablations.no_llm_input
+        use_user = stage == STAGE_TASK
         sep_at = 1 + src_lens * (i_map is not None)
         prompt_lens = sep_at + 1 + src_lens * use_user
         lengths = prompt_lens + (np.array([len(t) for t in tgt_seqs]) if tgt_seqs is not None else 0)
@@ -240,7 +218,7 @@ class BridgedModel:
         flat = ad.reshape(logits, (batch * width, vocab))
         return ad.cross_entropy(flat, packed.labels.reshape(-1), packed.loss_mask.reshape(-1))
 
-    def generate_answer(self, stage: str, src_seq: np.ndarray, max_new_tokens: int = 16) -> list[int]:
+    def generate_answer(self, stage: str, src_seq: np.ndarray, max_new_tokens: int) -> list[int]:
         """Greedy answer tokens for one source sequence."""
         src = [np.asarray(src_seq, dtype=np.int64)]
         i_map, fused = self.bridge_outputs(self.encode_sources(src))

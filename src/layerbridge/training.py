@@ -46,8 +46,8 @@ class StageConfig:
     trace_every: int = 10
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -354,10 +354,11 @@ def run_synthetic_benchmark(
     dec_config=None,
 ) -> dict[str, ArmOutcome]:
     """Train the requested arms on one corpus and evaluate each on the task split."""
+    unknown = [arm for arm in arms if arm not in ARMS]
+    if unknown:
+        raise ConfigError(f"unknown benchmark arms {unknown}; expected names from {list(ARMS)}")
     out: dict[str, ArmOutcome] = {}
     for arm in arms:
-        if arm not in ARMS:
-            raise ConfigError(f"unknown benchmark arm {arm!r}")
         ablations, do_train = ARMS[arm]
         _, outcome = train_arm(
             corpus, ablations, stages, seed, arm,

@@ -29,7 +29,6 @@ from layerbridge.autodiff import (
     reshape,
     softmax,
     take,
-    tanh,
     transpose,
 )
 from layerbridge.errors import ContractError, EmptyLossError, ShapeError
@@ -248,11 +247,6 @@ def test_relu_gradient_away_from_kink(rng):
     assert_grad_matches(lambda: total(relu(x)), [x])
 
 
-def test_tanh_gradient(rng):
-    x = _t(rng, 6)
-    assert_grad_matches(lambda: total(tanh(x)), [x])
-
-
 def test_reshape_transpose_gradient(rng):
     x = _t(rng, 2, 3, 4)
     assert_grad_matches(
@@ -384,7 +378,7 @@ def test_cross_entropy_gradient(rng):
 
 
 def test_composite_mlp_gradient(rng):
-    """One full layer: x @ W1 -> tanh -> @ W2 -> softmax CE."""
+    """One full layer: x @ W1 -> layer_norm -> @ W2 -> softmax CE."""
     x = _t(rng, 4, 6)
     w1 = _t(rng, 6, 8, scale=0.5)
     w2 = _t(rng, 8, 5, scale=0.5)
@@ -392,7 +386,7 @@ def test_composite_mlp_gradient(rng):
     mask = np.ones(4, dtype=bool)
 
     def loss():
-        return cross_entropy(matmul(tanh(matmul(x, w1)), w2), targets, mask)
+        return cross_entropy(matmul(layer_norm(matmul(x, w1)), w2), targets, mask)
 
     assert_grad_matches(loss, [x, w1, w2], rtol=1e-5)
 

@@ -1,4 +1,5 @@
-"""Adapter and layer-wise aligner: mixing oracles, subsets, gradient flow."""
+"""Adapter (an ``nn.Linear`` applied through ``adapt``) and layer-wise aligner:
+mixing oracles, subsets, gradient flow."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from layerbridge.autodiff import Tape, Tensor, backward, concat, matmul, mul, relu, reshape, softmax, take
 from layerbridge.bridge import (
-    Adapter,
     LayerSubset,
     LayerWiseAligner,
     adapt,
@@ -16,6 +16,7 @@ from layerbridge.bridge import (
 )
 from layerbridge.encoder import LayerStack
 from layerbridge.errors import ConfigError
+from layerbridge.nn import Linear
 from conftest import assert_grad_matches, total
 
 
@@ -38,7 +39,7 @@ def _aligner(rng, n_enc=3, n_dec=2, d_enc=8, d_hidden=6, d_dec=10):
 
 
 def test_fresh_adapter_maps_zero_state_to_zero(rng):
-    adapter = Adapter(rng, d_enc=8, d_dec=10)
+    adapter = Linear(rng, 8, 10)
     states = [np.zeros((1, 3, 8), dtype=np.float32) for _ in range(3)]
     for h in states:
         h.flags.writeable = False
@@ -49,7 +50,7 @@ def test_fresh_adapter_maps_zero_state_to_zero(rng):
 
 
 def test_adapter_is_position_wise(rng):
-    adapter = Adapter(rng, d_enc=8, d_dec=10)
+    adapter = Linear(rng, 8, 10)
     stack = _stack(rng)
     out_full = adapt(adapter, stack).data
     # feeding one position alone gives the same row
@@ -61,15 +62,15 @@ def test_adapter_is_position_wise(rng):
 
 
 def test_adapter_width_mismatch(rng):
-    adapter = Adapter(rng, d_enc=16, d_dec=10)
+    adapter = Linear(rng, 16, 10)
     with pytest.raises(ConfigError, match="width"):
         adapt(adapter, _stack(rng, d_enc=8))
 
 
 def test_adapter_parameter_count_at_reference_dims(rng):
     """Single linear 2048 -> 4096: weights plus bias."""
-    adapter = Adapter(rng, d_enc=2048, d_dec=4096)
-    count = sum(p.data.size for p in adapter.named_params().values())
+    adapter = Linear(rng, 2048, 4096)
+    count = sum(p.data.size for p in adapter.named_params("adapter.proj").values())
     assert count == 2048 * 4096 + 4096
 
 

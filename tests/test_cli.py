@@ -352,10 +352,8 @@ def test_flag_env_and_file_give_one_digest(tmp_path, monkeypatch):
 
 
 def test_ablation_flags_and_section_give_one_digest(tmp_path):
-    by_flags = stage1_metadata(tmp_path, "flags", "--ablate", "no_aligner,dynamic_gate", "--layers", "last:3")
-    by_file = stage1_metadata(
-        tmp_path, "file", ablations={"no_aligner": True, "dynamic_gate": True, "layer_subset": "last:3"}
-    )
+    by_flags = stage1_metadata(tmp_path, "flags", "--ablate", "no_aligner", "--layers", "last:3")
+    by_file = stage1_metadata(tmp_path, "file", ablations={"no_aligner": True, "layer_subset": "last:3"})
     assert by_flags["ablations"] == by_file["ablations"]
     assert by_flags["config_digest"] == by_file["config_digest"]
 
@@ -410,7 +408,7 @@ BLANK_TARGET = {"src": "baba", "tgt": " ", "lang": "lang1", "stage": "translatio
         ("spec.json", "[]", "expected an object"),
         ("spec.json", json.dumps({"seed": 0, "spec": 5}), "expected an object"),
         ("spec.json", json.dumps({"seed": 0, "spec": {"lrl_fraction": 2.0}}),
-         "spec.json: lrl_fraction must be in (0, 1]"),
+         "spec.json: spec: lrl_fraction must be in (0, 1]"),
         ("spec.json", json.dumps({"seed": 0, "spec": {"explicit_ciphers": None}}),
          "spec.json: spec: unknown keys ['explicit_ciphers']"),
         ("spec.json", json.dumps({"sead": 0, "spec": {}}), "spec.json: top level: unknown keys ['sead']"),
@@ -433,7 +431,8 @@ def test_malformed_corpus_file_is_io_error(tmp_path, capsys, name, content, need
     "key, value",
     [("vocab_size", 64.0), ("vocab_size", True), ("vocab_size", 10),
      ("stage1_per_hrl", "x"), ("max_operand", 2.5),
-     ("tasks", [["copy"]]), ("languages", {"lang1": 1, "lang2": "hrl"})],
+     ("tasks", [["copy"]]), ("languages", {"lang1": 1, "lang2": "hrl"}),
+     ("stage1_per_hrl", -5), ("parallel_sentences", 0)],
 )
 def test_mistyped_corpus_spec_field_is_io_error(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Run configuration: strict parsing, env overrides, and the config digest."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -67,10 +68,14 @@ def test_unknown_top_level_key():
 
 
 # keys an earlier schema accepted; each is now as unknown as a typo. The
-# special ids and init scales are constants of data, encoder and decoder.
+# special ids and init scales are constants of data, encoder and decoder,
+# and the aligner width is a constant of model.
 REMOVED_KEYS = [
     ("bridge", "separate_kv", False),
     ("bridge", "deep_adapter", False),
+    ("bridge", "d_hidden", 96),
+    ("ablations", "dynamic_gate", False),
+    ("ablations", "no_llm_input", False),
     ("stage1", "clip_norm", None),
     ("stage2", "clip_norm", 1.0),
     ("ablations", "skip_stage2", False),
@@ -89,6 +94,14 @@ REMOVED_KEYS = [
 ]
 
 
+def _refusal(section: str, key: str) -> str:
+    """The error naming a removed key; the whole bridge section is gone, so
+    its keys are refused at the top level."""
+    if section == "bridge":
+        return "top level: unknown keys ['bridge']"
+    return f"{section}: unknown keys ['{key}']"
+
+
 def _with_key(base: dict, section: str, key: str, value) -> dict:
     """A copy of the config dict ``base`` with ``section.key`` set."""
     data = json.loads(json.dumps(base))
@@ -105,7 +118,7 @@ def test_unknown_nested_key_reports_dotted_path():
     with pytest.raises(ConfigError, match=r"data.synth: unknown keys \['vocab'\]"):
         run_config_from_dict({"data": {"synth": {"vocab": 64}}})
     for section, key, value in REMOVED_KEYS:
-        with pytest.raises(ConfigError, match=rf"{section}: unknown keys \['{key}'\]"):
+        with pytest.raises(ConfigError, match=re.escape(_refusal(section, key))):
             run_config_from_dict(_with_key({}, section, key, value))
 
 
@@ -121,7 +134,7 @@ def test_section_must_be_object():
 
 
 def test_nested_validation_still_fires():
-    with pytest.raises(ConfigError, match="learning_rate"):
+    with pytest.raises(ConfigError, match="stage1: learning_rate"):
         run_config_from_dict({"stage1": {"learning_rate": -1.0}})
 
 
@@ -316,7 +329,6 @@ def test_diagnostics_config_defaults():
 SMALL = {
     "encoder": {"vocab_size": 64, "d_enc": 8, "n_layers": 2, "n_heads": 2, "d_ff": 8, "max_positions": 16},
     "decoder": {"vocab_size": 64, "d_dec": 8, "n_layers": 2, "n_heads": 2, "d_ff": 8, "max_positions": 24},
-    "bridge": {"d_hidden": 8},
     "data": {"synth": {"vocab_size": 64, "stage1_per_hrl": 4, "stage2_per_lang": 3, "eval_per_lang": 2,
                        "parallel_sentences": 2, "active_words": 12, "sentence_max_words": 4,
                        "copy_max_words": 2}},
@@ -328,10 +340,9 @@ FUZZ_KEYS = [
     "SEED",
     *(f"ENCODER__{k}" for k in ("VOCAB_SIZE", "D_ENC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS")),
     *(f"DECODER__{k}" for k in ("VOCAB_SIZE", "D_DEC", "N_LAYERS", "N_HEADS", "D_FF", "MAX_POSITIONS")),
-    "BRIDGE", "BRIDGE__D_HIDDEN",
     "STAGE1__LEARNING_RATE", "STAGE1__EPOCHS", "STAGE1__BATCH_SIZE",
     "STAGE2__WARMUP_RATIO", "STAGE2__TRACE_EVERY",
-    *(f"ABLATIONS__{k}" for k in ("NO_ADAPTER", "NO_ALIGNER", "NO_LLM_INPUT", "DYNAMIC_GATE", "LAYER_SUBSET")),
+    *(f"ABLATIONS__{k}" for k in ("NO_ADAPTER", "NO_ALIGNER", "LAYER_SUBSET")),
     *(f"DATA__SYNTH__{k}" for k in ("VOCAB_SIZE", "LANGUAGES", "STAGE1_PER_HRL", "LRL_FRACTION",
                                     "STAGE2_PER_LANG", "EVAL_PER_LANG", "PARALLEL_SENTENCES", "TASKS",
                                     "MAX_OPERAND", "COPY_MAX_WORDS", "SENTENCE_MAX_WORDS", "ACTIVE_WORDS")),
@@ -366,8 +377,9 @@ def test_fuzzed_overrides_raise_only_package_errors(small_config, overrides):
 SWEEP_VALUES = (-1, 0, 1, 2, 1.5, "x", True, None, [], [1], {}, {"a": 1})
 
 
-# the removed keys as override names: these refuse every value
-REMOVED_ENV_KEYS = [f"{section.replace('.', '__')}__{key}".upper() for section, key, _ in REMOVED_KEYS]
+# the removed keys as override names, and the removed bridge section itself:
+# these refuse every value
+REMOVED_ENV_KEYS = [f"{section.replace('.', '__')}__{key}".upper() for section, key, _ in REMOVED_KEYS] + ["BRIDGE"]
 
 
 @pytest.mark.parametrize("key", FUZZ_KEYS + REMOVED_ENV_KEYS)
@@ -381,8 +393,9 @@ def test_every_key_rejects_boundary_values_with_package_errors(small_config, key
             assert key not in REMOVED_ENV_KEYS, f"removed key {key} took {value!r}"
 
 
-@pytest.mark.parametrize("section, key, value", REMOVED_KEYS, ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
-def test_train_refuses_removed_key_from_file_or_env(tmp_path, monkeypatch, capsys, section, key, value):
+def _train_refuses_from_file_and_env(tmp_path, monkeypatch, section, key, value):
+    """``train --stage 1`` with ``section.key`` set to ``value`` in the config
+    file, then by a ``LAYERBRIDGE_*`` variable: both exit 2 and write nothing."""
     path = tmp_path / "run.json"
     base = dict(SMALL, out_dir=str(tmp_path / "out"))
     path.write_text(json.dumps(_with_key(base, section, key, value)))
@@ -390,8 +403,29 @@ def test_train_refuses_removed_key_from_file_or_env(tmp_path, monkeypatch, capsy
     path.write_text(json.dumps(base))
     monkeypatch.setenv(f"LAYERBRIDGE_{section.replace('.', '__')}__{key}".upper(), json.dumps(value))
     assert main(["train", "--config", str(path), "--stage", "1"]) == 2
-    assert capsys.readouterr().err.count(f"{section}: unknown keys ['{key}']") == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_KEYS, ids=[f"{s}.{k}" for s, k, _ in REMOVED_KEYS])
+def test_train_refuses_removed_key_from_file_or_env(tmp_path, monkeypatch, capsys, section, key, value):
+    _train_refuses_from_file_and_env(tmp_path, monkeypatch, section, key, value)
+    assert capsys.readouterr().err.count(_refusal(section, key)) == 2
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("stage1", "learning_rate", float("nan")),
+        ("stage2", "learning_rate", float("inf")),
+        ("data.synth", "stage1_per_hrl", -5),
+        ("data.synth", "stage2_per_lang", 0),
+        ("data.synth", "eval_per_lang", 0),
+        ("data.synth", "parallel_sentences", -1),
+    ],
+)
+def test_train_refuses_out_of_range_value_from_file_or_env(tmp_path, monkeypatch, capsys, section, key, value):
+    _train_refuses_from_file_and_env(tmp_path, monkeypatch, section, key, value)
+    assert capsys.readouterr().err.count(f"{section}: {key} must be") == 2
 
 
 @pytest.mark.parametrize(

@@ -5,20 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from layerbridge.autodiff import Tape, Tensor, backward, concat, mul
+from layerbridge.autodiff import Tape, Tensor, concat
 from layerbridge.bridge import FusedKV
 from layerbridge.data import EOS
 from layerbridge.decoder import (
     DecodeCache,
     Decoder,
     DecoderConfig,
-    DynamicGates,
     GateVector,
     generate,
 )
 from layerbridge.errors import ConfigError, ContractError, NumericError
 from layerbridge.nn import causal_bias, padding_bias
-from conftest import assert_grad_matches, total
 
 
 @pytest.fixture(scope="module")
@@ -182,42 +180,6 @@ def test_ga_layer_matches_two_pass_oracle(decoder, rng):
     assert np.allclose(got.data, want, atol=1e-5)
 
 
-def test_dynamic_gate_with_constant_bias_equals_static_tanh(decoder, rng):
-    t_prev = Tensor(rng.normal(0, 1, size=(1, 4, 16)).astype(np.float32))
-    h = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float32))
-    dyn = DynamicGates(decoder.config.n_layers, 16)
-    dyn.nets[0]["bias"].data[0] = 0.9
-    got = _block(decoder, t_prev, h, dyn)
-    static = _block(decoder, t_prev, h, _gates(decoder, np.tanh(np.float32(0.9))))
-    assert np.allclose(got.data, static.data, atol=1e-6)
-
-
-def test_zero_initialized_dynamic_gates_reduce_to_baseline(decoder, rng):
-    t0 = _t0(rng, decoder)
-    fused = _fused(rng, decoder)
-    dyn = DynamicGates(decoder.config.n_layers, decoder.config.d_dec)
-    with_dyn, _ = decoder.forward(t0, fused, dyn)
-    without, _ = decoder.forward(t0, None, None)
-    assert np.allclose(with_dyn.data, without.data, atol=1e-6)
-
-
-def test_dynamic_gate_gradients_match_finite_differences(decoder, rng):
-    # the gate nets, the block input (self-attention's q, k and v, and the
-    # cross-attention queries) and the memory (cross-attention's k and v)
-    t_prev = Tensor(rng.normal(0, 1, size=(1, 3, 16)).astype(np.float64), requires_grad=True)
-    h = Tensor(rng.normal(0, 1, size=(1, 2, 16)).astype(np.float64), requires_grad=True)
-    dyn = DynamicGates(decoder.config.n_layers, 16)
-    dyn.nets[0]["weight"].data = rng.normal(0, 0.3, size=(16, 1))
-    dyn.nets[0]["bias"].data = rng.normal(0, 0.3, size=(1,))
-    params = [dyn.nets[0]["weight"], dyn.nets[0]["bias"], t_prev, h]
-
-    def loss():
-        out = _block(decoder, t_prev, h, dyn)
-        return mul(total(mul(out, out)), 1.0 / out.size)
-
-    assert_grad_matches(loss, params, h=1e-5, rtol=1e-3)
-
-
 # ---------------------------------------------------------------------------
 # structure: causality, weight sharing, numerics
 # ---------------------------------------------------------------------------
@@ -273,17 +235,15 @@ def test_norm_records_have_layer_and_token_shape(decoder, rng):
     gates = GateVector(decoder.config.n_layers)
     _, state = decoder.forward(t0, fused, gates)
     m = decoder.config.n_layers
-    assert len(state.sa_outputs) == len(state.ca_outputs) == len(state.gates) == m
-    for sa, ca, gate, g in zip(state.sa_outputs, state.ca_outputs, state.gates, gates.values):
+    assert len(state.sa_outputs) == len(state.ca_outputs) == m
+    for sa, ca in zip(state.sa_outputs, state.ca_outputs):
         assert sa.shape == ca.shape == (2, 5, decoder.config.d_dec)
-        assert gate is g  # kept by reference, not copied
-        assert np.all(gate.data == 0.0)
 
 
 def test_norm_records_are_none_without_cross_attention(decoder, rng):
     _, state = decoder.forward(_t0(rng, decoder), None, None)
     assert len(state.sa_outputs) == decoder.config.n_layers
-    assert state.ca_outputs == state.gates == [None] * decoder.config.n_layers
+    assert state.ca_outputs == [None] * decoder.config.n_layers
 
 
 def test_gate_doubling_doubles_recorded_ca_norm(decoder, rng):
@@ -292,12 +252,10 @@ def test_gate_doubling_doubles_recorded_ca_norm(decoder, rng):
     gates = GateVector(decoder.config.n_layers)
     gates.values[0].data[0] = 0.4
     _, state_a = decoder.forward(t0, fused, gates)
-    gate_a = float(state_a.gates[0].data[0])
     gates.values[0].data[0] = 0.8
     _, state_b = decoder.forward(t0, fused, gates)
     # layer 1's CA output does not depend on its own gate; only the factor moves
     assert np.array_equal(state_b.ca_outputs[0].data, state_a.ca_outputs[0].data)
-    assert float(state_b.gates[0].data[0]) == 2.0 * gate_a
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +366,7 @@ def _recompute_generate(decoder, prompt, fused, gates, max_new_tokens):
 
 
 def _gate_sources(decoder, rng):
-    n, d = decoder.config.n_layers, decoder.config.d_dec
+    n = decoder.config.n_layers
     fused = _fused(rng, decoder, batch=1, src_len=5)
     mask = np.ones((1, 5), dtype=bool)
     mask[0, [1, 3]] = False
@@ -416,11 +374,7 @@ def _gate_sources(decoder, rng):
     gates = GateVector(n)
     for g in gates.values:
         g.data[0] = rng.uniform(0.25, 0.75)
-    dyn = DynamicGates(n, d)
-    for net in dyn.nets:
-        net["weight"].data[...] = rng.normal(0, 0.3, size=(d, 1))
-        net["bias"].data[0] = rng.uniform(0.25, 0.75)
-    return [(None, None), (fused, gates), (fused, dyn)]
+    return [(None, None), (fused, gates)]
 
 
 def test_generate_matches_full_recompute(decoder, rng):
@@ -475,11 +429,3 @@ def test_fused_kv_needs_a_gate_source(decoder, rng):
     t0 = _t0(rng, decoder)
     with pytest.raises(ConfigError, match="needs a gate source"):
         decoder.forward(t0, _fused(rng, decoder), None)
-
-
-def test_both_gate_kinds_answer_gate_for(decoder, rng):
-    hidden = _t0(rng, decoder)
-    gates = GateVector(decoder.config.n_layers)
-    assert gates.gate_for(2, hidden) is gates.values[1]
-    dyn = DynamicGates(decoder.config.n_layers, decoder.config.d_dec)
-    assert dyn.gate_for(2, hidden).shape == (2, 5, 1)

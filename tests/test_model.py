@@ -110,12 +110,6 @@ def test_supervision_starts_on_last_prompt_position(model):
     assert packed.loss_mask[0].sum() == 2
 
 
-def test_no_llm_input_drops_user_block():
-    m = BridgedModel(EC, DC, ablations=AblationFlags(no_llm_input=True), seed=0)
-    _, _, packed = m.forward_batch("task", SRC, TGT)
-    assert packed.prompt_lens == [5, 3]
-
-
 def test_no_adapter_drops_soft_prompt():
     m = BridgedModel(EC, DC, ablations=AblationFlags(no_adapter=True), seed=0)
     _, _, packed = m.forward_batch("task", SRC, TGT)
@@ -242,14 +236,10 @@ def test_trainable_params_respect_ablations():
     no_al = BridgedModel(EC, DC, ablations=AblationFlags(no_aligner=True), seed=0).trainable_params()
     assert {name.split(".")[0] for name in no_al} == {"adapter"}
 
-    dyn = BridgedModel(EC, DC, ablations=AblationFlags(dynamic_gate=True), seed=0).trainable_params()
-    assert any(n.startswith("gates.dynamic.") for n in dyn)
-    assert not any(n.startswith("gates.layer") for n in dyn)
-
 
 def test_ablation_active_listing():
-    flags = AblationFlags(no_llm_input=True, layer_subset="last:2")
-    assert flags.active() == ["no_llm_input", "layer_subset=last:2"]
+    flags = AblationFlags(no_adapter=True, layer_subset="last:2")
+    assert flags.active() == ["no_adapter", "layer_subset=last:2"]
     assert AblationFlags().active() == []
 
 
@@ -297,12 +287,11 @@ def test_training_step_tape_length():
     assert len(tape.entries) <= 100
 
 
-@pytest.mark.parametrize("dynamic_gate", [False, True])
-def test_fused_ops_keep_loss_and_gradients_bitwise(monkeypatch, dynamic_gate):
+def test_fused_ops_keep_loss_and_gradients_bitwise(monkeypatch):
     """A batch-32 stage-1 and stage-2 step give the same loss and trainable
     gradients, bit for bit, as with attention and every biased projection
     run as the chains of single tape ops they fuse."""
-    m = BridgedModel(EC, DC, ablations=AblationFlags(dynamic_gate=dynamic_gate), seed=0)
+    m = BridgedModel(EC, DC, seed=0)
     rng = np.random.default_rng(0)
     for name, p in m.trainable_params().items():
         if name.startswith("gates"):

@@ -14,6 +14,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from layerbridge import training
 from layerbridge.data import ParallelExample, SynthSpec, Vocabulary, generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig
@@ -352,7 +353,13 @@ def test_benchmark_full_arm_opens_gates(tiny_benchmark):
     assert any(abs(g) > 0 for g in tiny_benchmark["full"].gates_after)
 
 
-def test_benchmark_rejects_unknown_arm():
+def test_benchmark_rejects_unknown_arm(monkeypatch):
     corpus = generate_synthetic_corpus(TINY_SPEC, seed=1)
-    with pytest.raises(ConfigError, match="unknown benchmark arm"):
-        run_synthetic_benchmark(corpus, seed=1, arms=("fullest",))
+
+    def never(*args, **kwargs):
+        raise AssertionError("an arm trained before every name was checked")
+
+    monkeypatch.setattr(training, "train_arm", never)
+    for arms in (("fullest",), ("full", "fullest")):
+        with pytest.raises(ConfigError, match=r"unknown benchmark arms \['fullest'\]"):
+            run_synthetic_benchmark(corpus, seed=1, arms=arms)
