@@ -32,7 +32,6 @@ from .training import (
     StageConfig,
     TrainResult,
     evaluate,
-    run_synthetic_benchmark,
     train_stage1,
     train_stage2,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "generate",
     "generate_synthetic_corpus",
     "load_run_config",
-    "run_synthetic_benchmark",
     "subset_from_spec",
     "train_stage1",
     "train_stage2",

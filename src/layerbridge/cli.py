@@ -1,10 +1,15 @@
-"""Command-line entry point: gen-synth, train, eval, analyze.
+"""Command-line entry point: gen-synth, train, eval, analyze, experiment.
+
+``experiment`` trains the benchmark arms (``training.ARMS``) on the benchmark
+corpus at each of several seeds, prints each seed's exact-match table and
+the worst low-resource margins against ``training.MARGINS``, and exits 1 when
+a margin falls short.
 
 Every command is deterministic given (config, seed, corpus bytes): outputs
 carry no timestamps, floats are written with repr, and every file, the
 optional PNG plots included, goes through ``files.write_atomic``. Exit codes:
-0 success, 2 configuration or contract problem, 3 numeric failure, 4 I/O
-problem.
+0 success, 1 experiment verdict FAIL, 2 configuration or contract problem,
+3 numeric failure, 4 I/O problem.
 """
 
 from __future__ import annotations
@@ -32,8 +37,13 @@ from .errors import (
 )
 from .files import build, write_atomic
 from .training import (
+    ARMS,
+    MARGINS,
+    SYNTHETIC_STAGES,
     EvalReport,
+    benchmark_spec,
     evaluate,
+    train_arms,
     train_stage1,
     train_stage2,
     write_trace,
@@ -178,6 +188,68 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _parse_list(text: str, flag: str, parse) -> list:
+    """The comma-separated tokens of ``text``, each through ``parse``, which
+    raises ``ConfigError`` on a bad one; a repeated token is refused too."""
+    items = []
+    for token in (t.strip() for t in text.split(",")):
+        item = parse(token)
+        if item in items:
+            raise ConfigError(f"{flag}: {token!r} given twice")
+        items.append(item)
+    return items
+
+
+def _seed(token: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ConfigError(f"--seeds: {token!r} is not a non-negative integer")
+    return int(token)
+
+
+def _arm(token: str) -> str:
+    if token not in ARMS:
+        raise ConfigError(f"--arms: unknown arm {token!r}; expected names from {list(ARMS)}")
+    return token
+
+
+def cmd_experiment(args) -> int:
+    seeds = _parse_list(args.seeds, "--seeds", _seed)
+    arms = _parse_list(args.arms, "--arms", _arm)
+    judged = [arm for arm in MARGINS if arm in arms] if "full" in arms else []
+    worst = {arm: float("inf") for arm in judged}
+    keys = ("Avg", "Lrl", "Hrl")
+    for seed in seeds:
+        corpus = generate_synthetic_corpus(benchmark_spec(), seed)
+        outcomes = train_arms(corpus, seed, arms, SYNTHETIC_STAGES)
+        langs = sorted(corpus.tiers())
+        print(f"seed {seed}")
+        print(f"{'arm':14s}" + "".join(f"{name:>10s}" for name in (*langs, *keys)))
+        for arm, outcome in outcomes.items():
+            rep = outcome.report
+            cells = [rep.per_lang[lang] for lang in langs] + [rep.aggregates[key] for key in keys]
+            print(f"{arm:14s}" + "".join(f"{value:10.1f}" for value in cells))
+            if args.out:
+                cell = Path(args.out) / f"seed{seed}" / arm
+                write_eval_csv(cell / "eval.csv", rep)
+                for result in outcome.results:
+                    write_trace(cell / f"trace_stage{STAGES.index(result.stage) + 1}.csv", result.trace)
+        if judged:
+            full = outcomes["full"].report.aggregates["Lrl"]
+            margins = {arm: full - outcomes[arm].report.aggregates["Lrl"] for arm in judged}
+            worst = {arm: min(worst[arm], margins[arm]) for arm in judged}
+            print("low-resource margins against full: "
+                  + ", ".join(f"{arm} {m:+.1f}" for arm, m in margins.items()))
+        print(flush=True)
+    if not judged:
+        print("no verdict: the margins need full and at least one of " + ", ".join(MARGINS))
+        return 0
+    print("worst margins: " + ", ".join(
+        f"{arm} {worst[arm]:+.1f} (need >= {MARGINS[arm]:g})" for arm in judged))
+    ok = all(worst[arm] >= MARGINS[arm] for arm in judged)
+    print("PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON run config")
     parser.add_argument("--seed", type=int, help="override config seed")
@@ -213,6 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("checkpoint")
     p.set_defaults(func=cmd_analyze)
+
+    p = sub.add_parser("experiment", help="train the benchmark arms at each seed and judge the margins")
+    p.add_argument("--seeds", default="0", help="comma-separated seeds (default: 0)")
+    p.add_argument("--arms", default=",".join(ARMS), help=f"comma-separated arms from {', '.join(ARMS)}")
+    p.add_argument("--out", help="directory for one eval.csv and trace files per seed and arm")
+    p.set_defaults(func=cmd_experiment)
 
     return parser
 

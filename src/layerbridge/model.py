@@ -41,6 +41,15 @@ class AblationFlags:
     skip_stage1: bool = False
     layer_subset: str | None = None
 
+    def __post_init__(self):
+        if self.no_adapter and self.no_aligner:
+            raise ConfigError("no_adapter + no_aligner leaves the decoder blind to the encoder")
+        if self.no_aligner and self.layer_subset:
+            raise ConfigError(
+                f"layer_subset {self.layer_subset!r} has no effect with no_aligner: "
+                "only the aligner reads the encoder layers"
+            )
+
     def active(self) -> list[str]:
         out = [f.name for f in dataclasses.fields(self) if f.name != "layer_subset" and getattr(self, f.name)]
         if self.layer_subset:
@@ -67,8 +76,6 @@ class BridgedModel:
         ablations: AblationFlags = AblationFlags(),
         seed: int = 0,
     ):
-        if ablations.no_adapter and ablations.no_aligner:
-            raise ConfigError("no_adapter + no_aligner leaves the decoder blind to the encoder")
         self.enc_config = enc_config
         self.dec_config = dec_config
         self.ablations = ablations

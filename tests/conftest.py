@@ -1,5 +1,6 @@
-"""Shared test helpers: finite-difference oracles, tiny model builders and
-the bounded JSON values the input fuzzes draw."""
+"""Shared test helpers: finite-difference oracles, tiny model builders, a
+tiny synthetic corpus spec and the bounded JSON values the input fuzzes
+draw."""
 
 from __future__ import annotations
 
@@ -11,6 +12,20 @@ import pytest
 from hypothesis import strategies as st
 
 from layerbridge.autodiff import Tape, Tensor, add, backward, matmul, mul, reshape, softmax, transpose
+from layerbridge.data import SynthSpec
+
+# a three-language corpus small enough to train every benchmark arm in seconds
+TINY_SPEC = SynthSpec(
+    vocab_size=64,
+    stage1_per_hrl=24,
+    lrl_fraction=0.25,
+    stage2_per_lang=8,
+    eval_per_lang=4,
+    parallel_sentences=4,
+    active_words=12,
+    sentence_max_words=4,
+    copy_max_words=2,
+)
 
 
 def total(x: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ from layerbridge.data import generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
 from layerbridge.model import AblationFlags, BridgedModel
-from layerbridge.training import ARMS, SYNTHETIC_STAGES, benchmark_spec, train_arm
+from layerbridge.training import ARMS, SYNTHETIC_STAGES, benchmark_spec, train_arms
 
 SEED = 0
 
@@ -62,16 +62,11 @@ def perturbed_stack(stack, layer, eps=0.5):
 
 @pytest.fixture(scope="module")
 def experiment():
-    spec = benchmark_spec()
-    corpus = generate_synthetic_corpus(spec, seed=SEED)
-    models, outcomes = {}, {}
+    corpus = generate_synthetic_corpus(benchmark_spec(), seed=SEED)
     t0 = time.monotonic()
-    for arm, (ablations, do_train) in ARMS.items():
-        model, outcome = train_arm(corpus, ablations, SYNTHETIC_STAGES, SEED, arm, train=do_train)
-        models[arm] = model
-        outcomes[arm] = outcome
+    outcomes = train_arms(corpus, SEED, list(ARMS), SYNTHETIC_STAGES)
     elapsed = time.monotonic() - t0
-    return corpus, models, outcomes, elapsed
+    return corpus, outcomes, elapsed
 
 
 def test_criterion_01_gate_zero_equivalence():
@@ -147,7 +142,7 @@ def test_criterion_02_gradient_correctness():
 
 
 def test_criterion_03_frozen_contract(experiment):
-    _, _, outcomes, _ = experiment
+    _, outcomes, _ = experiment
     full = outcomes["full"]
     assert full.digest_before == full.digest_after, "frozen payload digest changed"
     assert any(g != 0.0 for g in full.gates_after), "no gate moved during training"
@@ -182,7 +177,7 @@ def test_criterion_04_ablation_perturbation():
 
 
 def test_criterion_05_synthetic_two_stage_experiment(experiment):
-    _, _, outcomes, elapsed = experiment
+    _, outcomes, elapsed = experiment
     lrl = {name: outcomes[name].report.aggregates["Lrl"] for name in ARMS}
     m_skip = lrl["full"] - lrl["skip_stage1"]
     m_na = lrl["full"] - lrl["no_aligner"]
@@ -218,9 +213,9 @@ def test_criterion_06_representation_alignment(experiment):
     base sentence in every language), which rewards a bridge that ignores
     its source: the untrained arm's gates are exactly zero.
     """
-    corpus, models, _, _ = experiment
+    corpus, outcomes, _ = experiment
     arms = ("untrained", "full", "no_aligner")
-    reps = {arm: centred_cipher_reps(models[arm], corpus) for arm in arms}
+    reps = {arm: centred_cipher_reps(outcomes[arm].model, corpus) for arm in arms}
     langs = sorted(reps["full"])
     scores = {}
     for a, b in itertools.combinations(langs, 2):
@@ -242,8 +237,8 @@ def test_criterion_07_aligner_normalization(experiment):
     assert np.array_equal(matrix, np.full_like(matrix, 1.0 / n)), "init rows not exactly uniform"
     assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-6)
 
-    _, models, _, _ = experiment
-    trained = aligner_weight_matrix(models["full"].aligner)
+    _, outcomes, _ = experiment
+    trained = aligner_weight_matrix(outcomes["full"].model.aligner)
     drift = float(np.max(np.abs(trained.sum(axis=1) - 1.0)))
     assert drift <= 1e-6, f"trained row sums drift by {drift}"
     assert not np.allclose(trained, matrix[0, 0]), "aligner never moved"

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layerbridge import cli
 from layerbridge.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint
 from layerbridge.cli import main, write_eval_csv
-from layerbridge.training import EvalReport
-from conftest import fail_file_writes
+from layerbridge.training import EvalReport, StageConfig
+from conftest import TINY_SPEC, fail_file_writes
 
 TINY = {
     "seed": 0,
@@ -352,10 +353,20 @@ def test_flag_env_and_file_give_one_digest(tmp_path, monkeypatch):
 
 
 def test_ablation_flags_and_section_give_one_digest(tmp_path):
-    by_flags = stage1_metadata(tmp_path, "flags", "--ablate", "no_aligner", "--layers", "last:3")
-    by_file = stage1_metadata(tmp_path, "file", ablations={"no_aligner": True, "layer_subset": "last:3"})
+    by_flags = stage1_metadata(tmp_path, "flags", "--ablate", "no_adapter", "--layers", "last:3")
+    by_file = stage1_metadata(tmp_path, "file", ablations={"no_adapter": True, "layer_subset": "last:3"})
     assert by_flags["ablations"] == by_file["ablations"]
     assert by_flags["config_digest"] == by_file["config_digest"]
+
+
+def test_layer_subset_without_aligner_is_refused(tmp_path, capsys):
+    by_flags = ["--config", write_config(tmp_path), "--ablate", "no_aligner", "--layers", "last:3"]
+    by_file = ["--config", write_config(tmp_path, ablations={"no_aligner": True, "layer_subset": "last:3"})]
+    for flags in (by_flags, by_file):
+        assert main(["train", "--stage", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: ablations: layer_subset 'last:3' has no effect with no_aligner" in err
+        assert not (tmp_path / "run").exists()
 
 
 def test_flag_beats_env_beats_file(tmp_path, monkeypatch):
@@ -490,3 +501,70 @@ def test_corpus_dir_round_trip_through_cli(tmp_path):
     assert main(["train", "--config", cfg2, "--stage", "1"]) == 0
     meta = json.loads((tmp_path / "fromdir" / "metadata.json").read_text())
     assert meta["corpus_rows"] == 27
+
+
+# ---------------------------------------------------------------------------
+# experiment
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--arms", "full,fullest"], "--arms: unknown arm 'fullest'"),
+        (["--arms", "full,full"], "--arms: 'full' given twice"),
+        (["--arms", ""], "--arms: unknown arm ''"),
+        (["--seeds", "0,x"], "--seeds: 'x' is not a non-negative integer"),
+        (["--seeds", "-1"], "--seeds: '-1' is not a non-negative integer"),
+    ],
+    ids=["unknown_arm", "duplicate_arm", "empty_arms", "bad_seed", "negative_seed"],
+)
+def test_experiment_refuses_bad_input_before_any_work(tmp_path, monkeypatch, capsys, flags, needle):
+    def never(*args, **kwargs):
+        raise AssertionError("work began before every seed and arm was checked")
+
+    monkeypatch.setattr(cli, "generate_synthetic_corpus", never)
+    monkeypatch.setattr(cli, "train_arms", never)
+    assert main(["experiment", "--out", str(tmp_path / "exp"), *flags]) == 2
+    assert f"configuration error: {needle}" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def run_tiny_experiment(monkeypatch, capsys, *flags) -> tuple[int, str]:
+    stage = StageConfig(learning_rate=1e-2, epochs=1, batch_size=8)
+    monkeypatch.setattr(cli, "benchmark_spec", lambda: TINY_SPEC)
+    monkeypatch.setattr(cli, "SYNTHETIC_STAGES", (stage, stage))
+    code = main(["experiment", *flags])
+    return code, capsys.readouterr().out
+
+
+def test_experiment_writes_identical_cells_and_exits_by_verdict(tmp_path, monkeypatch, capsys):
+    runs = [run_tiny_experiment(monkeypatch, capsys, "--seeds", "0,1", "--out", str(tmp_path / name))
+            for name in ("a", "b")]
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    assert out.splitlines()[-1] == ("PASS" if code == 0 else "FAIL")
+    assert code in (0, 1)
+    assert "worst margins: skip_stage1" in out
+
+    traces = {"full": (1, 2), "skip_stage1": (2,), "no_aligner": (1, 2), "untrained": ()}
+    expected = sorted(
+        f"seed{seed}/{arm}/{name}"
+        for seed in (0, 1)
+        for arm, stages in traces.items()
+        for name in ["eval.csv"] + [f"trace_stage{s}.csv" for s in stages]
+    )
+    files = {root: sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+             for root in (tmp_path / "a", tmp_path / "b")}
+    assert files[tmp_path / "a"] == files[tmp_path / "b"] == expected
+    for name in expected:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    per_lang, aggregates = read_eval_csv(tmp_path / "a" / "seed0" / "full" / "eval.csv")
+    printed = "".join(f"{v:10.1f}" for v in [*per_lang.values(), *aggregates.values()])
+    assert f"{'full':14s}{printed}" in out.splitlines()
+
+
+def test_experiment_without_full_gives_no_verdict(monkeypatch, capsys):
+    code, out = run_tiny_experiment(monkeypatch, capsys, "--arms", "untrained")
+    assert code == 0
+    assert "untrained" in out and "no verdict" in out

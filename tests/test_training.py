@@ -14,8 +14,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from layerbridge import training
-from layerbridge.data import ParallelExample, SynthSpec, Vocabulary, generate_synthetic_corpus
+from layerbridge.data import ParallelExample, Vocabulary, generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig
 from layerbridge.errors import ConfigError, IngestionError
@@ -31,11 +30,12 @@ from layerbridge.training import (
     StageConfig,
     TraceRow,
     evaluate,
-    run_synthetic_benchmark,
+    train_arms,
     train_stage1,
     train_stage2,
     write_trace,
 )
+from conftest import TINY_SPEC
 
 EC = EncoderConfig(vocab_size=64, d_enc=16, n_layers=3, n_heads=2, d_ff=24, max_positions=16)
 DC = DecoderConfig(vocab_size=64, d_dec=16, n_layers=2, n_heads=2, d_ff=24, max_positions=24)
@@ -310,24 +310,11 @@ def test_evaluate_counts_undecodable_prediction_as_miss():
 # benchmark arms
 # ---------------------------------------------------------------------------
 
-TINY_SPEC = SynthSpec(
-    vocab_size=64,
-    stage1_per_hrl=24,
-    lrl_fraction=0.25,
-    stage2_per_lang=8,
-    eval_per_lang=4,
-    parallel_sentences=4,
-    active_words=12,
-    sentence_max_words=4,
-    copy_max_words=2,
-)
-
-
 @pytest.fixture(scope="module")
 def tiny_benchmark():
     corpus = generate_synthetic_corpus(TINY_SPEC, seed=1)
     stage = StageConfig(learning_rate=1e-2, epochs=1, batch_size=8)
-    return run_synthetic_benchmark(corpus, seed=1, stages=(stage, stage), enc_config=EC, dec_config=DC)
+    return train_arms(corpus, 1, list(ARMS), (stage, stage), enc_config=EC, dec_config=DC)
 
 
 def test_benchmark_runs_expected_stages(tiny_benchmark):
@@ -351,15 +338,3 @@ def test_benchmark_frozen_digests_survive_training(tiny_benchmark):
 
 def test_benchmark_full_arm_opens_gates(tiny_benchmark):
     assert any(abs(g) > 0 for g in tiny_benchmark["full"].gates_after)
-
-
-def test_benchmark_rejects_unknown_arm(monkeypatch):
-    corpus = generate_synthetic_corpus(TINY_SPEC, seed=1)
-
-    def never(*args, **kwargs):
-        raise AssertionError("an arm trained before every name was checked")
-
-    monkeypatch.setattr(training, "train_arm", never)
-    for arms in (("fullest",), ("full", "fullest")):
-        with pytest.raises(ConfigError, match=r"unknown benchmark arms \['fullest'\]"):
-            run_synthetic_benchmark(corpus, seed=1, arms=arms)
