@@ -10,7 +10,7 @@ deterministically.
 """
 
 from .autodiff import Tape, Tensor, backward
-from .bridge import LayerSubset, LayerWiseAligner, aligner_weight_matrix, subset_from_spec
+from .bridge import LayerWiseAligner, aligner_weight_matrix
 from .config import RunConfig, build_model, config_digest, load_run_config
 from .data import SynthCorpus, SynthSpec, Vocabulary, generate_synthetic_corpus
 from .decoder import Decoder, DecoderConfig, GateVector, generate
@@ -54,7 +54,6 @@ __all__ = [
     "InputError",
     "LayerBridgeError",
     "LayerStack",
-    "LayerSubset",
     "LayerWiseAligner",
     "NumericError",
     "PairingError",
@@ -75,7 +74,6 @@ __all__ = [
     "generate",
     "generate_synthetic_corpus",
     "load_run_config",
-    "subset_from_spec",
     "train_stage1",
     "train_stage2",
 ]

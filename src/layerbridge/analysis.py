@@ -183,6 +183,7 @@ class DiagnosticsReport:
     pca: PcaResult
     norm_ratio: NormRatioProfile
     aligner_matrix: np.ndarray
+    aligner_states: tuple[int, ...]
     gate_values: list[float]
 
 
@@ -213,6 +214,7 @@ def build_report(
         pca=pca,
         norm_ratio=profile,
         aligner_matrix=aligner_weight_matrix(model.aligner),
+        aligner_states=model.aligner.states,
         gate_values=model.gates.snapshot(),
     )
 
@@ -248,10 +250,9 @@ def write_report(out_dir: str | Path, report: DiagnosticsReport, plots: bool = F
         lines.append(f"{i},{float(value)!r},{int(skip)}")
     emit("norm_ratio.csv", lines)
 
-    m, n = report.aligner_matrix.shape
-    lines = ["dec_layer," + ",".join(f"enc_{j}" for j in range(n))]
-    for i in range(m):
-        lines.append(str(i + 1) + "," + ",".join(repr(float(v)) for v in report.aligner_matrix[i]))
+    lines = ["dec_layer," + ",".join(f"enc_{j}" for j in report.aligner_states)]
+    for i, row in enumerate(report.aligner_matrix, start=1):
+        lines.append(str(i) + "," + ",".join(repr(float(v)) for v in row))
     emit("aligner_matrix.csv", lines)
 
     lines = ["layer,gate"]
@@ -311,7 +312,8 @@ def _render_plots(out_dir: Path, report: DiagnosticsReport) -> list[Path]:
 
     fig, ax = plt.subplots(figsize=(5, 3.2))
     im = ax.imshow(report.aligner_matrix, aspect="auto", cmap="viridis")
-    ax.set_xlabel("encoder layer")
+    ax.set_xticks(range(len(report.aligner_states)), [str(j) for j in report.aligner_states])
+    ax.set_xlabel("encoder state")
     ax.set_ylabel("decoder layer")
     fig.colorbar(im, ax=ax)
     paths.append(_write_png(plt, fig, out_dir / "aligner_matrix.png"))

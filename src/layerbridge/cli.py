@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import build_report, write_report
 from .checkpoint import checkpoint_from_params, load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig, build_model, config_digest, load_run_config
-from .data import STAGE_TASK, STAGE_TRANSLATION, STAGES, generate_synthetic_corpus, load_corpus_dir, write_corpus_dir
+from .data import STAGE_TRANSLATION, STAGES, generate_synthetic_corpus, load_corpus_dir, write_corpus_dir
 from .errors import (
     ConfigError,
     ContractError,
@@ -96,13 +96,8 @@ def _reference_defaults() -> dict:
 def cmd_train(args) -> int:
     config = _load_config(args)
     stage = STAGE_NAMES[args.stage]
-    if stage == STAGE_TRANSLATION and config.ablations.skip_stage1:
-        raise ConfigError("train --stage 1 conflicts with the skip_stage1 ablation")
     digest = config_digest(config)
     out_dir = Path(config.out_dir)
-
-    if stage == STAGE_TASK and args.resume is None:
-        config.ablations = dataclasses.replace(config.ablations, skip_stage1=True)
 
     corpus = _load_corpus(config)
     model = build_model(config)
@@ -130,6 +125,7 @@ def cmd_train(args) -> int:
         "seed": config.seed,
         "config_digest": digest,
         "ablations": config.ablations.active(),
+        "resumed": args.resume is not None,
         "plan": dataclasses.asdict(plan),
         "reference_defaults": _reference_defaults(),
         "steps": result.steps,
@@ -255,7 +251,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--out", help="override config output directory")
     parser.add_argument("--ablate", help="comma-separated ablation flags to enable")
-    parser.add_argument("--layers", help="encoder layer subset spec, e.g. first:4 or last_hidden")
+    parser.add_argument("--layers", help="fix the aligner's mixture: last_hidden reads the final "
+                        "encoder state alone, average weights every state equally")
     parser.add_argument("--force", action="store_true", help="skip config digest checks on load")
 
 

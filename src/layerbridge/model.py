@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .bridge import FusedKV, LayerSubset, LayerWiseAligner, adapt, subset_from_spec
+from .bridge import ALIGNER_MODES, FusedKV, LayerWiseAligner, adapt
 from .data import BOS, EOS, PAD, SEP, STAGE_TASK, STAGES
 from .decoder import Decoder, DecoderConfig, DecoderState, GateVector, generate
 from .encoder import Encoder, EncoderConfig, LayerStack
@@ -38,10 +38,15 @@ ALIGNER_HIDDEN = 96
 class AblationFlags:
     no_adapter: bool = False
     no_aligner: bool = False
-    skip_stage1: bool = False
+    # the aligner's mixture: None learns it, an ``ALIGNER_MODES`` name fixes it
     layer_subset: str | None = None
 
     def __post_init__(self):
+        if self.layer_subset is not None and self.layer_subset not in ALIGNER_MODES:
+            raise ConfigError(
+                f"layer_subset {self.layer_subset!r} is not an aligner mode; "
+                f"expected null or one of {list(ALIGNER_MODES)}"
+            )
         if self.no_adapter and self.no_aligner:
             raise ConfigError("no_adapter + no_aligner leaves the decoder blind to the encoder")
         if self.no_aligner and self.layer_subset:
@@ -90,13 +95,9 @@ class BridgedModel:
             d_enc=enc_config.d_enc,
             d_hidden=ALIGNER_HIDDEN,
             d_dec=dec_config.d_dec,
+            mode=ablations.layer_subset,
         )
         self.gates = GateVector(dec_config.n_layers)
-        self.subset: LayerSubset | None = (
-            subset_from_spec(ablations.layer_subset, enc_config.n_layers)
-            if ablations.layer_subset
-            else None
-        )
 
     # ------------------------------------------------------------------
     # parameter plumbing
@@ -148,7 +149,7 @@ class BridgedModel:
 
     def bridge_outputs(self, stack: LayerStack) -> tuple[Tensor | None, FusedKV | None]:
         i_map = None if self.ablations.no_adapter else adapt(self.adapter, stack)
-        fused = None if self.ablations.no_aligner else self.aligner.fuse_all(stack, self.subset)
+        fused = None if self.ablations.no_aligner else self.aligner.fuse_all(stack)
         return i_map, fused
 
     def _pack(

@@ -270,12 +270,12 @@ def evaluate(
 # should change only with a fresh three-seed check.
 SYNTHETIC_STAGES = (StageConfig(2e-2, 3, 32), StageConfig(1e-2, 6, 32))
 
-# The benchmark arms: name -> (ablations, whether the arm trains at all).
-ARMS: dict[str, tuple[AblationFlags, bool]] = {
-    "full": (AblationFlags(), True),
-    "skip_stage1": (AblationFlags(skip_stage1=True), True),
-    "no_aligner": (AblationFlags(no_aligner=True), True),
-    "untrained": (AblationFlags(), False),
+# The benchmark arms: name -> (ablations, the stages the arm trains).
+ARMS: dict[str, tuple[AblationFlags, tuple[str, ...]]] = {
+    "full": (AblationFlags(), STAGES),
+    "skip_stage1": (AblationFlags(), (STAGE_TASK,)),
+    "no_aligner": (AblationFlags(no_aligner=True), STAGES),
+    "untrained": (AblationFlags(), ()),
 }
 
 # How many points of low-resource exact match full must score above each
@@ -311,8 +311,6 @@ class ArmOutcome:
     report: EvalReport
     results: list[TrainResult]
     digest_before: str
-    digest_after: str
-    gates_after: list[float]
 
 
 def train_arms(
@@ -326,7 +324,7 @@ def train_arms(
     """Train each named arm on one corpus and evaluate it on the task split."""
     out: dict[str, ArmOutcome] = {}
     for arm in arms:
-        ablations, do_train = ARMS[arm]
+        ablations, trained = ARMS[arm]
         model = BridgedModel(
             enc_config or EncoderConfig(),
             dec_config or DecoderConfig(),
@@ -335,16 +333,14 @@ def train_arms(
         )
         digest_before = model.frozen_digest()
         results: list[TrainResult] = []
-        if do_train:
-            if not ablations.skip_stage1:
-                results.append(train_stage1(model, stages[0], corpus.stage1, corpus.vocab, seed))
+        if STAGE_TRANSLATION in trained:
+            results.append(train_stage1(model, stages[0], corpus.stage1, corpus.vocab, seed))
+        if STAGE_TASK in trained:
             results.append(train_stage2(model, stages[1], corpus.stage2, corpus.vocab, seed))
         out[arm] = ArmOutcome(
             model=model,
             report=evaluate(model, corpus.eval_task, corpus.vocab, corpus.tiers()),
             results=results,
             digest_before=digest_before,
-            digest_after=model.frozen_digest(),
-            gates_after=model.gates.snapshot(),
         )
     return out

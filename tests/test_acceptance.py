@@ -144,10 +144,11 @@ def test_criterion_02_gradient_correctness():
 def test_criterion_03_frozen_contract(experiment):
     _, outcomes, _ = experiment
     full = outcomes["full"]
-    assert full.digest_before == full.digest_after, "frozen payload digest changed"
-    assert any(g != 0.0 for g in full.gates_after), "no gate moved during training"
+    gates = full.model.gates.snapshot()
+    assert full.digest_before == full.model.frozen_digest(), "frozen payload digest changed"
+    assert any(g != 0.0 for g in gates), "no gate moved during training"
     announce(3, f"digest {full.digest_before[:12]}… unchanged; "
-                f"max |gate| = {max(abs(g) for g in full.gates_after):.3f}")
+                f"max |gate| = {max(abs(g) for g in gates):.3f}")
 
 
 def test_criterion_04_ablation_perturbation():

@@ -315,6 +315,22 @@ def test_aligner_matrix_rows_uniform_at_init(report):
     assert np.allclose(report.aligner_matrix.sum(axis=1), 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "mode, header, weight",
+    [
+        (None, ["enc_0", "enc_1", "enc_2"], 1.0 / 3),
+        ("last_hidden", ["enc_3"], 1.0),
+        ("average", ["enc_0", "enc_1", "enc_2", "enc_3"], 1.0 / 4),
+    ],
+)
+def test_aligner_matrix_csv_names_the_mixed_states(tmp_path, corpus, mode, header, weight):
+    model = BridgedModel(EC, DC, ablations=AblationFlags(layer_subset=mode), seed=0)
+    write_report(tmp_path, build_report(model, corpus.eval_parallel, corpus.vocab))
+    lines = (tmp_path / "aligner_matrix.csv").read_text().splitlines()
+    assert lines[0] == ",".join(["dec_layer", *header])
+    assert lines[1:] == [",".join([str(i), *[repr(weight)] * len(header)]) for i in (1, 2)]
+
+
 def test_write_report_emits_csvs(tmp_path, report):
     written = write_report(tmp_path / "report", report)
     names = sorted(p.name for p in written)

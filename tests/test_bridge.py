@@ -1,21 +1,14 @@
 """Adapter (an ``nn.Linear`` applied through ``adapt``) and layer-wise aligner:
-mixing oracles, subsets, gradient flow."""
+mixing oracles, the two fixed-mixture modes, gradient flow."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from layerbridge.autodiff import Tape, Tensor, backward, concat, matmul, mul, relu, reshape, softmax, take
-from layerbridge.bridge import (
-    LayerSubset,
-    LayerWiseAligner,
-    adapt,
-    aligner_weight_matrix,
-    subset_from_spec,
-)
+from layerbridge.bridge import LayerWiseAligner, adapt, aligner_weight_matrix
 from layerbridge.encoder import LayerStack
 from layerbridge.errors import ConfigError
+from layerbridge.model import AblationFlags
 from layerbridge.nn import Linear
 from conftest import assert_grad_matches, total
 
@@ -29,8 +22,18 @@ def _stack(rng, n_layers=3, batch=2, src_len=4, d_enc=8):
     return LayerStack(states=states, mask=np.ones((batch, src_len), dtype=bool))
 
 
-def _aligner(rng, n_enc=3, n_dec=2, d_enc=8, d_hidden=6, d_dec=10):
-    return LayerWiseAligner(rng, n_enc, n_dec, d_enc, d_hidden, d_dec)
+def _aligner(rng, n_enc=3, n_dec=2, d_enc=8, d_hidden=6, d_dec=10, mode=None):
+    return LayerWiseAligner(rng, n_enc, n_dec, d_enc, d_hidden, d_dec, mode=mode)
+
+
+def _mix(mode, n_enc):
+    """What a mode mixes, written out: (the encoder states, whether their
+    weights are a constant 1/k rather than a learned softmax)."""
+    return {
+        None: (tuple(range(n_enc)), False),
+        "last_hidden": ((n_enc,), True),
+        "average": (tuple(range(n_enc + 1)), True),
+    }[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +84,10 @@ def test_adapter_parameter_count_at_reference_dims(rng):
 
 def _naive_fuse(aligner, stack, layer_index, indices, uniform=False):
     """Recompute one decoder layer's memory with explicit float64 loops."""
-    logits = aligner.mixing_logits.data[layer_index - 1, list(indices)].astype(np.float64)
     if uniform:
         w = np.full(len(indices), 1.0 / len(indices))
     else:
+        logits = aligner.mixing_logits.data[layer_index - 1, list(indices)].astype(np.float64)
         e = np.exp(logits - logits.max())
         w = e / e.sum()
     mixed = np.zeros(stack.states[0].shape, dtype=np.float64)
@@ -98,15 +101,15 @@ def _naive_fuse(aligner, stack, layer_index, indices, uniform=False):
     return hidden @ aligner.k_head.weight.data.astype(np.float64) + aligner.k_head.bias.data.astype(np.float64)
 
 
-def _per_layer_fuse(aligner, stack, subset=None):
+def _per_layer_fuse(aligner, stack, mode=None):
     """The memories as a loop over decoder layers, one mixing row and one
     fusion-network run per layer: the float32 arithmetic ``fuse_all`` keeps."""
-    indices = tuple(range(aligner.n_enc_layers)) if subset is None else subset.indices
+    indices, uniform = _mix(mode, aligner.n_enc_layers)
     batch, src_len, d_enc = stack.states[0].shape
     support = Tensor(np.stack([stack.states[j].reshape(-1) for j in indices], axis=0))
     memories = []
     for layer in range(aligner.n_dec_layers):
-        if subset is not None and subset.frozen_uniform:
+        if uniform:
             weights = Tensor(np.full((1, len(indices)), 1.0 / len(indices), dtype=np.float32))
         else:
             row = take(aligner.mixing_logits, [layer], axis=0)
@@ -117,7 +120,8 @@ def _per_layer_fuse(aligner, stack, subset=None):
 
 
 def _random_logits(rng, aligner):
-    aligner.mixing_logits.data[...] = rng.normal(0, 1, size=aligner.mixing_logits.shape)
+    if aligner.mixing_logits is not None:
+        aligner.mixing_logits.data[...] = rng.normal(0, 1, size=aligner.mixing_logits.shape)
     return aligner
 
 
@@ -132,26 +136,26 @@ def test_fuse_matches_loop_oracle(rng):
 
 
 def test_fuse_subset_matches_loop_oracle(rng):
-    aligner = _random_logits(rng, _aligner(rng, n_dec=3))
     stack = _stack(rng)
-    for spec in ("0,2,3", "average", "last_hidden", "first:2"):
-        subset = subset_from_spec(spec, 3)
-        memories = aligner.fuse_all(stack, subset).memories
+    for mode in (None, "average", "last_hidden"):
+        aligner = _random_logits(rng, _aligner(rng, n_dec=3, mode=mode))
+        indices, uniform = _mix(mode, 3)
+        assert aligner.states == indices
+        memories = aligner.fuse_all(stack).memories
         for layer, memory in enumerate(memories, start=1):
-            want = _naive_fuse(aligner, stack, layer, subset.indices, uniform=subset.frozen_uniform)
-            assert np.allclose(memory.data, want, atol=1e-5), (spec, layer)
+            want = _naive_fuse(aligner, stack, layer, indices, uniform=uniform)
+            assert np.allclose(memory.data, want, atol=1e-5), (mode, layer)
 
 
 @pytest.mark.parametrize("batch", [1, 32])
-@pytest.mark.parametrize("spec", [None, "average", "last_hidden", "first:4"])
-def test_fuse_all_equals_per_layer_loop_bitwise(rng, batch, spec):
+@pytest.mark.parametrize("mode", [None, "average", "last_hidden"])
+def test_fuse_all_equals_per_layer_loop_bitwise(rng, batch, mode):
     """Six encoder layers, four decoder layers, width 64: a shape at which
     one [m, k] GEMM rounds differently from the per-layer rows."""
-    aligner = _random_logits(rng, _aligner(rng, n_enc=6, n_dec=4, d_enc=64, d_hidden=96, d_dec=128))
+    aligner = _random_logits(rng, _aligner(rng, n_enc=6, n_dec=4, d_enc=64, d_hidden=96, d_dec=128, mode=mode))
     stack = _stack(rng, n_layers=6, batch=batch, src_len=13, d_enc=64)
-    subset = None if spec is None else subset_from_spec(spec, 6)
-    got = aligner.fuse_all(stack, subset).memories
-    want = _per_layer_fuse(aligner, stack, subset)
+    got = aligner.fuse_all(stack).memories
+    want = _per_layer_fuse(aligner, stack, mode)
     assert len(got) == len(want) == 4
     for memory, expected in zip(got, want):
         assert np.array_equal(memory.data, expected.data)
@@ -263,26 +267,29 @@ def test_fuse_all_gradients_match_finite_differences(rng):
 
 
 def test_frozen_uniform_average_blocks_logit_gradient(rng):
-    aligner = _aligner(rng)
+    """``average`` has no logits, and every parameter it does have receives
+    a gradient, so the optimizer can step it."""
+    aligner = _aligner(rng, mode="average")
+    assert aligner.mixing_logits is None
+    assert "aligner.mixing_logits" not in aligner.named_params()
     stack = _stack(rng)
-    subset = subset_from_spec("average", 3)
     with Tape() as tape:
-        memories = aligner.fuse_all(stack, subset).memories
+        memories = aligner.fuse_all(stack).memories
         loss = total(concat([mul(k, k) for k in memories], axis=0))
     backward(tape, loss)
-    assert aligner.mixing_logits.grad is None or np.all(aligner.mixing_logits.grad == 0)
-    assert aligner.fuse_in.weight.grad is not None
+    assert all(p.grad is not None for p in aligner.named_params().values())
 
 
 def test_single_member_subset_ignores_logit_values(rng):
-    aligner = _aligner(rng)
+    """``last_hidden`` has no logits: each memory is the fusion network applied
+    to the final encoder state alone."""
+    aligner = _aligner(rng, mode="last_hidden")
+    assert aligner.mixing_logits is None
     stack = _stack(rng)
-    subset = LayerSubset(indices=(2,))
-    before = aligner.fuse_all(stack, subset).memories
-    aligner.mixing_logits.data[:, 2] = -31.0
-    after = aligner.fuse_all(stack, subset).memories
-    for a, b in zip(before, after):
-        assert np.allclose(a.data, b.data, atol=1e-7)
+    want = aligner.k_head(relu(aligner.fuse_in(Tensor(stack.states[3])))).data
+    for memory in aligner.fuse_all(stack).memories:
+        assert np.allclose(memory.data, want, atol=1e-6)
+    assert np.allclose(aligner.fuse_all(_shifted(stack, 2)).memories[0].data, want, atol=1e-6)
 
 
 def test_stack_depth_mismatch(rng):
@@ -292,29 +299,26 @@ def test_stack_depth_mismatch(rng):
 
 
 # ---------------------------------------------------------------------------
-# subset spec parsing
+# aligner modes
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "spec,want",
-    [
-        ("first:2", (0, 1)),
-        ("last:3", (4, 5, 6)),
-        ("middle:3", (2, 3, 4)),
-        ("last_hidden", (6,)),
-        ("0,2,5", (0, 2, 5)),
-        (" first:1 ", (0,)),
-    ],
-)
-def test_subset_spec_forms(spec, want):
-    assert subset_from_spec(spec, 6).indices == want
+def test_average_is_frozen_uniform_over_all_states(rng):
+    aligner = _aligner(rng, n_enc=6, n_dec=4, mode="average")
+    assert aligner.states == tuple(range(7))
+    assert aligner.mixing_logits is None
+    assert np.array_equal(aligner_weight_matrix(aligner), np.full((4, 7), 1.0 / 7))
 
 
-def test_average_is_frozen_uniform_over_all_states():
-    subset = subset_from_spec("average", 6)
-    assert subset.indices == tuple(range(7))
-    assert subset.frozen_uniform
+def test_weight_matrix_of_last_hidden_is_the_final_state(rng):
+    aligner = _aligner(rng, n_enc=6, n_dec=4, mode="last_hidden")
+    assert aligner.states == (6,)
+    assert np.array_equal(aligner_weight_matrix(aligner), np.ones((4, 1)))
+
+
+def test_unknown_aligner_mode_is_refused(rng):
+    with pytest.raises(ConfigError, match="'last:3'"):
+        _aligner(rng, mode="last:3")
 
 
 @pytest.mark.parametrize(
@@ -322,14 +326,5 @@ def test_average_is_frozen_uniform_over_all_states():
     ["first:0", "last:9", "middle:x", "sideways:2", "0,0,1", "7", "-1", "0,,2", ""],
 )
 def test_subset_spec_rejects_malformed(spec):
-    with pytest.raises(ConfigError):
-        subset_from_spec(spec, 6)
-
-
-@settings(max_examples=30, deadline=None)
-@given(k=st.integers(1, 7))
-def test_named_windows_have_requested_size(k):
-    for kind in ("first", "middle", "last"):
-        subset = subset_from_spec(f"{kind}:{k}", 6)
-        assert len(subset.indices) == k
-        assert all(0 <= i <= 6 for i in subset.indices)
+    with pytest.raises(ConfigError, match=f"layer_subset {spec!r} is not an aligner mode"):
+        AblationFlags(layer_subset=spec)

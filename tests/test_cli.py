@@ -136,7 +136,8 @@ def test_train_stage2_resume_continues(stage1_run, tmp_path):
                  "--resume", ckpt, "--out", out2]) == 0
     meta = json.loads((Path(out2) / "metadata.json").read_text())
     assert meta["stage"] == "task"
-    assert meta["ablations"] == []  # resumed, so stage 1 was not skipped
+    assert meta["ablations"] == []
+    assert meta["resumed"] is True
     assert (Path(out2) / "trace_stage2.csv").exists()
 
 
@@ -144,7 +145,8 @@ def test_train_stage2_fresh_records_skip(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", cfg, "--stage", "2"]) == 0
     meta = json.loads((tmp_path / "run" / "metadata.json").read_text())
-    assert meta["ablations"] == ["skip_stage1"]
+    assert meta["ablations"] == []
+    assert meta["resumed"] is False
 
 
 def test_train_resume_wrong_digest_refused(stage1_run, tmp_path, capsys):
@@ -316,16 +318,18 @@ def test_failed_write_keeps_old_output_and_exits_4(tmp_path, monkeypatch, capsys
 
 def test_unknown_ablation_flag(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    for flag in ("no_such", "skip_stage2", "layer_subset"):
+    for flag in ("no_such", "skip_stage2", "skip_stage1", "layer_subset"):
         assert main(["train", "--config", cfg, "--stage", "1", "--ablate", flag]) == 2
         err = capsys.readouterr().err
         assert "configuration error: ablations" in err and flag in err
 
 
 def test_stage1_under_skip_stage1_is_refused(tmp_path, capsys):
+    """Skipping stage 1 is ``train --stage 2`` without ``--resume``, not an
+    ablation: the flag is an unknown key."""
     cfg = write_config(tmp_path)
     assert main(["train", "--config", cfg, "--stage", "1", "--ablate", "skip_stage1"]) == 2
-    assert "conflicts with the skip_stage1 ablation" in capsys.readouterr().err
+    assert "ablations: unknown keys ['skip_stage1']" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -353,20 +357,53 @@ def test_flag_env_and_file_give_one_digest(tmp_path, monkeypatch):
 
 
 def test_ablation_flags_and_section_give_one_digest(tmp_path):
-    by_flags = stage1_metadata(tmp_path, "flags", "--ablate", "no_adapter", "--layers", "last:3")
-    by_file = stage1_metadata(tmp_path, "file", ablations={"no_adapter": True, "layer_subset": "last:3"})
+    by_flags = stage1_metadata(tmp_path, "flags", "--ablate", "no_adapter", "--layers", "last_hidden")
+    by_file = stage1_metadata(tmp_path, "file", ablations={"no_adapter": True, "layer_subset": "last_hidden"})
     assert by_flags["ablations"] == by_file["ablations"]
     assert by_flags["config_digest"] == by_file["config_digest"]
 
 
 def test_layer_subset_without_aligner_is_refused(tmp_path, capsys):
-    by_flags = ["--config", write_config(tmp_path), "--ablate", "no_aligner", "--layers", "last:3"]
-    by_file = ["--config", write_config(tmp_path, ablations={"no_aligner": True, "layer_subset": "last:3"})]
+    by_flags = ["--config", write_config(tmp_path), "--ablate", "no_aligner", "--layers", "average"]
+    by_file = ["--config", write_config(tmp_path, ablations={"no_aligner": True, "layer_subset": "average"})]
     for flags in (by_flags, by_file):
         assert main(["train", "--stage", "1", *flags]) == 2
         err = capsys.readouterr().err
-        assert "configuration error: ablations: layer_subset 'last:3' has no effect with no_aligner" in err
+        assert "configuration error: ablations: layer_subset 'average' has no effect with no_aligner" in err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["last:3", "0,2,5", "sideways:2", ""])
+def test_layers_outside_the_two_modes_are_refused(tmp_path, monkeypatch, capsys, value):
+    """By flag and by variable, ``gen-synth`` and ``train`` exit 2 naming the
+    value, before a corpus is generated or a file written."""
+    cfg = write_config(tmp_path)
+    commands = (["gen-synth", "--config", cfg], ["train", "--config", cfg, "--stage", "1"])
+    for command in commands:
+        assert main([*command, "--layers", value]) == 2
+    monkeypatch.setenv("LAYERBRIDGE_ABLATIONS__LAYER_SUBSET", json.dumps(value))
+    for command in commands:
+        assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"ablations: layer_subset {value!r} is not an aligner mode") == 4
+    assert not (tmp_path / "run").exists()
+
+
+def test_average_mode_trains_evaluates_and_analyzes(tmp_path):
+    """``average`` has no logits to learn, so every parameter it trains has a
+    gradient; its report names all n+1 mixed states at 1/(n+1)."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    ckpt = str(out / "checkpoint.bin")
+    assert main(["train", "--config", cfg, "--stage", "1", "--layers", "average"]) == 0
+    assert main(["train", "--config", cfg, "--stage", "2", "--layers", "average", "--resume", ckpt]) == 0
+    assert main(["eval", ckpt, "--config", cfg, "--layers", "average"]) == 0
+    assert main(["analyze", ckpt, "--config", cfg, "--layers", "average"]) == 0
+    assert "aligner.mixing_logits" not in load_checkpoint(ckpt).tensors
+    assert json.loads((out / "metadata.json").read_text())["ablations"] == ["layer_subset=average"]
+    lines = (out / "report" / "aligner_matrix.csv").read_text().splitlines()
+    assert lines[0] == "dec_layer,enc_0,enc_1,enc_2,enc_3"
+    assert lines[1:] == [f"{i}," + ",".join([repr(1 / 4)] * 4) for i in (1, 2)]
 
 
 def test_flag_beats_env_beats_file(tmp_path, monkeypatch):

@@ -79,6 +79,7 @@ REMOVED_KEYS = [
     ("stage1", "clip_norm", None),
     ("stage2", "clip_norm", 1.0),
     ("ablations", "skip_stage2", False),
+    ("ablations", "skip_stage1", False),
     ("data.synth", "stage2_lrl_fraction", 1.0),
     ("data.synth", "explicit_ciphers", None),
     ("diagnostics", "include_prompt", False),

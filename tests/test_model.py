@@ -237,9 +237,19 @@ def test_trainable_params_respect_ablations():
     assert {name.split(".")[0] for name in no_al} == {"adapter"}
 
 
+def test_trainable_params_per_aligner_mode():
+    """Only the learned mixture carries logits; both fixed modes drop them."""
+    bridge = {f"adapter.proj.{p}" for p in ("weight", "bias")} | {
+        f"aligner.{layer}.{p}" for layer in ("fuse_in", "k_head") for p in ("weight", "bias")
+    } | {f"gates.layer{i}" for i in range(1, DC.n_layers + 1)}
+    for mode, extra in ((None, {"aligner.mixing_logits"}), ("last_hidden", set()), ("average", set())):
+        model = BridgedModel(EC, DC, ablations=AblationFlags(layer_subset=mode), seed=0)
+        assert set(model.trainable_params()) == bridge | extra, mode
+
+
 def test_ablation_active_listing():
-    flags = AblationFlags(no_adapter=True, layer_subset="last:2")
-    assert flags.active() == ["no_adapter", "layer_subset=last:2"]
+    flags = AblationFlags(no_adapter=True, layer_subset="average")
+    assert flags.active() == ["no_adapter", "layer_subset=average"]
     assert AblationFlags().active() == []
 
 

@@ -327,14 +327,14 @@ def test_benchmark_runs_expected_stages(tiny_benchmark):
 
 def test_benchmark_untrained_arm_is_pristine(tiny_benchmark):
     arm = tiny_benchmark["untrained"]
-    assert arm.digest_before == arm.digest_after
-    assert arm.gates_after == [0.0, 0.0]
+    assert arm.digest_before == arm.model.frozen_digest()
+    assert arm.model.gates.snapshot() == [0.0, 0.0]
 
 
 def test_benchmark_frozen_digests_survive_training(tiny_benchmark):
     for arm in tiny_benchmark.values():
-        assert arm.digest_before == arm.digest_after
+        assert arm.digest_before == arm.model.frozen_digest()
 
 
 def test_benchmark_full_arm_opens_gates(tiny_benchmark):
-    assert any(abs(g) > 0 for g in tiny_benchmark["full"].gates_after)
+    assert any(abs(g) > 0 for g in tiny_benchmark["full"].model.gates.snapshot())
