@@ -3,7 +3,9 @@
 All quantities are pure functions of (parameters, data), computed in float64
 and emitted as CSVs so two runs of the same checkpoint produce identical
 bytes. Pooling covers the response span of the final decoder layer, so
-padding positions are never pooled.
+padding positions are never pooled. ``build_report`` encodes and bridges each
+parallel row's source once; the row's two decoder forwards, teacher-forced for
+the pooled vector and prompt-only for the norm ratios, both read that pass.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import numpy as np
 
 from .bridge import aligner_weight_matrix
 from .data import STAGE_TRANSLATION, Vocabulary
+from .decoder import DecoderState
 from .errors import ConfigError, ContractError, PairingError
 from .files import write_atomic
-from .model import BridgedModel
+from .model import BridgedModel, PackedBatch
 
 
 @dataclass
@@ -29,6 +32,18 @@ class PooledRep:
     lang: str
     sid: int
     vector: np.ndarray
+
+
+def _row_order(row: dict) -> tuple[str, int]:
+    return row["lang"], row["sid"]
+
+
+def _pooled_rep(row: dict, state: DecoderState, packed: PackedBatch, tgt_len: int) -> PooledRep:
+    """``row``'s final-layer decoder state averaged over the ``tgt_len``
+    teacher-forced response positions of its batch-1 forward."""
+    final = state.states[-1].data[0].astype(np.float64)
+    start = packed.prompt_lens[0]
+    return PooledRep(lang=row["lang"], sid=row["sid"], vector=final[start : start + tgt_len].mean(axis=0))
 
 
 def collect_pooled_reps(
@@ -43,14 +58,11 @@ def collect_pooled_reps(
     pooled over the same response token positions.
     """
     out: dict[str, list[PooledRep]] = {}
-    for row in sorted(parallel_rows, key=lambda r: (r["lang"], r["sid"])):
+    for row in sorted(parallel_rows, key=_row_order):
         src = vocab.encode(row["src"])
         tgt = vocab.encode(row["base"])
         _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt])
-        final = state.states[-1].data[0].astype(np.float64)
-        start = packed.prompt_lens[0]
-        vec = final[start : start + len(tgt)].mean(axis=0)
-        out.setdefault(row["lang"], []).append(PooledRep(lang=row["lang"], sid=row["sid"], vector=vec))
+        out.setdefault(row["lang"], []).append(_pooled_rep(row, state, packed, len(tgt)))
     return out
 
 
@@ -137,6 +149,31 @@ class NormRatioProfile:
     skipped: np.ndarray
 
 
+def _row_norm_ratios(
+    model: BridgedModel,
+    state: DecoderState,
+    packed: PackedBatch,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per layer, one batch-1 forward's mean token ratio |g| * ||CA|| / ||SA||
+    (0 where no position is usable) and its valid positions skipped for a
+    zero SA norm."""
+    m = model.dec_config.n_layers
+    ratios = np.zeros(m)
+    skipped = np.zeros(m, dtype=np.int64)
+    valid = packed.valid[0]
+    for i in range(m):
+        sa = np.linalg.norm(state.sa_outputs[i].data, axis=-1)[0].astype(np.float64)
+        ca = np.zeros_like(sa)
+        if state.ca_outputs[i] is not None:
+            ca_norm = np.linalg.norm(state.ca_outputs[i].data, axis=-1, keepdims=True)
+            ca = (np.abs(model.gates.values[i].data) * ca_norm)[0, :, 0].astype(np.float64)
+        usable = valid & (sa > 0)
+        skipped[i] = int((valid & (sa == 0)).sum())
+        if usable.any():
+            ratios[i] = float((ca[usable] / sa[usable]).mean())
+    return ratios, skipped
+
+
 def norm_ratio_profile(
     model: BridgedModel,
     examples: list[tuple[str, np.ndarray]],
@@ -156,18 +193,9 @@ def norm_ratio_profile(
     skipped = np.zeros(m, dtype=np.int64)
     for stage, src in examples:
         _, state, packed = model.forward_batch(stage, [np.asarray(src, dtype=np.int64)], None)
-        valid = packed.valid[0]
-        for i in range(m):
-            sa = np.linalg.norm(state.sa_outputs[i].data, axis=-1)[0].astype(np.float64)
-            ca = np.zeros_like(sa)
-            if state.ca_outputs[i] is not None:
-                ca_norm = np.linalg.norm(state.ca_outputs[i].data, axis=-1, keepdims=True)
-                ca = (np.abs(model.gates.values[i].data) * ca_norm)[0, :, 0].astype(np.float64)
-            usable = valid & (sa > 0)
-            skipped[i] += int((valid & (sa == 0)).sum())
-            if not usable.any():
-                continue
-            sums[i] += float((ca[usable] / sa[usable]).mean())
+        ratios, skips = _row_norm_ratios(model, state, packed)
+        sums += ratios
+        skipped += skips
     return NormRatioProfile(values=sums / len(examples), skipped=skipped)
 
 
@@ -192,27 +220,41 @@ def build_report(
     parallel_rows: list[dict],
     vocab: Vocabulary,
 ) -> DiagnosticsReport:
-    reps = collect_pooled_reps(model, parallel_rows, vocab)
-    if "base" not in reps:
+    """Every diagnostic over the parallel rows, in one walk of them.
+
+    Each row's source is encoded and bridged once, and both of its decoder
+    forwards read that pass: the teacher-forced one gives its pooled vector,
+    the prompt-only one its norm ratios. The results equal
+    ``collect_pooled_reps`` and ``norm_ratio_profile`` on the same rows.
+    """
+    rows = sorted(parallel_rows, key=_row_order)
+    if not any(row["lang"] == "base" for row in rows):
         raise ConfigError("parallel split must include the base language rendering")
+    m = model.dec_config.n_layers
+    reps: dict[str, list[PooledRep]] = {}
+    sums = np.zeros(m)
+    skipped = np.zeros(m, dtype=np.int64)
+    for row in rows:
+        src = vocab.encode(row["src"])
+        tgt = vocab.encode(row["base"])
+        bridged = model.bridge_outputs(model.encode_sources([src]))
+        _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt], bridged=bridged)
+        reps.setdefault(row["lang"], []).append(_pooled_rep(row, state, packed, len(tgt)))
+        _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], None, bridged=bridged)
+        ratios, skips = _row_norm_ratios(model, state, packed)
+        sums += ratios
+        skipped += skips
     cosine = {
         lang: pooled_cosine(lang_reps, reps["base"])
         for lang, lang_reps in sorted(reps.items())
         if lang != "base"
     }
     flat: list[PooledRep] = [r for lang in sorted(reps) for r in reps[lang]]
-    pca = pca_project(flat)
-    labels = [(r.lang, r.sid) for r in flat]
-    norm_examples = [
-        (STAGE_TRANSLATION, vocab.encode(row["src"]))
-        for row in sorted(parallel_rows, key=lambda r: (r["lang"], r["sid"]))
-    ]
-    profile = norm_ratio_profile(model, norm_examples)
     return DiagnosticsReport(
         cosine=cosine,
-        pca_labels=labels,
-        pca=pca,
-        norm_ratio=profile,
+        pca_labels=[(r.lang, r.sid) for r in flat],
+        pca=pca_project(flat),
+        norm_ratio=NormRatioProfile(values=sums / len(rows), skipped=skipped),
         aligner_matrix=aligner_weight_matrix(model.aligner),
         aligner_states=model.aligner.states,
         gate_values=model.gates.snapshot(),

@@ -209,11 +209,18 @@ class BridgedModel:
         stage: str,
         src_seqs: list[np.ndarray],
         tgt_seqs: list[np.ndarray] | None = None,
+        bridged: tuple[Tensor | None, FusedKV | None] | None = None,
     ) -> tuple[Tensor, DecoderState, PackedBatch]:
-        """Logits over the packed batch; targets are teacher-forced when given."""
+        """Logits over the packed batch; targets are teacher-forced when given.
+
+        ``bridged`` is ``bridge_outputs(encode_sources(src_seqs))`` computed by
+        the caller, used in place of running the encoder and bridge again.
+        ``analysis.build_report`` passes it so a row's two forwards share one
+        pass.
+        """
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
-        i_map, fused = self.bridge_outputs(self.encode_sources(src_seqs))
+        i_map, fused = self.bridge_outputs(self.encode_sources(src_seqs)) if bridged is None else bridged
         packed = self._pack(i_map, stage, src_seqs, tgt_seqs)
         logits, state = self.decoder.forward(packed.t0, fused, self.gates, valid=packed.valid)
         return logits, state, packed

@@ -20,7 +20,7 @@ from layerbridge.analysis import (
 )
 from layerbridge.data import SynthSpec, generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
-from layerbridge.encoder import EncoderConfig
+from layerbridge.encoder import Encoder, EncoderConfig
 from layerbridge.errors import ConfigError, ContractError, PairingError
 from layerbridge.model import AblationFlags, BridgedModel
 
@@ -292,6 +292,57 @@ def test_build_report_requires_base_language(model, corpus):
     rows = [r for r in corpus.eval_parallel if r["lang"] != "base"]
     with pytest.raises(ConfigError, match="base"):
         build_report(model, rows, corpus.vocab)
+
+
+@pytest.fixture(scope="module")
+def gated_model():
+    """A model with every gate open, so cross-attention moves the pooled
+    vectors and the norm ratios."""
+    m = BridgedModel(EC, DC, seed=3)
+    rng = np.random.default_rng(3)
+    for gate, value in zip(m.gates.values, rng.uniform(0.25, 0.75, size=DC.n_layers)):
+        gate.data[...] = value
+    return m
+
+
+def test_build_report_encodes_each_row_once(monkeypatch, gated_model, corpus):
+    calls = {"encoder": 0, "forward_batch": 0}
+
+    def counted(cls, name, key):
+        fn = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(Encoder, "forward", "encoder")
+    counted(BridgedModel, "forward_batch", "forward_batch")
+    build_report(gated_model, corpus.eval_parallel, corpus.vocab)
+    n = len(corpus.eval_parallel)
+    assert calls == {"encoder": n, "forward_batch": 2 * n}
+
+
+def test_build_report_agrees_with_the_standalone_diagnostics(gated_model, corpus):
+    rows = corpus.eval_parallel
+    report = build_report(gated_model, rows[::-1], corpus.vocab)
+    reps = collect_pooled_reps(gated_model, rows, corpus.vocab)
+    for lang in ("lang1", "lang2", "lang3"):
+        want = pooled_cosine(reps[lang], reps["base"])
+        assert report.cosine[lang].per_pair == want.per_pair
+        assert report.cosine[lang].mean == want.mean
+    flat = [r for lang in sorted(reps) for r in reps[lang]]
+    assert report.pca_labels == [(r.lang, r.sid) for r in flat]
+    assert np.array_equal(report.pca.coords, pca_project(flat).coords)
+    examples = [
+        ("translation", corpus.vocab.encode(row["src"]))
+        for row in sorted(rows, key=lambda r: (r["lang"], r["sid"]))
+    ]
+    profile = norm_ratio_profile(gated_model, examples)
+    assert np.array_equal(report.norm_ratio.values, profile.values)
+    assert np.array_equal(report.norm_ratio.skipped, profile.skipped)
+    assert (profile.values > 0).all()
 
 
 @pytest.fixture(scope="module")

@@ -175,6 +175,27 @@ def test_default_forward_is_float32():
     assert logits.dtype == np.float32
 
 
+@pytest.mark.parametrize("stage", ["translation", "task"])
+@pytest.mark.parametrize("tgts", [TGT, None], ids=["teacher_forced", "prompt_only"])
+def test_forward_on_a_given_bridge_pass_is_bitwise_equal(stage, tgts):
+    m = BridgedModel(EC, DC, seed=0)
+    for g in m.gates.values:
+        g.data[...] = 0.4
+    bridged = m.bridge_outputs(m.encode_sources(SRC))
+    want_logits, want_state, want_packed = m.forward_batch(stage, SRC, tgts)
+    logits, state, packed = m.forward_batch(stage, SRC, tgts, bridged=bridged)
+    assert np.array_equal(logits.data, want_logits.data)
+    for field in ("states", "sa_outputs", "ca_outputs"):
+        got, want = getattr(state, field), getattr(want_state, field)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data), field
+    assert np.array_equal(packed.t0.data, want_packed.t0.data)
+    for field in ("valid", "labels", "loss_mask"):
+        assert np.array_equal(getattr(packed, field), getattr(want_packed, field)), field
+    assert packed.prompt_lens == want_packed.prompt_lens
+
+
 def test_encode_sources_masks_padding(model):
     stack = model.encode_sources(SRC)
     assert np.array_equal(stack.mask, np.array([[True, True, True], [True, False, False]]))
