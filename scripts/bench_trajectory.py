@@ -12,7 +12,9 @@ quartiles of every end-to-end metric in ``BENCHMARK.json``, the pairs (same
 workload and seed on both sides) the change won, whether the gain rule and
 the regression bound hold, and the load average each paired run started and
 ended under. Traced runs (``--trace 1``) give each side's per-layer
-metrics, as the median over its traced runs.
+metrics, as the median over its traced runs. A results file that holds two
+runs of one workload, seed and trace is refused with a message naming them:
+move or delete the stale file before running again.
 """
 
 from __future__ import annotations
@@ -30,8 +32,17 @@ LOAD_KEYS = ("driver_load_start", "driver_load_end")
 
 
 def read_runs(path: Path) -> list[dict]:
+    """The runs in ``path``; a second run of one (workload, seed, trace) is
+    refused, since pairing could then match a stale run with a new one."""
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        runs = [json.loads(line) for line in fh if line.strip()]
+    seen = set()
+    for r in runs:
+        key = (r["workload"], r["seed"], r["trace"])
+        if key in seen:
+            raise SystemExit(f"{path}: workload {key[0]}, seed {key[1]}, trace {key[2]} is run twice; keep one run")
+        seen.add(key)
+    return runs
 
 
 def spread(values: list[float]) -> dict:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ContractError, EmptyLossError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5
 
 _node_ids = itertools.count()
 _tape_stack: list["Tape"] = []
@@ -201,39 +202,29 @@ def _weight_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, nx: bool, nw: boo
     return gx, gw
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus the row ``bias`` when one is given, as one tape entry."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
-    na, nb = a.requires_grad, b.requires_grad
     a_data, b_data = a.data, b.data
+    out = np.matmul(a_data, b_data)
+    inputs = (a, b)
+    na, nb, n_bias = a.requires_grad, b.requires_grad, False
+    if bias is not None:
+        out = out + bias.data
+        inputs, n_bias, bias_shape = (a, b, bias), bias.requires_grad, bias.data.shape
 
     def rule(g):
-        if a_data.ndim > 2 and b_data.ndim == 2:
-            return _weight_grads(g, a_data, b_data, na, nb)
-        ga = gb = None
-        if na:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
-        if nb:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_data.shape)
-        return ga, gb
+        if b_data.ndim == 2:
+            ga, gb = _weight_grads(g, a_data, b_data, na, nb)
+        else:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape) if na else None
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_data.shape) if nb else None
+        return ga, gb, _unbroadcast(g, bias_shape) if n_bias else None
 
-    return _record(out, (a, b), rule)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one op, for a 2-d weight ``w`` and a bias row ``b``."""
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear needs [..., d] x [d, d_out] operands, got {x.shape} x {w.shape}")
-    x_data, w_data = x.data, w.data
-    nx, nw, nb, b_shape = x.requires_grad, w.requires_grad, b.requires_grad, b.data.shape
-
-    def rule(g):
-        return (*_weight_grads(g, x_data, w_data, nx, nw), _unbroadcast(g, b_shape) if nb else None)
-
-    return _record(Tensor(np.matmul(x_data, w_data) + b.data), (x, w, b), rule)
+    return _record(Tensor(out), inputs, rule)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -366,14 +357,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (x,), rule)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, with no affine."""
     d = x.shape[-1]
     # add.reduce / d is np.mean's arithmetic without its Python-level wrapper
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centered = x.data - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
 
     def rule(g):

@@ -26,15 +26,7 @@ from .analysis import build_report, write_report
 from .checkpoint import checkpoint_from_params, load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig, build_model, config_digest, load_run_config
 from .data import STAGE_TRANSLATION, STAGES, generate_synthetic_corpus, load_corpus_dir, write_corpus_dir
-from .errors import (
-    ConfigError,
-    ContractError,
-    EmptyLossError,
-    IngestionError,
-    InputError,
-    NumericError,
-    PairingError,
-)
+from .errors import ConfigError, EmptyLossError, IngestionError, LayerBridgeError, NumericError, PairingError
 from .files import build, write_atomic
 from .training import (
     ARMS,
@@ -297,15 +289,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractError, InputError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
     except (NumericError, EmptyLossError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
     except (IngestionError, PairingError, OSError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 4
+    except LayerBridgeError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ only the gates (and bridge parameters), never the decoder weights.
 Greedy decoding runs the same forward pass through a ``DecodeCache``: the
 prompt once, then one position per emitted token.
 
-The init scales ``EMB_SCALE``, ``POS_SCALE`` and ``HEAD_SCALE`` are module
-constants, and the special token ids are ``data``'s ``PAD``, ``BOS``,
+The decoder is an ``nn.FrozenStack`` plus an output head. The head's init
+scale ``HEAD_SCALE`` is a module constant (the embedding scales are
+``nn``'s), and the special token ids are ``data``'s ``PAD``, ``BOS``,
 ``SEP`` and ``EOS``: the frozen stand-in and its vocabulary layout are fixed,
 not experimental variables.
 """
@@ -27,11 +28,8 @@ from .autodiff import Tensor
 from .bridge import FusedKV
 from .data import EOS, SPECIAL_TOKENS
 from .errors import ConfigError, ContractError, NumericError
-from .nn import Linear, attention, causal_bias, feed_forward, init_layer, padding_bias, self_attention
+from .nn import FrozenStack, Linear, attention, causal_bias, feed_forward, padding_bias, self_attention
 
-# frozen stand-in init scales; see encoder.EMB_SCALE for the rationale
-EMB_SCALE = 0.5
-POS_SCALE = 0.3
 # head columns need unit-order norms: after the final layer norm the
 # hidden state has norm ~sqrt(d_dec), and confident predictions need
 # peak logits well above log(vocab), which glorot columns cannot reach
@@ -105,42 +103,22 @@ class DecodeCache:
     offset: int = 0
 
 
-class Decoder:
+class Decoder(FrozenStack):
     """Pre-norm causal transformer, random-initialized then frozen."""
 
     def __init__(self, config: DecoderConfig, seed: int):
-        self.config = config
+        self.config = c = config
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC0]))
-        c = config
-        frozen = dict(requires_grad=False)
-        self.tok_emb = Tensor(rng.normal(0, EMB_SCALE, size=(c.vocab_size, c.d_dec)).astype(np.float32), **frozen)
-        self.pos_emb = Tensor(rng.normal(0, POS_SCALE, size=(c.max_positions, c.d_dec)).astype(np.float32), **frozen)
-        self.layers = [init_layer(rng, c.d_dec, c.d_ff) for _ in range(c.n_layers)]
+        super().__init__(rng, c.vocab_size, c.d_dec, c.n_layers, c.d_ff, c.max_positions)
+        # the glorot draw Linear makes is overwritten, but it stays in the
+        # RNG stream that the head's own draw follows
         self.head = Linear(rng, c.d_dec, c.vocab_size, trainable=False)
         self.head.weight.data = rng.normal(
             0, HEAD_SCALE / np.sqrt(c.d_dec), size=(c.d_dec, c.vocab_size)
         ).astype(np.float32)
 
-    def named_params(self, prefix: str = "decoder") -> dict[str, Tensor]:
-        out = {f"{prefix}.tok_emb": self.tok_emb, f"{prefix}.pos_emb": self.pos_emb}
-        for i, layer in enumerate(self.layers):
-            for key, tensor in layer.items():
-                out[f"{prefix}.layer{i}.{key}"] = tensor
-        out.update(self.head.named_params(f"{prefix}.head"))
-        return out
-
-    def token_ids(self, tokens: np.ndarray) -> np.ndarray:
-        """``tokens`` as int64, each checked to index a row of ``tok_emb``."""
-        idx = np.asarray(tokens, dtype=np.int64)
-        bad = (idx < 0) | (idx >= self.config.vocab_size)
-        if bad.any():
-            pos = tuple(map(int, np.argwhere(bad)[0]))
-            raise ConfigError(f"token id {idx[pos]} at {pos} outside decoder vocab")
-        return idx
-
-    def embed_tokens(self, tokens: np.ndarray) -> Tensor:
-        """Frozen embedding lookup, [batch, length, d_dec]."""
-        return Tensor(self.tok_emb.data[self.token_ids(tokens)])
+    def named_params(self, prefix: str) -> dict[str, Tensor]:
+        return {**super().named_params(prefix), **self.head.named_params(f"{prefix}.head")}
 
     def forward(
         self,
@@ -163,7 +141,8 @@ class Decoder:
         cached key. The buffers are written in place, so no tape may record
         a cached forward of a grad-requiring ``t0``.
 
-        Raises ``NumericError`` naming the first layer whose output holds a
+        Raises ``InputError`` when the positions run past ``max_positions``,
+        and ``NumericError`` naming the first layer whose output holds a
         non-finite value.
         """
         c = self.config
@@ -171,10 +150,7 @@ class Decoder:
         offset = 0 if cache is None else cache.offset
         if d != c.d_dec:
             raise ConfigError(f"T_0 width {d} != d_dec {c.d_dec}")
-        if offset + dec_len > c.max_positions:
-            raise ConfigError(
-                f"sequence length {offset + dec_len} exceeds max_positions {c.max_positions}"
-            )
+        positions = self.positions(offset, dec_len)
         if cache is not None:
             if batch != 1 or (offset and dec_len != 1):
                 raise ContractError(f"a cached step feeds one position of one sequence, got {batch}x{dec_len}")
@@ -196,7 +172,7 @@ class Decoder:
             valid = np.ones((batch, dec_len), dtype=bool)
         sa_bias = None if offset else causal_bias(dec_len) + padding_bias(valid)
 
-        x = ad.add(t0, Tensor(self.pos_emb.data[offset : offset + dec_len][None]))
+        x = ad.add(t0, Tensor(positions))
         state = DecoderState(states=[t0])
         for i in range(1, c.n_layers + 1):
             x, sa, ca = self.block(i, x, sa_bias, fused, gates, cache)

@@ -1,14 +1,12 @@
 """Frozen bidirectional transformer encoder exposing every layer's states.
 
 The encoder stands in for a large pretrained multilingual model: weights are
-random, seed-pinned, and never trained. Forward runs the layer code shared
-with the decoder (``nn.self_attention`` and ``nn.feed_forward``); no weight
-requires grad, so those ops record nothing and run as plain numpy. The
-returned states are marked read-only so downstream code cannot mutate what
-the frozen contract checksums.
-
-The init scales ``EMB_SCALE`` and ``POS_SCALE`` are module constants, not
-config: the stand-in is fixed, so they are not an experimental variable.
+random, seed-pinned, and never trained. It is an ``nn.FrozenStack``, so it
+shares its embeddings, layer layout and input checks with the decoder, and
+forward runs the shared sublayers (``nn.self_attention`` and
+``nn.feed_forward``); no weight requires grad, so those ops record nothing
+and run as plain numpy. The returned states are marked read-only so
+downstream code cannot mutate what the frozen contract checksums.
 """
 
 from __future__ import annotations
@@ -20,12 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, InputError
-from .nn import feed_forward, init_layer, padding_bias, self_attention
-
-# init scales of the frozen stand-in weights; position needs to be well
-# represented in the states or downstream alignment cannot route by it
-EMB_SCALE = 0.5
-POS_SCALE = 0.3
+from .nn import FrozenStack, feed_forward, padding_bias, self_attention
 
 
 @dataclass(frozen=True)
@@ -72,40 +65,22 @@ class LayerStack:
         return self.states[-1]
 
 
-class Encoder:
+class Encoder(FrozenStack):
     """Pre-norm encoder; H_0 is token+position embeddings, H_i the output of
     layer i with no extra final normalization."""
 
     def __init__(self, config: EncoderConfig, seed: int):
-        self.config = config
+        self.config = c = config
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE11C]))
-        c = config
-        frozen = dict(requires_grad=False)
-        self.tok_emb = Tensor(rng.normal(0, EMB_SCALE, size=(c.vocab_size, c.d_enc)).astype(np.float32), **frozen)
-        self.pos_emb = Tensor(rng.normal(0, POS_SCALE, size=(c.max_positions, c.d_enc)).astype(np.float32), **frozen)
-        self.layers = [init_layer(rng, c.d_enc, c.d_ff) for _ in range(c.n_layers)]
-
-    def named_params(self, prefix: str = "encoder") -> dict[str, Tensor]:
-        out = {f"{prefix}.tok_emb": self.tok_emb, f"{prefix}.pos_emb": self.pos_emb}
-        for i, layer in enumerate(self.layers):
-            for key, tensor in layer.items():
-                out[f"{prefix}.layer{i}.{key}"] = tensor
-        return out
+        super().__init__(rng, c.vocab_size, c.d_enc, c.n_layers, c.d_ff, c.max_positions)
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray | None = None) -> LayerStack:
-        c = self.config
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise InputError(f"encoder tokens must be [batch, src_len], got shape {tokens.shape}")
         batch, src_len = tokens.shape
-        if src_len > c.max_positions:
-            raise InputError(f"sequence length {src_len} exceeds max_positions {c.max_positions}")
-        bad = (tokens < 0) | (tokens >= c.vocab_size)
-        if bad.any():
-            b, s = map(int, np.argwhere(bad)[0])
-            raise InputError(
-                f"token id {tokens[b, s]} at batch {b}, position {s} outside vocab of {c.vocab_size}"
-            )
+        positions = self.positions(0, src_len)
+        h = Tensor(self.embed_tokens(tokens).data + positions)
         if mask is None:
             mask = np.ones((batch, src_len), dtype=bool)
         else:
@@ -115,10 +90,9 @@ class Encoder:
 
         # key-side padding bias: pads never attend into real positions
         key_bias = padding_bias(mask)
-        h = Tensor(self.tok_emb.data[tokens] + self.pos_emb.data[:src_len][None])
         states = [h.data]
         for layer in self.layers:
-            attended, _ = self_attention(layer, h, c.n_heads, key_bias)
+            attended, _ = self_attention(layer, h, self.config.n_heads, key_bias)
             h = feed_forward(layer, ad.add(h, attended))
             states.append(h.data)
         return LayerStack(states=states, mask=mask)

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Exit-code mapping for the CLI lives in cli.py: configuration/contract
-problems exit 2, numeric failures exit 3, I/O errors exit 4.
+Exit-code mapping for the CLI lives in cli.py: numeric failures exit 3,
+I/O and data-format errors exit 4, and every other package error
+(configuration, input, shape and contract problems) exits 2.
 """
 
 

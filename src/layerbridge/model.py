@@ -173,8 +173,7 @@ class BridgedModel:
         prompt_lens = sep_at + 1 + src_lens * use_user
         lengths = prompt_lens + (np.array([len(t) for t in tgt_seqs]) if tgt_seqs is not None else 0)
         width = int(lengths.max())
-        if width > c.max_positions:
-            raise ConfigError(f"assembled length {width} exceeds max_positions {c.max_positions}")
+        self.decoder.positions(0, width)  # raises when a row outgrows the decoder
         ids = np.full((batch, width), PAD, dtype=np.int64)
         labels = np.zeros((batch, width), dtype=np.int64)
         loss_mask = np.zeros((batch, width), dtype=bool)

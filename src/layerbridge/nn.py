@@ -1,10 +1,15 @@
-"""Shared building blocks: linear maps, attention, and the frozen layer.
+"""Shared building blocks: linear maps, attention, and the frozen stack.
 
 Modules here are thin parameter containers. They expose ``named_params`` so
 owners can compose flat ``{name: Tensor}`` dictionaries for the optimizer
 and the checkpoint writer; nothing registers itself globally. The frozen
-encoder and decoder share one pre-norm layer layout (``init_layer``) and run
-it through the same two sublayers, ``self_attention`` and ``feed_forward``.
+encoder and decoder are both a ``FrozenStack``: embeddings plus pre-norm
+layers of one layout (``init_layer``), run through the same two sublayers,
+``self_attention`` and ``feed_forward``.
+
+The init scales ``EMB_SCALE`` and ``POS_SCALE`` are module constants, not
+config: the frozen stand-ins are fixed, so they are not an experimental
+variable.
 """
 
 from __future__ import annotations
@@ -15,24 +20,28 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
+from .errors import InputError, ShapeError
+
+# init scales of the frozen stand-in embeddings; position needs to be well
+# represented in the states or downstream alignment cannot route by it
+EMB_SCALE = 0.5
+POS_SCALE = 0.3
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float32) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
 
 class Linear:
     """y = x @ W + b. Weight is [d_in, d_out]."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
-                 trainable: bool = True, dtype=np.float32):
-        self.weight = Tensor(glorot(rng, d_in, d_out, dtype), requires_grad=trainable)
-        self.bias = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=trainable)
+    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, trainable: bool = True):
+        self.weight = Tensor(glorot(rng, d_in, d_out), requires_grad=trainable)
+        self.bias = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=trainable)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.weight, self.bias)
+        return ad.matmul(x, self.weight, bias=self.bias)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -87,16 +96,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return ad._record(out, (q, k, v), rule)
 
 
-def causal_bias(s: int, dtype=np.float32) -> np.ndarray:
+def causal_bias(s: int) -> np.ndarray:
     """[1, 1, S, S] additive mask hiding future positions."""
     mask = np.triu(np.ones((s, s), dtype=bool), k=1)
-    return np.where(mask, np.asarray(-1e9, dtype=dtype), np.asarray(0.0, dtype=dtype))[None, None]
+    return np.where(mask, np.asarray(-1e9, dtype=np.float32), np.asarray(0.0, dtype=np.float32))[None, None]
 
 
-def padding_bias(valid: np.ndarray, dtype=np.float32) -> np.ndarray:
+def padding_bias(valid: np.ndarray) -> np.ndarray:
     """[B, S_k] validity -> [B, 1, 1, S_k] additive key mask."""
     blocked = ~np.asarray(valid, dtype=bool)
-    return np.where(blocked, np.asarray(-1e9, dtype=dtype), np.asarray(0.0, dtype=dtype))[:, None, None, :]
+    return np.where(blocked, np.asarray(-1e9, dtype=np.float32), np.asarray(0.0, dtype=np.float32))[:, None, None, :]
 
 
 def init_layer(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Tensor]:
@@ -116,6 +125,51 @@ def init_layer(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Tensor]
         "ff2_w": Tensor(glorot(rng, d_ff, d)),
         "ff2_b": Tensor(np.zeros(d, dtype=np.float32)),
     }
+
+
+class FrozenStack:
+    """The parts the frozen encoder and decoder share: token and position
+    embeddings and ``n_layers`` pre-norm layers, seed-pinned and never trained.
+
+    Draws ``tok_emb``, ``pos_emb`` and then each layer from ``rng``, in that
+    order. Token ids and positions are checked where they are read; a bad
+    one raises ``InputError``.
+    """
+
+    def __init__(self, rng: np.random.Generator, vocab_size: int, d: int, n_layers: int,
+                 d_ff: int, max_positions: int):
+        self.tok_emb = Tensor(rng.normal(0, EMB_SCALE, size=(vocab_size, d)).astype(np.float32))
+        self.pos_emb = Tensor(rng.normal(0, POS_SCALE, size=(max_positions, d)).astype(np.float32))
+        self.layers = [init_layer(rng, d, d_ff) for _ in range(n_layers)]
+
+    def named_params(self, prefix: str) -> dict[str, Tensor]:
+        out = {f"{prefix}.tok_emb": self.tok_emb, f"{prefix}.pos_emb": self.pos_emb}
+        for i, layer in enumerate(self.layers):
+            for key, tensor in layer.items():
+                out[f"{prefix}.layer{i}.{key}"] = tensor
+        return out
+
+    def token_ids(self, tokens: np.ndarray) -> np.ndarray:
+        """[batch, length] ``tokens`` as int64, each checked to index a row of
+        ``tok_emb``."""
+        idx = np.asarray(tokens, dtype=np.int64)
+        vocab = self.tok_emb.shape[0]
+        bad = (idx < 0) | (idx >= vocab)
+        if bad.any():
+            b, s = map(int, np.argwhere(bad)[0])
+            raise InputError(f"token id {idx[b, s]} at batch {b}, position {s} outside vocab of {vocab}")
+        return idx
+
+    def embed_tokens(self, tokens: np.ndarray) -> Tensor:
+        """Frozen embedding lookup, [batch, length, d]."""
+        return Tensor(self.tok_emb.data[self.token_ids(tokens)])
+
+    def positions(self, offset: int, length: int) -> np.ndarray:
+        """Position embeddings of positions ``offset`` to ``offset + length``,
+        [1, length, d]."""
+        if offset + length > self.pos_emb.shape[0]:
+            raise InputError(f"sequence length {offset + length} exceeds max_positions {self.pos_emb.shape[0]}")
+        return self.pos_emb.data[offset : offset + length][None]
 
 
 def self_attention(
@@ -146,5 +200,5 @@ def self_attention(
 def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:
     """Pre-norm ReLU feed-forward sublayer with its residual: x + FFN(LN(x))."""
     normed = ad.layer_norm(x)
-    ff = ad.linear(ad.relu(ad.linear(normed, layer["ff1_w"], layer["ff1_b"])), layer["ff2_w"], layer["ff2_b"])
-    return ad.add(x, ff)
+    hidden = ad.relu(ad.matmul(normed, layer["ff1_w"], bias=layer["ff1_b"]))
+    return ad.add(x, ad.matmul(hidden, layer["ff2_w"], bias=layer["ff2_b"]))

@@ -34,10 +34,11 @@ def total(x: Tensor) -> Tensor:
     return matmul(reshape(x, (1, x.size)), Tensor(np.ones((x.size, 1), dtype=x.dtype)))
 
 
-def chain_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``autodiff.linear`` as the matmul-then-add chain of tape ops it fuses:
-    the reference for its bits."""
-    return add(matmul(x, w), b)
+def chain_matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``autodiff.matmul`` with its bias added by a separate ``add`` tape op:
+    the reference for the bits of a biased projection."""
+    out = matmul(a, b)
+    return out if bias is None else add(out, bias)
 
 
 def chain_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) -> Tensor:

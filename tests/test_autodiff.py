@@ -21,7 +21,6 @@ from layerbridge.autodiff import (
     cross_entropy,
     embedding,
     layer_norm,
-    linear,
     matmul,
     mul,
     narrow,
@@ -34,7 +33,7 @@ from layerbridge.autodiff import (
 from layerbridge.errors import ContractError, EmptyLossError, ShapeError
 from layerbridge.nn import attention, causal_bias, padding_bias
 
-from conftest import assert_grad_matches, chain_attention, chain_linear, total
+from conftest import assert_grad_matches, chain_attention, chain_matmul, total
 
 
 def _t(rng, *shape, scale=1.0):
@@ -129,6 +128,11 @@ def test_matmul_shape_error_names_both_shapes(rng):
         matmul(a, b)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: the one biased ``matmul`` entry ``nn.Linear`` records."""
+    return matmul(x, w, bias=b)
+
+
 @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
 def test_linear_gradients(rng, shape):
     x = _t(rng, *shape)
@@ -147,11 +151,19 @@ def test_linear_weight_alone(rng):
     assert x.grad is None and b.grad is None
 
 
+def test_matmul_batched_weight_with_bias_gradients(rng):
+    a = _t(rng, 2, 3, 4)
+    b = _t(rng, 2, 4, 5)
+    bias = _t(rng, 5)
+    r = Tensor(rng.normal(size=(2, 3, 5)))
+    assert_grad_matches(lambda: total(mul(matmul(a, b, bias=bias), r)), [a, b, bias])
+
+
 def test_linear_shape_errors_name_both_shapes(rng):
-    with pytest.raises(ShapeError, match=r"3, 4"):
+    with pytest.raises(ShapeError, match=r"\(3, 4\) x \(5, 2\)"):
         linear(_t(rng, 3, 4), _t(rng, 5, 2), _t(rng, 2))
-    with pytest.raises(ShapeError, match=r"2, 4, 2"):
-        linear(_t(rng, 2, 3, 4), _t(rng, 2, 4, 2), _t(rng, 2))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\) x \(4,\)"):
+        linear(_t(rng, 2, 3, 4), _t(rng, 4), _t(rng, 4))
 
 
 def _outputs_and_grads(op, inputs, r):
@@ -173,7 +185,7 @@ def test_linear_matches_matmul_then_add_bitwise(rng, batch):
     b = Tensor(rng.normal(size=48).astype(np.float32), requires_grad=True)
     r = Tensor(rng.normal(size=(batch, 9, 48)).astype(np.float32))
     got = _outputs_and_grads(linear, [x, w, b], r)
-    want = _outputs_and_grads(chain_linear, [x, w, b], r)
+    want = _outputs_and_grads(chain_matmul, [x, w, b], r)
     for g, wt in zip(got, want):
         np.testing.assert_array_equal(g, wt)
 

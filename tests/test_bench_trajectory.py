@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_trajectory.py"
 spec = importlib.util.spec_from_file_location("bench_trajectory", SCRIPT)
 bench_trajectory = importlib.util.module_from_spec(spec)
@@ -52,3 +54,15 @@ def test_summary_pairs_seeds_and_applies_the_gain_rule(tmp_path):
     assert train["per_layer"]["parent"]["metrics"] == {"autodiff.bwd_ms.matmul": 40.0}
     assert train["per_layer"]["change"]["metrics"] == {"autodiff.bwd_ms.matmul": 15.0}
     assert summary["workloads"]["eval"]["end_to_end"]["metrics"] == {}
+
+
+def test_a_repeated_run_is_refused(tmp_path):
+    parent = [record("eval", s, 0, examples_per_s=100.0) for s in range(3)]
+    # a stale run of seed 1 left in the change's file next to a new one
+    change = [record("eval", s, 0, examples_per_s=120.0) for s in range(3)]
+    change.append(record("eval", 1, 0, examples_per_s=80.0))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="workload eval, seed 1, trace 0 is run twice"):
+        bench_trajectory.main(["--parent", str(write(tmp_path / "p.jsonl", parent)),
+                               "--change", str(write(tmp_path / "c.jsonl", change)), "--out", str(out)])
+    assert not out.exists()

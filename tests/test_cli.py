@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerbridge import cli
+from layerbridge import cli, errors
 from layerbridge.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint
 from layerbridge.cli import main, write_eval_csv
 from layerbridge.training import EvalReport, StageConfig
@@ -430,6 +430,33 @@ def test_invalid_config_key(tmp_path, capsys):
     path.write_text(json.dumps({"wormhole": 1}))
     assert main(["gen-synth", "--config", str(path)]) == 2
     assert "wormhole" in capsys.readouterr().err
+
+
+# the documented exit code and stderr label of every package error class
+EXITS = {
+    "LayerBridgeError": (2, "configuration error"),
+    "ConfigError": (2, "configuration error"),
+    "InputError": (2, "configuration error"),
+    "ShapeError": (2, "configuration error"),
+    "ContractError": (2, "configuration error"),
+    "NumericError": (3, "numeric failure"),
+    "EmptyLossError": (3, "numeric failure"),
+    "IngestionError": (4, "i/o error"),
+    "PairingError": (4, "i/o error"),
+}
+
+
+@pytest.mark.parametrize(
+    "error", [errors.LayerBridgeError, *errors.LayerBridgeError.__subclasses__()], ids=lambda cls: cls.__name__
+)
+def test_every_package_error_exits_with_its_code(monkeypatch, capsys, error):
+    def refuse(path):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "load_run_config", refuse)
+    code, label = EXITS[error.__name__]
+    assert main(["gen-synth"]) == code
+    assert capsys.readouterr().err == f"{label}: refused\n"
 
 
 def test_checkpoint_from_other_ablation_is_contract_error(stage1_run, tmp_path, capsys):

@@ -15,7 +15,7 @@ from layerbridge.decoder import (
     GateVector,
     generate,
 )
-from layerbridge.errors import ConfigError, ContractError, NumericError
+from layerbridge.errors import ConfigError, ContractError, InputError, NumericError
 from layerbridge.nn import causal_bias, padding_bias
 
 
@@ -200,7 +200,7 @@ def test_causality_no_future_leakage(decoder, rng):
 def test_self_and_cross_attention_share_parameter_objects(decoder):
     """The projections are one parameter set, not copies: mutating a copy is
     impossible because no copy exists."""
-    params = decoder.named_params()
+    params = decoder.named_params("decoder")
     for i in range(len(decoder.layers)):
         layer = decoder.layers[i]
         assert params[f"decoder.layer{i}.wq"] is layer["wq"]
@@ -210,7 +210,7 @@ def test_self_and_cross_attention_share_parameter_objects(decoder):
 
 
 def test_all_decoder_parameters_frozen(decoder):
-    for name, p in decoder.named_params().items():
+    for name, p in decoder.named_params("decoder").items():
         assert not p.requires_grad, name
 
 
@@ -311,7 +311,7 @@ def test_generate_stops_at_max_positions(config, rng):
 def test_cached_forward_checks_offset_plus_length(decoder, rng):
     cache = DecodeCache()
     decoder.forward(_t0(rng, decoder, batch=1, length=decoder.config.max_positions), None, None, cache=cache)
-    with pytest.raises(ConfigError, match="exceeds max_positions"):
+    with pytest.raises(InputError, match="exceeds max_positions"):
         decoder.forward(_t0(rng, decoder, batch=1, length=1), None, None, cache=cache)
 
 

@@ -51,8 +51,8 @@ def test_forward_is_deterministic_across_instances(rng):
 
 
 def test_parameters_are_frozen_and_seed_pinned():
-    params_a = Encoder(EncoderConfig(), seed=7).named_params()
-    params_b = Encoder(EncoderConfig(), seed=7).named_params()
+    params_a = Encoder(EncoderConfig(), seed=7).named_params("encoder")
+    params_b = Encoder(EncoderConfig(), seed=7).named_params("encoder")
     assert sorted(params_a) == sorted(params_b)
     for name, p in params_a.items():
         assert not p.requires_grad, name
@@ -61,14 +61,14 @@ def test_parameters_are_frozen_and_seed_pinned():
 
 
 def test_checksum_stable_for_fixed_seed():
-    params = Encoder(EncoderConfig(), seed=7).named_params()
+    params = Encoder(EncoderConfig(), seed=7).named_params("encoder")
     digest = hashlib.sha256()
     for name in sorted(params):
         digest.update(name.encode())
         digest.update(params[name].data.tobytes())
     first = digest.hexdigest()
 
-    params = Encoder(EncoderConfig(), seed=7).named_params()
+    params = Encoder(EncoderConfig(), seed=7).named_params("encoder")
     digest = hashlib.sha256()
     for name in sorted(params):
         digest.update(name.encode())

@@ -9,14 +9,14 @@ allowed to read, not just output shapes.
 import numpy as np
 import pytest
 
-from conftest import assert_grad_matches, chain_attention, chain_linear, total
+from conftest import chain_attention, chain_matmul, total
 from layerbridge import autodiff as ad
 from layerbridge import decoder as decoder_module
 from layerbridge import nn
 from layerbridge.data import BOS, EOS, SEP
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
-from layerbridge.errors import ConfigError, ContractError
+from layerbridge.errors import ConfigError, ContractError, InputError
 from layerbridge.model import AblationFlags, BridgedModel
 
 EC = EncoderConfig(vocab_size=32, d_enc=16, n_layers=3, n_heads=2, d_ff=24, max_positions=16)
@@ -126,7 +126,7 @@ def test_no_adapter_drops_soft_prompt():
 
 def test_target_outside_decoder_vocab_rejected(model):
     # id vocab_size is exactly the gather's first soft-prompt row
-    with pytest.raises(ConfigError, match=f"token id {DC.vocab_size} .*outside decoder vocab"):
+    with pytest.raises(InputError, match=f"token id {DC.vocab_size} at batch 1, .*outside vocab of {DC.vocab_size}"):
         model.forward_batch("translation", SRC, [TGT[0], np.array([12, DC.vocab_size])])
 
 
@@ -137,7 +137,7 @@ EC_WIDE = EncoderConfig(vocab_size=64, d_enc=16, n_layers=3, n_heads=2, d_ff=24,
 
 def test_task_source_outside_decoder_vocab_rejected():
     m = BridgedModel(EC_WIDE, DC, seed=0)
-    with pytest.raises(ConfigError, match=f"token id {DC.vocab_size} .*outside decoder vocab"):
+    with pytest.raises(InputError, match=f"token id {DC.vocab_size} at batch 1, .*outside vocab of {DC.vocab_size}"):
         m.forward_batch("task", [SRC[0], np.array([DC.vocab_size])], TGT)
 
 
@@ -151,7 +151,7 @@ def test_translation_source_only_needs_encoder_vocab():
 
 def test_packing_overflow_raises(model):
     long_seq = np.arange(4, 16)
-    with pytest.raises(ConfigError, match="max_positions"):
+    with pytest.raises(InputError, match="max_positions"):
         model.forward_batch("translation", [long_seq], [long_seq])
 
 
@@ -291,6 +291,15 @@ def test_frozen_digest_ignores_bridge_seed():
     assert BridgedModel(EC, DC, seed=0).frozen_digest() == BridgedModel(EC, DC, seed=5).frozen_digest()
 
 
+# the default backbones' frozen_digest: any change to their init draws, the
+# draw order, the init scales or the parameter names changes it
+DEFAULT_FROZEN_DIGEST = "4ed617aa4cf24a2457dd3066ee1453ddc10ca7c9d382dcb32d455ff7816f6a82"
+
+
+def test_frozen_weights_are_pinned():
+    assert BridgedModel(EncoderConfig(), DecoderConfig()).frozen_digest() == DEFAULT_FROZEN_DIGEST
+
+
 def test_frozen_digest_tracks_backbone_config():
     other = DecoderConfig(vocab_size=32, d_dec=16, n_layers=2, n_heads=2, d_ff=32, max_positions=24)
     assert BridgedModel(EC, DC, seed=0).frozen_digest() != BridgedModel(EC, other, seed=0).frozen_digest()
@@ -337,7 +346,7 @@ def test_fused_ops_keep_loss_and_gradients_bitwise(monkeypatch):
         return [loss.data] + [p.grad for p in m.trainable_params().values()]
 
     fused = [step(stage) for stage in ("translation", "task")]
-    monkeypatch.setattr(ad, "linear", chain_linear)
+    monkeypatch.setattr(ad, "matmul", chain_matmul)
     monkeypatch.setattr(nn, "attention", chain_attention)
     monkeypatch.setattr(decoder_module, "attention", chain_attention)
     chained = [step(stage) for stage in ("translation", "task")]
