@@ -149,26 +149,21 @@ class NormRatioProfile:
     skipped: np.ndarray
 
 
-def _row_norm_ratios(
-    model: BridgedModel,
-    state: DecoderState,
-    packed: PackedBatch,
-) -> tuple[np.ndarray, np.ndarray]:
+def _row_norm_ratios(model: BridgedModel, state: DecoderState) -> tuple[np.ndarray, np.ndarray]:
     """Per layer, one batch-1 forward's mean token ratio |g| * ||CA|| / ||SA||
-    (0 where no position is usable) and its valid positions skipped for a
-    zero SA norm."""
+    (0 where no position is usable) and its positions skipped for a zero SA
+    norm. The row is the batch's only one, so it has no padding."""
     m = model.dec_config.n_layers
     ratios = np.zeros(m)
     skipped = np.zeros(m, dtype=np.int64)
-    valid = packed.valid[0]
     for i in range(m):
         sa = np.linalg.norm(state.sa_outputs[i].data, axis=-1)[0].astype(np.float64)
         ca = np.zeros_like(sa)
         if state.ca_outputs[i] is not None:
             ca_norm = np.linalg.norm(state.ca_outputs[i].data, axis=-1, keepdims=True)
             ca = (np.abs(model.gates.values[i].data) * ca_norm)[0, :, 0].astype(np.float64)
-        usable = valid & (sa > 0)
-        skipped[i] = int((valid & (sa == 0)).sum())
+        usable = sa > 0
+        skipped[i] = int((sa == 0).sum())
         if usable.any():
             ratios[i] = float((ca[usable] / sa[usable]).mean())
     return ratios, skipped
@@ -182,7 +177,7 @@ def norm_ratio_profile(
     token ratio |g| * ||CA|| / ||SA|| of its recorded attention outputs.
 
     Norms are taken in float32; a layer without cross-attention has ratio 0.
-    Ratios are averaged over valid positions within an example, then across
+    Ratios are averaged over the positions of an example, then across
     examples. Positions with zero self-attention norm are excluded and
     tallied per layer.
     """
@@ -192,8 +187,8 @@ def norm_ratio_profile(
     sums = np.zeros(m)
     skipped = np.zeros(m, dtype=np.int64)
     for stage, src in examples:
-        _, state, packed = model.forward_batch(stage, [np.asarray(src, dtype=np.int64)], None)
-        ratios, skips = _row_norm_ratios(model, state, packed)
+        _, state, _ = model.forward_batch(stage, [np.asarray(src, dtype=np.int64)], None)
+        ratios, skips = _row_norm_ratios(model, state)
         sums += ratios
         skipped += skips
     return NormRatioProfile(values=sums / len(examples), skipped=skipped)
@@ -240,8 +235,8 @@ def build_report(
         bridged = model.bridge_outputs(model.encode_sources([src]))
         _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt], bridged=bridged)
         reps.setdefault(row["lang"], []).append(_pooled_rep(row, state, packed, len(tgt)))
-        _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], None, bridged=bridged)
-        ratios, skips = _row_norm_ratios(model, state, packed)
+        _, state, _ = model.forward_batch(STAGE_TRANSLATION, [src], None, bridged=bridged)
+        ratios, skips = _row_norm_ratios(model, state)
         sums += ratios
         skipped += skips
     cosine = {

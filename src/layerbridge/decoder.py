@@ -28,7 +28,7 @@ from .autodiff import Tensor
 from .bridge import FusedKV
 from .data import EOS, SPECIAL_TOKENS
 from .errors import ConfigError, ContractError, NumericError
-from .nn import FrozenStack, Linear, attention, causal_bias, feed_forward, padding_bias, self_attention
+from .nn import FrozenStack, attention, causal_bias, feed_forward, glorot, self_attention
 
 # head columns need unit-order norms: after the final layer norm the
 # hidden state has norm ~sqrt(d_dec), and confident predictions need
@@ -110,22 +110,21 @@ class Decoder(FrozenStack):
         self.config = c = config
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDEC0]))
         super().__init__(rng, c.vocab_size, c.d_dec, c.n_layers, c.d_ff, c.max_positions)
-        # the glorot draw Linear makes is overwritten, but it stays in the
-        # RNG stream that the head's own draw follows
-        self.head = Linear(rng, c.d_dec, c.vocab_size, trainable=False)
-        self.head.weight.data = rng.normal(
-            0, HEAD_SCALE / np.sqrt(c.d_dec), size=(c.d_dec, c.vocab_size)
-        ).astype(np.float32)
+        # this glorot draw is discarded, but it stays in the RNG stream that
+        # the head's own draw follows
+        glorot(rng, c.d_dec, c.vocab_size)
+        self.head = Tensor(
+            rng.normal(0, HEAD_SCALE / np.sqrt(c.d_dec), size=(c.d_dec, c.vocab_size)).astype(np.float32)
+        )
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
-        return {**super().named_params(prefix), **self.head.named_params(f"{prefix}.head")}
+        return {**super().named_params(prefix), f"{prefix}.head.weight": self.head}
 
     def forward(
         self,
         t0: Tensor,
         fused: FusedKV | None,
         gates: GateVector | None,
-        valid: np.ndarray | None = None,
         cache: DecodeCache | None = None,
     ) -> tuple[Tensor, DecoderState]:
         """Run all layers and the output head. Returns (logits, state).
@@ -133,6 +132,9 @@ class Decoder(FrozenStack):
         ``fused=None`` removes cross-attention entirely (self-attention-only
         decoder) and leaves ``gates`` unread; with ``fused`` present,
         ``gates`` scales each layer's CA read.
+
+        Self-attention is masked only causally: rows are right-padded, so no
+        real query reaches a pad key.
 
         With a ``cache``, ``t0`` continues the single sequence the cache holds:
         positions start at ``cache.offset``, and the call writes its keys and
@@ -168,9 +170,7 @@ class Decoder(FrozenStack):
                 )
             if gates is None:
                 raise ConfigError("fused K/V needs a gate source")
-        if valid is None:
-            valid = np.ones((batch, dec_len), dtype=bool)
-        sa_bias = None if offset else causal_bias(dec_len) + padding_bias(valid)
+        sa_bias = None if offset else causal_bias(dec_len)
 
         x = ad.add(t0, Tensor(positions))
         state = DecoderState(states=[t0])
@@ -181,7 +181,7 @@ class Decoder(FrozenStack):
             state.ca_outputs.append(ca)
         if cache is not None:
             cache.offset += dec_len
-        return self.head(ad.layer_norm(x)), state
+        return ad.matmul(ad.layer_norm(x), self.head), state
 
     def block(
         self,

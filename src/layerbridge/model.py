@@ -64,10 +64,11 @@ class AblationFlags:
 
 @dataclass
 class PackedBatch:
-    """One assembled training batch: T_0, validity, flattened supervision."""
+    """One assembled batch: right-padded T_0 and flattened supervision.
+    Pads follow their row's real positions and carry no loss, so the
+    decoder's causal mask alone keeps them from every real query."""
 
     t0: Tensor
-    valid: np.ndarray
     labels: np.ndarray
     loss_mask: np.ndarray
     prompt_lens: list[int]
@@ -197,7 +198,6 @@ class BridgedModel:
             table = ad.concat([table, ad.reshape(i_map, (batch * src_len, d))], axis=0)
         return PackedBatch(
             t0=ad.embedding(table, ids),
-            valid=np.arange(width) < lengths[:, None],
             labels=labels,
             loss_mask=loss_mask,
             prompt_lens=prompt_lens.tolist(),
@@ -221,7 +221,7 @@ class BridgedModel:
             raise ConfigError(f"unknown stage {stage!r}")
         i_map, fused = self.bridge_outputs(self.encode_sources(src_seqs)) if bridged is None else bridged
         packed = self._pack(i_map, stage, src_seqs, tgt_seqs)
-        logits, state = self.decoder.forward(packed.t0, fused, self.gates, valid=packed.valid)
+        logits, state = self.decoder.forward(packed.t0, fused, self.gates)
         return logits, state, packed
 
     def loss_on_batch(self, stage: str, src_seqs: list[np.ndarray], tgt_seqs: list[np.ndarray]) -> Tensor:

@@ -1,11 +1,12 @@
-"""Shared building blocks: linear maps, attention, and the frozen stack.
+"""Shared building blocks: the trainable linear map, attention, and the frozen stack.
 
 Modules here are thin parameter containers. They expose ``named_params`` so
 owners can compose flat ``{name: Tensor}`` dictionaries for the optimizer
 and the checkpoint writer; nothing registers itself globally. The frozen
 encoder and decoder are both a ``FrozenStack``: embeddings plus pre-norm
 layers of one layout (``init_layer``), run through the same two sublayers,
-``self_attention`` and ``feed_forward``.
+``self_attention`` and ``feed_forward``. The stack holds weights only: a
+frozen bias would stay at zero and a frozen layer-norm affine at identity.
 
 The init scales ``EMB_SCALE`` and ``POS_SCALE`` are module constants, not
 config: the frozen stand-ins are fixed, so they are not an experimental
@@ -34,11 +35,11 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class Linear:
-    """y = x @ W + b. Weight is [d_in, d_out]."""
+    """Trainable y = x @ W + b. Weight is [d_in, d_out]; the bias starts at zero."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, trainable: bool = True):
-        self.weight = Tensor(glorot(rng, d_in, d_out), requires_grad=trainable)
-        self.bias = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=trainable)
+    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
+        self.weight = Tensor(glorot(rng, d_in, d_out), requires_grad=True)
+        self.bias = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.weight, bias=self.bias)
@@ -111,9 +112,9 @@ def padding_bias(valid: np.ndarray) -> np.ndarray:
 def init_layer(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Tensor]:
     """Frozen (no-grad) weights of one pre-norm transformer layer of width ``d``.
 
-    Draws wq, wk, wv, wo, ff1_w, ff2_w from ``rng`` in that order; biases
-    start at zero. The layer norms carry no affine: a frozen one would stay
-    at identity.
+    Draws wq, wk, wv, wo, ff1_w, ff2_w from ``rng`` in that order. The
+    layer has no biases and its layer norms no affine: frozen, they would
+    stay at zero and identity.
     """
     return {
         "wq": Tensor(glorot(rng, d, d)),
@@ -121,9 +122,7 @@ def init_layer(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Tensor]
         "wv": Tensor(glorot(rng, d, d)),
         "wo": Tensor(glorot(rng, d, d)),
         "ff1_w": Tensor(glorot(rng, d, d_ff)),
-        "ff1_b": Tensor(np.zeros(d_ff, dtype=np.float32)),
         "ff2_w": Tensor(glorot(rng, d_ff, d)),
-        "ff2_b": Tensor(np.zeros(d, dtype=np.float32)),
     }
 
 
@@ -200,5 +199,5 @@ def self_attention(
 def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:
     """Pre-norm ReLU feed-forward sublayer with its residual: x + FFN(LN(x))."""
     normed = ad.layer_norm(x)
-    hidden = ad.relu(ad.matmul(normed, layer["ff1_w"], bias=layer["ff1_b"]))
-    return ad.add(x, ad.matmul(hidden, layer["ff2_w"], bias=layer["ff2_b"]))
+    hidden = ad.relu(ad.matmul(normed, layer["ff1_w"]))
+    return ad.add(x, ad.matmul(hidden, layer["ff2_w"]))

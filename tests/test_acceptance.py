@@ -46,7 +46,7 @@ def random_batches(rng, n, enc_vocab, max_len=6):
 def downstream_logits(model, stack, stage, srcs):
     i_map, fused = model.bridge_outputs(stack)
     packed = model._pack(i_map, stage, srcs, None)
-    logits, _ = model.decoder.forward(packed.t0, fused, model.gates, valid=packed.valid)
+    logits, _ = model.decoder.forward(packed.t0, fused, model.gates)
     return logits.data
 
 
@@ -77,7 +77,7 @@ def test_criterion_01_gate_zero_equivalence():
     worst = 0.0
     for stage, srcs, tgts in random_batches(rng, 100, model.enc_config.vocab_size):
         logits, _, packed = model.forward_batch(stage, srcs, tgts)
-        free, _ = model.decoder.forward(packed.t0, None, None, valid=packed.valid)
+        free, _ = model.decoder.forward(packed.t0, None, None)
         worst = max(worst, float(np.max(np.abs(logits.data - free.data))))
     elapsed = time.monotonic() - t0
     assert worst <= 1e-6, f"gate-zero logits diverge by {worst}"

@@ -207,15 +207,14 @@ def _oracle_profile(m, examples):
     layer's scalar gate."""
     sums = np.zeros(DC.n_layers)
     for stage, src in examples:
-        _, state, packed = m.forward_batch(stage, [src], None)
-        valid = packed.valid[0]
+        _, state, _ = m.forward_batch(stage, [src], None)
         for i in range(DC.n_layers):
             sa = np.linalg.norm(state.sa_outputs[i].data[0].astype(np.float64), axis=-1)
             ca = np.zeros_like(sa)
             if state.ca_outputs[i] is not None:
                 gate = float(m.gates.values[i].data[0])
                 ca = np.abs(gate) * np.linalg.norm(state.ca_outputs[i].data[0].astype(np.float64), axis=-1)
-            sums[i] += (ca[valid] / sa[valid]).mean()
+            sums[i] += (ca / sa).mean()
     return sums / len(examples)
 
 
@@ -227,13 +226,12 @@ def test_norm_ratio_matches_manual_aggregation():
     # the same float32 norms the gated sum SA + g * CA is made of
     sums = np.zeros(DC.n_layers)
     for stage, src in EXAMPLES:
-        _, state, packed = m.forward_batch(stage, [src], None)
-        valid = packed.valid[0]
+        _, state, _ = m.forward_batch(stage, [src], None)
         for i in range(DC.n_layers):
             sa = np.linalg.norm(state.sa_outputs[i].data, axis=-1)[0].astype(np.float64)
             gated = np.abs(m.gates.values[i].data) * np.linalg.norm(state.ca_outputs[i].data, axis=-1)
             ca = gated[0].astype(np.float64)
-            usable = valid & (sa > 0)
+            usable = sa > 0
             sums[i] += float((ca[usable] / sa[usable]).mean())
     assert np.array_equal(profile.values, sums / len(EXAMPLES))
     np.testing.assert_allclose(profile.values, _oracle_profile(m, EXAMPLES), rtol=1e-5)

@@ -168,8 +168,7 @@ def _oracle_block(decoder, idx, t_prev, h, gate):
     ca = _np_attention(q, h @ w["wk"], h @ w["wv"], decoder.config.n_heads, None) @ w["wo"]
     x = x + sa + gate * ca
     normed2 = _np_layer_norm(x)
-    ff = np.maximum(normed2 @ w["ff1_w"] + w["ff1_b"], 0.0) @ w["ff2_w"]
-    return x + ff + w["ff2_b"]
+    return x + np.maximum(normed2 @ w["ff1_w"], 0.0) @ w["ff2_w"]
 
 
 def test_ga_layer_matches_two_pass_oracle(decoder, rng):
@@ -224,7 +223,7 @@ def test_numeric_error_names_the_first_non_finite_layer(config, rng):
     # layer 2 of 3 adds inf, which the residual stream would carry into
     # layer 3; the error names layer 2
     dec = Decoder(dataclasses.replace(config, n_layers=3), seed=11)
-    dec.layers[1]["ff2_b"].data[0] = np.inf
+    dec.layers[1]["ff2_w"].data[:, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 2$"):
         dec.forward(_t0(rng, dec), None, None)
 
@@ -269,19 +268,31 @@ def test_generate_budget_one_returns_one_token(decoder, rng):
     assert len(out) <= 1
 
 
-def test_generate_stops_at_end_marker_without_returning_it(config, rng):
+def _rigged(config, winner):
+    """A decoder whose every returned position predicts ``winner``: its
+    forward adds a large logit to that id."""
     rigged = Decoder(config, seed=11)
-    rigged.head.bias.data[...] = 0.0
-    rigged.head.bias.data[EOS] = 1e4  # eos always wins
+    forward = rigged.forward
+
+    def forward_to_winner(*args, **kwargs):
+        logits, state = forward(*args, **kwargs)
+        boost = np.zeros(config.vocab_size, dtype=np.float32)
+        boost[winner] = 1e4
+        return Tensor(logits.data + boost), state
+
+    rigged.forward = forward_to_winner
+    return rigged
+
+
+def test_generate_stops_at_end_marker_without_returning_it(config, rng):
+    rigged = _rigged(config, EOS)  # eos always wins
     prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, 3)))
     out = generate(rigged, prompt, None, None, max_new_tokens=5)
     assert out == []
 
 
 def test_generate_respects_budget(config, rng):
-    rigged = Decoder(config, seed=11)
-    rigged.head.bias.data[...] = 0.0
-    rigged.head.bias.data[7] = 1e4  # never eos
+    rigged = _rigged(config, 7)  # never eos
     prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, 3)))
     out = generate(rigged, prompt, None, None, max_new_tokens=4)
     assert out == [7, 7, 7, 7]
@@ -300,9 +311,7 @@ def test_generate_rejects_batched_prompt(decoder, rng):
 
 
 def test_generate_stops_at_max_positions(config, rng):
-    rigged = Decoder(config, seed=11)
-    rigged.head.bias.data[...] = 0.0
-    rigged.head.bias.data[7] = 1e4  # never eos
+    rigged = _rigged(config, 7)  # never eos
     for length, expected in ((config.max_positions - 2, [7, 7]), (config.max_positions, [])):
         prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, length)))
         assert generate(rigged, prompt, None, None, max_new_tokens=5) == expected

@@ -35,7 +35,7 @@ def logits_from_stack(model, stack, stage, src_seqs):
     """Re-run everything downstream of the encoder on a hand-edited stack."""
     i_map, fused = model.bridge_outputs(stack)
     packed = model._pack(i_map, stage, src_seqs, None)
-    logits, _ = model.decoder.forward(packed.t0, fused, model.gates, valid=packed.valid)
+    logits, _ = model.decoder.forward(packed.t0, fused, model.gates)
     return logits.data
 
 
@@ -60,7 +60,6 @@ def test_translation_packing_layout(model):
     assert packed.t0.shape == (2, 7, 16)
     assert logits.shape == (2, 7, 32)
     assert packed.prompt_lens == [5, 3]
-    assert packed.valid.all()
     want_labels = np.array([[0, 0, 0, 0, 10, 11, 3], [0, 0, 12, 13, 14, 15, 3]])
     want_mask = np.array([[0, 0, 0, 0, 1, 1, 1], [0, 0, 1, 1, 1, 1, 1]], dtype=bool)
     assert np.array_equal(packed.labels, want_labels)
@@ -191,7 +190,7 @@ def test_forward_on_a_given_bridge_pass_is_bitwise_equal(stage, tgts):
         for a, b in zip(got, want):
             assert np.array_equal(a.data, b.data), field
     assert np.array_equal(packed.t0.data, want_packed.t0.data)
-    for field in ("valid", "labels", "loss_mask"):
+    for field in ("labels", "loss_mask"):
         assert np.array_equal(getattr(packed, field), getattr(want_packed, field)), field
     assert packed.prompt_lens == want_packed.prompt_lens
 
@@ -199,6 +198,34 @@ def test_forward_on_a_given_bridge_pass_is_bitwise_equal(stage, tgts):
 def test_encode_sources_masks_padding(model):
     stack = model.encode_sources(SRC)
     assert np.array_equal(stack.mask, np.array([[True, True, True], [True, False, False]]))
+
+
+@pytest.mark.parametrize("stage", ["translation", "task"])
+def test_pad_positions_reach_no_real_position(stage):
+    """Rows are right-padded, so the causal mask alone keeps every pad
+    position from every real query: rewriting the pads' T_0 leaves each
+    row's logits and recorded states at its real positions bitwise as they
+    were."""
+    m = BridgedModel(EC, DC, seed=0)
+    rng = np.random.default_rng(3)
+    for g in m.gates.values:
+        g.data[...] = rng.uniform(0.25, 0.75)
+    srcs = [np.array([5, 6, 7, 8]), np.array([9]), np.array([10, 11])]
+    tgts = [np.array([12]), np.array([13, 14]), np.array([15, 16, 17, 18, 19, 20])]
+    _, fused = m.bridge_outputs(m.encode_sources(srcs))
+    _, _, packed = m.forward_batch(stage, srcs, tgts)
+    lengths = [p + len(t) for p, t in zip(packed.prompt_lens, tgts)]
+    assert len(set(lengths)) == 3
+    noisy = packed.t0.data.copy()
+    for row, length in enumerate(lengths):
+        noisy[row, length:] = rng.normal(0.0, 1.0, size=noisy[row, length:].shape)
+    want_logits, want_state = m.decoder.forward(packed.t0, fused, m.gates)
+    logits, state = m.decoder.forward(ad.Tensor(noisy), fused, m.gates)
+    for row, length in enumerate(lengths):
+        assert np.array_equal(logits.data[row, :length], want_logits.data[row, :length])
+        for field in ("states", "sa_outputs", "ca_outputs"):
+            for a, b in zip(getattr(state, field), getattr(want_state, field)):
+                assert np.array_equal(a.data[row, :length], b.data[row, :length]), field
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +320,19 @@ def test_frozen_digest_ignores_bridge_seed():
 
 # the default backbones' frozen_digest: any change to their init draws, the
 # draw order, the init scales or the parameter names changes it
-DEFAULT_FROZEN_DIGEST = "4ed617aa4cf24a2457dd3066ee1453ddc10ca7c9d382dcb32d455ff7816f6a82"
+DEFAULT_FROZEN_DIGEST = "8312d1cfb6a32e97e57f13c058ec25624f939ad0132b58d51268237a5582ab90"
 
 
 def test_frozen_weights_are_pinned():
     assert BridgedModel(EncoderConfig(), DecoderConfig()).frozen_digest() == DEFAULT_FROZEN_DIGEST
+
+
+def test_no_frozen_tensor_is_all_zero():
+    """A frozen tensor of zeros, such as a bias no step can move, is dead
+    state: the backbones hold none."""
+    params = BridgedModel(EncoderConfig(), DecoderConfig()).named_params()
+    dead = [name for name, t in params.items() if name.startswith(("encoder.", "decoder.")) and not t.data.any()]
+    assert dead == []
 
 
 def test_frozen_digest_tracks_backbone_config():
