@@ -12,6 +12,7 @@ construct everything in float64 for precision.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -357,22 +358,38 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (x,), rule)
 
 
-def layer_norm(x: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, with no affine."""
-    d = x.shape[-1]
+@functools.cache
+def _norm_constants(dtype: np.dtype, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The width ``d``, ``LAYER_NORM_EPS`` and 1 as 0-d arrays of ``dtype``.
+    They give the same bits as Python scalars, which numpy converts anew at
+    every call, at more cost than a one-row layer norm's arithmetic."""
+    return tuple(np.asarray(c, dtype=dtype) for c in (d, LAYER_NORM_EPS, 1.0))
+
+
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """``x`` normalized over its last axis, and the rule mapping the
+    normalized array's gradient to ``x``'s. ``layer_norm`` and the fused
+    sublayers of ``nn`` share it."""
+    d, eps, one = _norm_constants(x.dtype, x.shape[-1])
     # add.reduce / d is np.mean's arithmetic without its Python-level wrapper
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    centered = x.data - mu
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centered = x - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    inv = one / np.sqrt(var + eps)
     xhat = centered * inv
 
-    def rule(g):
+    def grad(g):
         m1 = np.add.reduce(g, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(g * xhat, axis=-1, keepdims=True) / d
-        return (inv * (g - m1 - xhat * m2),)
+        return inv * (g - m1 - xhat * m2)
 
-    return _record(Tensor(xhat), (x,), rule)
+    return xhat, grad
+
+
+def layer_norm(x: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, with no affine."""
+    xhat, grad = _normalize(x.data)
+    return _record(Tensor(xhat), (x,), lambda g: (grad(g),))
 
 
 def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
@@ -397,15 +414,16 @@ def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     kept = int(keep.sum())
     if kept == 0:
         raise EmptyLossError("cross_entropy over a fully masked-out batch")
-    shifted = logits.data - np.max(logits.data, axis=-1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=-1)) + np.max(logits.data, axis=-1)
+    peak = np.max(logits.data, axis=-1, keepdims=True)
+    # the backward reuses these exponentials and their row sums
+    exp = np.exp(logits.data - peak)
+    sums = np.sum(exp, axis=-1, keepdims=True)
+    lse = np.log(sums[:, 0]) + peak[:, 0]
     nll = lse - logits.data[np.arange(t_len), idx]
     out = Tensor(np.asarray(np.sum(nll * keep) / kept, dtype=logits.data.dtype))
-    logits_data = logits.data
 
     def rule(g):
-        probs = np.exp(shifted)
-        probs /= np.sum(probs, axis=-1, keepdims=True)
+        probs = exp / sums
         probs[np.arange(t_len), idx] -= 1.0
         probs *= (keep / kept)[:, None]
         return (probs * g,)

@@ -7,8 +7,10 @@ re-entering the residual stream. Gates start at exactly zero, so an
 untrained model is indistinguishable from the plain decoder; training moves
 only the gates (and bridge parameters), never the decoder weights.
 
-Greedy decoding runs the same forward pass through a ``DecodeCache``: the
-prompt once, then one position per emitted token.
+Each layer is two tape entries, ``nn.attention_sublayer`` (x + SA + g * CA)
+and ``nn.feed_forward``, plus the two projections of its memory through
+``wk`` and ``wv``. Greedy decoding runs the same forward pass through a
+``DecodeCache``: the prompt once, then one position per emitted token.
 
 The decoder is an ``nn.FrozenStack`` plus an output head. The head's init
 scale ``HEAD_SCALE`` is a module constant (the embedding scales are
@@ -28,7 +30,8 @@ from .autodiff import Tensor
 from .bridge import FusedKV
 from .data import EOS, SPECIAL_TOKENS
 from .errors import ConfigError, ContractError, NumericError
-from .nn import FrozenStack, attention, causal_bias, feed_forward, glorot, self_attention
+from .nn import FrozenStack, attention_sublayer, causal_bias, feed_forward, glorot
+from .nn import attention  # noqa: F401 -- the benchmark times attention under this name
 
 # head columns need unit-order norms: after the final layer norm the
 # hidden state has norm ~sqrt(d_dec), and confident predictions need
@@ -76,7 +79,9 @@ class GateVector:
 class DecoderState:
     """Forward-pass record: hidden sequences T_0..T_m and, per layer, the
     self-attention output and the ungated cross-attention output (``None``
-    where the layer read no memory)."""
+    where the layer read no memory). The hidden states are on the tape; the
+    SA and CA outputs are records off it, so a loss on them gets no
+    gradient."""
 
     states: list[Tensor]
     sa_outputs: list[Tensor] = field(default_factory=list)
@@ -141,7 +146,11 @@ class Decoder(FrozenStack):
         values into the cache's buffers. The first call feeds the whole prompt
         causally; every later call feeds one position, which sees every
         cached key. The buffers are written in place, so no tape may record
-        a cached forward of a grad-requiring ``t0``.
+        a cached forward of a grad-requiring ``t0``. A cached call runs the
+        final norm and the head on its last two positions at most, so the
+        prompt call returns [1, 2, vocab] logits ([1, 1, vocab] for a
+        one-position prompt). Its last row keeps the bits of the uncached
+        forward's last row, which a one-row head product would not.
 
         Raises ``InputError`` when the positions run past ``max_positions``,
         and ``NumericError`` naming the first layer whose output holds a
@@ -181,6 +190,10 @@ class Decoder(FrozenStack):
             state.ca_outputs.append(ca)
         if cache is not None:
             cache.offset += dec_len
+            if dec_len > 2:
+                # two rows, not one: a one-row head product can round
+                # differently from the same row of a larger one
+                x = ad.narrow(x, 1, dec_len - 2, 2)
         return ad.matmul(ad.layer_norm(x), self.head), state
 
     def block(
@@ -192,19 +205,20 @@ class Decoder(FrozenStack):
         gates: GateVector | None,
         cache: DecodeCache | None = None,
     ) -> tuple[Tensor, Tensor, Tensor | None]:
-        """One gated block (1-based ``index``): x + SA + g * CA, then the FFN.
+        """One gated block (1-based ``index``): x + SA + g * CA, then the FFN,
+        as two tape entries (``nn.attention_sublayer``, ``nn.feed_forward``).
 
         Returns (block output, SA output, ungated CA output).
-        Cross-attention reads ``fused.memories[index - 1]`` through the layer's
-        own ``wk`` and ``wv``, reusing the self-attention queries, with
-        ``fused.bias`` hiding padded keys; with ``fused=None`` the block is
-        self-attention only and the CA output is ``None``. A
+        Cross-attention reads ``fused.memories[index - 1]``, projected here
+        through the layer's own ``wk`` and ``wv``, reusing the self-attention
+        queries, with ``fused.bias`` hiding padded keys; with ``fused=None``
+        the block is self-attention only and the CA output is ``None``. A
         ``cache`` supplies and collects this layer's keys and values (see
         ``DecodeCache``).
         """
         layer = self.layers[index - 1]
         kv, offset = (None, 0) if cache is None else (cache.self_kv[index], cache.offset)
-        sa, q = self_attention(layer, x, self.config.n_heads, sa_bias, kv, offset)
+        cross = None
         if fused is not None:
             memory = None if cache is None else cache.cross_kv.get(index)
             if memory is None:
@@ -212,14 +226,8 @@ class Decoder(FrozenStack):
                 memory = (ad.matmul(h, layer["wk"]), ad.matmul(h, layer["wv"]))
                 if cache is not None:
                     cache.cross_kv[index] = memory
-            ca = ad.matmul(
-                attention(q, *memory, self.config.n_heads, bias=fused.bias),
-                layer["wo"],
-            )
-            gated = ad.mul(ca, gates.values[index - 1])
-            out = ad.add(ad.add(x, sa), gated)
-        else:
-            out, ca = ad.add(x, sa), None
+            cross = (*memory, gates.values[index - 1], fused.bias)
+        out, sa, ca = attention_sublayer(layer, x, self.config.n_heads, sa_bias, kv, offset, cross)
         out = feed_forward(layer, out)
         if not np.isfinite(out.data).all():
             raise NumericError(f"non-finite activations leaving decoder layer {index}")
@@ -253,9 +261,11 @@ def generate(
         if cache.offset + t0.shape[1] >= c.max_positions:
             break
         logits, _ = decoder.forward(t0, fused, gates, cache=cache)
-        next_id = int(np.argmax(logits.data[0, -1]))
+        next_id = int(logits.data[0, -1].argmax())
         if next_id == EOS:
             break
         out.append(next_id)
-        t0 = decoder.embed_tokens(np.array([[next_id]]))
+        # an argmax over the head's columns is a row of tok_emb, so the id
+        # needs none of embed_tokens' checks
+        t0 = Tensor(decoder.tok_emb.data[next_id][None, None])
     return out

@@ -3,10 +3,11 @@
 The encoder stands in for a large pretrained multilingual model: weights are
 random, seed-pinned, and never trained. It is an ``nn.FrozenStack``, so it
 shares its embeddings, layer layout and input checks with the decoder, and
-forward runs the shared sublayers (``nn.self_attention`` and
-``nn.feed_forward``); no weight requires grad, so those ops record nothing
-and run as plain numpy. The returned states are marked read-only so
-downstream code cannot mutate what the frozen contract checksums.
+forward runs the shared sublayers (``nn.attention_sublayer`` under a
+key-padding bias, then ``nn.feed_forward``); no weight requires grad, so
+those ops record nothing and run as plain numpy. The returned states are
+marked read-only so downstream code cannot mutate what the frozen contract
+checksums.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, InputError
-from .nn import FrozenStack, feed_forward, padding_bias, self_attention
+from .nn import FrozenStack, attention_sublayer, feed_forward, padding_bias
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class Encoder(FrozenStack):
         key_bias = padding_bias(mask)
         states = [h.data]
         for layer in self.layers:
-            attended, _ = self_attention(layer, h, self.config.n_heads, key_bias)
-            h = feed_forward(layer, ad.add(h, attended))
+            h = feed_forward(layer, attention_sublayer(layer, h, self.config.n_heads, key_bias)[0])
             states.append(h.data)
         return LayerStack(states=states, mask=mask)

@@ -5,8 +5,13 @@ owners can compose flat ``{name: Tensor}`` dictionaries for the optimizer
 and the checkpoint writer; nothing registers itself globally. The frozen
 encoder and decoder are both a ``FrozenStack``: embeddings plus pre-norm
 layers of one layout (``init_layer``), run through the same two sublayers,
-``self_attention`` and ``feed_forward``. The stack holds weights only: a
-frozen bias would stay at zero and a frozen layer-norm affine at identity.
+``attention_sublayer`` (self-attention, in the decoder also the gated
+cross-attention read, and the residual) and ``feed_forward``. Each sublayer
+is one tape entry with a hand-written backward rule that sums its
+gradients in the order the chain of single ops it replaces would, so
+forward and backward keep that chain's bits. The stack holds weights only:
+a frozen bias would stay at zero and a frozen layer-norm affine at
+identity.
 
 The init scales ``EMB_SCALE`` and ``POS_SCALE`` are module constants, not
 config: the frozen stand-ins are fixed, so they are not an experimental
@@ -48,6 +53,52 @@ class Linear:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, bias: np.ndarray | None):
+    """Scaled dot-product attention over pre-projected [B, S, D] arrays.
+
+    Returns the head-merged output and its rule: given the output's gradient
+    and which of q, k and v need one, the rule returns (gq, gk, gv), reusing
+    the forward's head-split views and attention weights. ``attention`` and
+    ``attention_sublayer`` both run through it.
+    """
+    batch, s_q, d = q.shape
+    if d % n_heads:
+        raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
+    dh = d // n_heads
+    s_k = k.shape[1]
+    # per-head views, [B, H, S, dh]; the keys' view is transposed, [B, H, dh, S_k]
+    qh = q.reshape(batch, s_q, n_heads, dh).transpose(0, 2, 1, 3)
+    kt = k.reshape(batch, s_k, n_heads, dh).transpose(0, 2, 3, 1)
+    vh = v.reshape(batch, s_k, n_heads, dh).transpose(0, 2, 1, 3)
+    scores = np.matmul(qh, kt)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=scores.dtype)
+    scores = scores * scale
+    if bias is not None:
+        scores = scores + np.asarray(bias, dtype=scores.dtype)
+    # the ufunc reductions np.max and np.sum dispatch to, called directly
+    exp = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    y = exp / np.add.reduce(exp, axis=-1, keepdims=True)
+
+    def grad(g: np.ndarray, nq: bool, nk: bool, nv: bool):
+        def merge(x: np.ndarray) -> np.ndarray:
+            return x.transpose(0, 2, 1, 3).reshape(batch, x.shape[2], d)
+
+        gh = g.reshape(batch, s_q, n_heads, dh).transpose(0, 2, 1, 3)
+        gq = gk = gv = None
+        if nv:
+            gv = merge(np.matmul(np.swapaxes(y, -1, -2), gh))
+        if nq or nk:
+            gy = np.matmul(gh, np.swapaxes(vh, -1, -2))
+            gs = (gy - np.add.reduce(gy * y, axis=-1, keepdims=True)) * y * scale
+            if nq:
+                gq = merge(np.matmul(gs, np.swapaxes(kt, -1, -2)))
+            if nk:
+                gk = merge(np.matmul(np.swapaxes(gs, -1, -2), qh))
+        return gq, gk, gv
+
+    return np.matmul(y, vh).transpose(0, 2, 1, 3).reshape(batch, s_q, d), grad
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               bias: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention over pre-projected q/k/v, [B, S, D] each.
@@ -57,44 +108,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     rows stay finite. One tape entry, whose backward reuses the forward's
     head-split views and attention weights.
     """
-    batch, _, d = q.shape
-    if d % n_heads:
-        raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
-    dh = d // n_heads
-
-    def split(x: np.ndarray) -> np.ndarray:
-        return x.reshape(batch, x.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(0, 2, 1, 3).reshape(batch, x.shape[2], d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    scale = np.asarray(1.0 / math.sqrt(dh), dtype=scores.dtype)
-    scores = scores * scale
-    if bias is not None:
-        scores = scores + np.asarray(bias, dtype=scores.dtype)
-    # the ufunc reductions np.max and np.sum dispatch to, called directly
-    exp = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    y = exp / np.add.reduce(exp, axis=-1, keepdims=True)
-    out = Tensor(merge(np.matmul(y, vh)))
-    nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
-
-    def rule(g):
-        gh = split(g)
-        gq = gk = gv = None
-        if nv:
-            gv = merge(np.matmul(np.swapaxes(y, -1, -2), gh))
-        if nq or nk:
-            gy = np.matmul(gh, np.swapaxes(vh, -1, -2))
-            gs = (gy - np.add.reduce(gy * y, axis=-1, keepdims=True)) * y * scale
-            if nq:
-                gq = merge(np.matmul(gs, kh))
-            if nk:
-                gk = merge(np.matmul(np.swapaxes(gs, -1, -2), qh))
-        return gq, gk, gv
-
-    return ad._record(out, (q, k, v), rule)
+    out, grad = _attend(q.data, k.data, v.data, n_heads, bias)
+    needs = (q.requires_grad, k.requires_grad, v.requires_grad)
+    return ad._record(Tensor(out), (q, k, v), lambda g: grad(g, *needs))
 
 
 def causal_bias(s: int) -> np.ndarray:
@@ -171,33 +187,91 @@ class FrozenStack:
         return self.pos_emb.data[offset : offset + length][None]
 
 
-def self_attention(
+def attention_sublayer(
     layer: dict[str, Tensor], x: Tensor, n_heads: int, bias: np.ndarray | None,
     kv: tuple[np.ndarray, np.ndarray] | None = None, offset: int = 0,
-) -> tuple[Tensor, Tensor]:
-    """Pre-norm self-attention sublayer, residual not added.
+    cross: tuple[Tensor, Tensor, Tensor, np.ndarray | None] | None = None,
+) -> tuple[Tensor, Tensor, Tensor | None]:
+    """Pre-norm attention sublayer with its residual, as one tape entry.
 
-    Returns (output projected through ``wo``, queries); the queries come back
-    so a decoder can reuse them to read its cross-attention memory. ``kv`` is
-    a pair of key and value buffers, [B, S_max, D] each, whose rows before
-    ``offset`` hold earlier positions of the same sequences: this call writes
-    its keys and values into the rows from ``offset`` on, in place, and
-    attends over every row up to its own last.
+    Self-attention reads ``LN(x)`` through ``wq``, ``wk``, ``wv`` and ``wo``
+    under the additive ``bias``. ``cross`` is a cross-attention read,
+    ``(k, v, gate, key_bias)``: the same queries also read the memory keys
+    ``k`` and values ``v`` (already projected, [B, S_m, D] each) under
+    ``key_bias``, through ``wo``, scaled by ``gate``. Returns (``x + SA`` or
+    ``x + SA + gate * CA``, SA output, ungated CA output or ``None``). Only
+    the first is on the tape, with gradients for ``x``, the memory keys and
+    values and the gate; the SA and CA outputs are records off the tape, so
+    no gradient flows from them. The layer's weights are frozen constants.
+
+    ``kv`` is a pair of key and value buffers, [B, S_max, D] each, whose rows
+    before ``offset`` hold earlier positions of the same sequences: the call
+    writes its keys and values into the rows from ``offset`` on, in place,
+    and attends over every row up to its own last. Buffered keys and values
+    are constants to the backward.
     """
-    normed = ad.layer_norm(x)
-    q = ad.matmul(normed, layer["wq"])
-    k = ad.matmul(normed, layer["wk"])
-    v = ad.matmul(normed, layer["wv"])
+    x_data = x.data
+    normed, norm_grad = ad._normalize(x_data)
+    wq, wk, wv, wo = layer["wq"].data, layer["wk"].data, layer["wv"].data, layer["wo"].data
+    q = np.matmul(normed, wq)
+    k = np.matmul(normed, wk)
+    v = np.matmul(normed, wv)
     if kv is not None:
         end = offset + x.shape[1]
-        kv[0][:, offset:end] = k.data
-        kv[1][:, offset:end] = v.data
-        k, v = Tensor(kv[0][:, :end]), Tensor(kv[1][:, :end])
-    return ad.matmul(attention(q, k, v, n_heads, bias=bias), layer["wo"]), q
+        kv[0][:, offset:end] = k
+        kv[1][:, offset:end] = v
+        k, v = kv[0][:, :end], kv[1][:, :end]
+    sa_read, sa_grad = _attend(q, k, v, n_heads, bias)
+    sa = np.matmul(sa_read, wo)
+    nx = x.requires_grad
+    if cross is None:
+        out, ca, inputs = x_data + sa, None, (x,)
+    else:
+        mem_k, mem_v, gate, key_bias = cross
+        ca_read, ca_grad = _attend(q, mem_k.data, mem_v.data, n_heads, key_bias)
+        ca = np.matmul(ca_read, wo)
+        gate_data = gate.data
+        out, inputs = x_data + sa + ca * gate_data, (x, mem_k, mem_v, gate)
+
+    def rule(g):
+        # sums follow the chain of single ops' order: the CA query gradient
+        # before SA's, then v, k and q into LN(x), the residual before LN
+        gq = g_mk = g_mv = g_gate = None
+        if cross is not None:
+            n_mem = mem_k.requires_grad, mem_v.requires_grad
+            if gate.requires_grad:
+                g_gate = ad._unbroadcast(g * ca, gate_data.shape)
+            if nx or any(n_mem):
+                g_read = ad._weight_grads(g * gate_data, ca_read, wo, True, False)[0]
+                gq, g_mk, g_mv = ca_grad(g_read, nx, *n_mem)
+        gx = None
+        if nx:
+            fresh = kv is None
+            gq_sa, gk, gv = sa_grad(ad._weight_grads(g, sa_read, wo, True, False)[0], True, fresh, fresh)
+            gq = gq_sa if gq is None else gq + gq_sa
+            g_normed = None
+            for gp, w in ((gv, wv), (gk, wk), (gq, wq)):
+                if gp is not None:
+                    gn = ad._weight_grads(gp, normed, w, True, False)[0]
+                    g_normed = gn if g_normed is None else g_normed + gn
+            gx = g + norm_grad(g_normed)
+        return (gx,) if cross is None else (gx, g_mk, g_mv, g_gate)
+
+    return ad._record(Tensor(out), inputs, rule), Tensor(sa), None if ca is None else Tensor(ca)
 
 
 def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:
-    """Pre-norm ReLU feed-forward sublayer with its residual: x + FFN(LN(x))."""
-    normed = ad.layer_norm(x)
-    hidden = ad.relu(ad.matmul(normed, layer["ff1_w"]))
-    return ad.add(x, ad.matmul(hidden, layer["ff2_w"]))
+    """Pre-norm ReLU feed-forward sublayer with its residual,
+    ``x + relu(LN(x) @ ff1_w) @ ff2_w``, as one tape entry. The layer's
+    weights are frozen constants."""
+    normed, norm_grad = ad._normalize(x.data)
+    w1, w2 = layer["ff1_w"].data, layer["ff2_w"].data
+    pre = np.matmul(normed, w1)
+    hidden = np.maximum(pre, 0)
+
+    def rule(g):
+        g_hidden = ad._weight_grads(g, hidden, w2, True, False)[0]
+        g_normed = ad._weight_grads(g_hidden * (pre > 0), normed, w1, True, False)[0]
+        return (g + norm_grad(g_normed),)
+
+    return ad._record(Tensor(x.data + np.matmul(hidden, w2)), (x,), rule)

@@ -4,6 +4,7 @@ draw."""
 
 from __future__ import annotations
 
+import collections
 import errno
 from pathlib import Path
 
@@ -11,7 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from layerbridge.autodiff import Tape, Tensor, add, backward, matmul, mul, reshape, softmax, transpose
+from layerbridge import decoder as decoder_module
+from layerbridge import encoder as encoder_module
+from layerbridge import nn
+from layerbridge.autodiff import (
+    Tape, Tensor, add, backward, layer_norm, matmul, mul, relu, reshape, softmax, transpose,
+)
 from layerbridge.data import SynthSpec
 
 # a three-language corpus small enough to train every benchmark arm in seconds
@@ -57,6 +63,55 @@ def chain_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, bias=None) ->
     out = matmul(softmax(scores, axis=-1), vh)
     b, h, s, dh = out.shape
     return reshape(transpose(out, (0, 2, 1, 3)), (b, s, h * dh))
+
+
+def chain_attention_sublayer(layer, x: Tensor, n_heads: int, bias, kv=None, offset: int = 0, cross=None):
+    """``nn.attention_sublayer`` as the chain of tape ops it fuses (layer
+    norm, the q/k/v projections, ``nn.attention``, the ``wo`` projection, the
+    gated cross-attention read and the residual adds): the reference for its
+    bits. ``nn.attention`` is looked up at each call, so a test can swap in
+    ``chain_attention``."""
+    normed = layer_norm(x)
+    q = matmul(normed, layer["wq"])
+    k = matmul(normed, layer["wk"])
+    v = matmul(normed, layer["wv"])
+    if kv is not None:
+        end = offset + x.shape[1]
+        kv[0][:, offset:end] = k.data
+        kv[1][:, offset:end] = v.data
+        k, v = Tensor(kv[0][:, :end]), Tensor(kv[1][:, :end])
+    sa = matmul(nn.attention(q, k, v, n_heads, bias), layer["wo"])
+    if cross is None:
+        return add(x, sa), sa, None
+    mem_k, mem_v, gate, key_bias = cross
+    ca = matmul(nn.attention(q, mem_k, mem_v, n_heads, key_bias), layer["wo"])
+    return add(add(x, sa), mul(ca, gate)), sa, ca
+
+
+def chain_feed_forward(layer, x: Tensor) -> Tensor:
+    """``nn.feed_forward`` as the chain of tape ops it fuses: the reference
+    for its bits."""
+    hidden = relu(matmul(layer_norm(x), layer["ff1_w"]))
+    return add(x, matmul(hidden, layer["ff2_w"]))
+
+
+def use_chain_sublayers(monkeypatch) -> collections.Counter:
+    """Run the frozen encoder and decoder through ``chain_attention_sublayer``
+    and ``chain_feed_forward``. Returns the count of calls each chain gets,
+    so a test can show that the patch is reached."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (nn, encoder_module, decoder_module):
+        monkeypatch.setattr(module, "attention_sublayer", counted("attention", chain_attention_sublayer))
+        monkeypatch.setattr(module, "feed_forward", counted("feed_forward", chain_feed_forward))
+    return calls
 
 
 def central_difference(f, param: Tensor, h: float = 1e-5) -> np.ndarray:

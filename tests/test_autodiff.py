@@ -389,6 +389,30 @@ def test_cross_entropy_gradient(rng):
     assert_grad_matches(lambda: cross_entropy(logits, targets, mask), [logits])
 
 
+@pytest.mark.parametrize("t_len", [13, 395])
+def test_cross_entropy_matches_two_exponential_form_bitwise(rng, t_len):
+    """The loss and gradient equal, bit for bit, the form that exponentiates
+    the shifted logits again in the backward: reusing the forward's
+    exponentials and row sums changes no value."""
+    data = rng.normal(0.0, 2.0, size=(t_len, 512)).astype(np.float32)
+    targets = rng.integers(0, 512, size=t_len)
+    mask = rng.random(t_len) < 0.8
+    logits = Tensor(data, requires_grad=True)
+    with Tape() as tape:
+        loss = cross_entropy(logits, targets, mask)
+    backward(tape, loss)
+
+    shifted = data - np.max(data, axis=-1, keepdims=True)
+    lse = np.log(np.sum(np.exp(shifted), axis=-1)) + np.max(data, axis=-1)
+    nll = lse - data[np.arange(t_len), targets]
+    np.testing.assert_array_equal(loss.data, np.asarray(np.sum(nll * mask) / mask.sum(), dtype=np.float32))
+    probs = np.exp(shifted)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    probs[np.arange(t_len), targets] -= 1.0
+    probs *= (mask / mask.sum())[:, None]
+    np.testing.assert_array_equal(logits.grad, probs * np.ones_like(loss.data))
+
+
 def test_composite_mlp_gradient(rng):
     """One full layer: x @ W1 -> layer_norm -> @ W2 -> softmax CE."""
     x = _t(rng, 4, 6)

@@ -345,6 +345,23 @@ def test_cached_decode_allocates_its_buffers_once(decoder, rng):
         assert k is buffers[i][0] and v is buffers[i][1]
 
 
+@pytest.mark.parametrize("bench_width", [False, True])
+def test_cached_prompt_call_keeps_the_last_position_logits_bitwise(decoder, rng, bench_width):
+    """The prompt call runs the final norm and the head on its last two
+    positions at most, and their last row has the bits of the uncached
+    forward's last row, at the fixture's widths and the benchmark's."""
+    if bench_width:
+        decoder = Decoder(DecoderConfig(), seed=3)
+    fused, gates = _gate_sources(decoder, rng)[1]
+    for length in range(1, 12):
+        prompt = _t0(rng, decoder, batch=1, length=length)
+        cached, state = decoder.forward(prompt, fused, gates, cache=DecodeCache())
+        full, _ = decoder.forward(prompt, fused, gates)
+        assert cached.shape == (1, min(length, 2), decoder.config.vocab_size)
+        assert state.states[-1].shape == (1, length, decoder.config.d_dec)
+        np.testing.assert_array_equal(cached.data[0, -1], full.data[0, -1])
+
+
 def test_cached_forward_takes_one_sequence_from_the_prompt_on(decoder, rng):
     with pytest.raises(ContractError, match="one sequence"):
         decoder.forward(_t0(rng, decoder, batch=2, length=3), None, None, cache=DecodeCache())

@@ -9,9 +9,8 @@ allowed to read, not just output shapes.
 import numpy as np
 import pytest
 
-from conftest import chain_attention, chain_matmul, total
+from conftest import chain_attention, chain_matmul, total, use_chain_sublayers
 from layerbridge import autodiff as ad
-from layerbridge import decoder as decoder_module
 from layerbridge import nn
 from layerbridge.data import BOS, EOS, SEP
 from layerbridge.decoder import DecoderConfig
@@ -348,9 +347,9 @@ def test_bridge_seed_changes_trainable_init():
 
 def test_training_step_tape_length():
     """A batch-32 stage-1 step at the benchmark's depths (6 encoder, 4
-    decoder layers) records at most 100 tape entries: the aligner makes one
-    pass for all four memories, each attention call is one entry and each
-    biased projection another."""
+    decoder layers) records 36 tape entries: the aligner makes one pass for
+    all four memories, each decoder layer adds its two memory projections
+    and one entry per sublayer, and the frozen encoder records nothing."""
     enc = EncoderConfig(vocab_size=32, d_enc=16, n_layers=6, n_heads=2, d_ff=24, max_positions=16)
     dec = DecoderConfig(vocab_size=32, d_dec=16, n_layers=4, n_heads=2, d_ff=24, max_positions=24)
     model = BridgedModel(enc, dec, seed=0)
@@ -359,13 +358,14 @@ def test_training_step_tape_length():
     tgts = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
     with ad.Tape() as tape:
         model.loss_on_batch("translation", srcs, tgts)
-    assert len(tape.entries) <= 100
+    assert len(tape.entries) == 36
 
 
 def test_fused_ops_keep_loss_and_gradients_bitwise(monkeypatch):
     """A batch-32 stage-1 and stage-2 step give the same loss and trainable
-    gradients, bit for bit, as with attention and every biased projection
-    run as the chains of single tape ops they fuse."""
+    gradients, bit for bit, as with both sublayers of every layer, attention
+    and every biased projection run as the chains of single tape ops they
+    fuse."""
     m = BridgedModel(EC, DC, seed=0)
     rng = np.random.default_rng(0)
     for name, p in m.trainable_params().items():
@@ -383,8 +383,10 @@ def test_fused_ops_keep_loss_and_gradients_bitwise(monkeypatch):
     fused = [step(stage) for stage in ("translation", "task")]
     monkeypatch.setattr(ad, "matmul", chain_matmul)
     monkeypatch.setattr(nn, "attention", chain_attention)
-    monkeypatch.setattr(decoder_module, "attention", chain_attention)
+    calls = use_chain_sublayers(monkeypatch)
     chained = [step(stage) for stage in ("translation", "task")]
+    # two steps, each through 3 encoder and 2 decoder layers
+    assert calls == {"attention": 10, "feed_forward": 10}
     for got, want in zip(fused, chained):
         assert len(got) == len(want)
         for g, w in zip(got, want):
