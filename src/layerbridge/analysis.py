@@ -3,9 +3,11 @@
 All quantities are pure functions of (parameters, data), computed in float64
 and emitted as CSVs so two runs of the same checkpoint produce identical
 bytes. Pooling covers the response span of the final decoder layer, so
-padding positions are never pooled. ``build_report`` encodes and bridges each
-parallel row's source once; the row's two decoder forwards, teacher-forced for
-the pooled vector and prompt-only for the norm ratios, both read that pass.
+padding positions are never pooled. ``build_report`` encodes and bridges the
+parallel rows' sources through ``BridgedModel.bridged_rows``, one pass per
+length group of each chunk of rows; each row's two decoder forwards,
+teacher-forced for the pooled vector and prompt-only for the norm ratios, both
+read the row's slice of that pass.
 """
 
 from __future__ import annotations
@@ -217,9 +219,10 @@ def build_report(
 ) -> DiagnosticsReport:
     """Every diagnostic over the parallel rows, in one walk of them.
 
-    Each row's source is encoded and bridged once, and both of its decoder
-    forwards read that pass: the teacher-forced one gives its pooled vector,
-    the prompt-only one its norm ratios. The results equal
+    The sources are encoded and bridged by ``model.bridged_rows``, with the
+    same bits as one pass per row, and both of a row's decoder forwards read
+    its entry: the teacher-forced one gives its pooled vector, the
+    prompt-only one its norm ratios. The results equal
     ``collect_pooled_reps`` and ``norm_ratio_profile`` on the same rows.
     """
     rows = sorted(parallel_rows, key=_row_order)
@@ -229,10 +232,9 @@ def build_report(
     reps: dict[str, list[PooledRep]] = {}
     sums = np.zeros(m)
     skipped = np.zeros(m, dtype=np.int64)
-    for row in rows:
-        src = vocab.encode(row["src"])
+    srcs = [vocab.encode(row["src"]) for row in rows]
+    for row, src, bridged in zip(rows, srcs, model.bridged_rows(srcs)):
         tgt = vocab.encode(row["base"])
-        bridged = model.bridge_outputs(model.encode_sources([src]))
         _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt], bridged=bridged)
         reps.setdefault(row["lang"], []).append(_pooled_rep(row, state, packed, len(tgt)))
         _, state, _ = model.forward_batch(STAGE_TRANSLATION, [src], None, bridged=bridged)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ ENCODER_SEED = 7
 DECODER_SEED = 11
 # width of the aligner's fusion network between encoder and decoder width
 ALIGNER_HIDDEN = 96
+# sources per encoder-and-bridge chunk at inference (``bridged_rows``): the
+# synthetic stages' training batch size
+INFERENCE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,33 @@ class BridgedModel:
         fused = None if self.ablations.no_aligner else self.aligner.fuse_all(stack)
         return i_map, fused
 
+    def bridged_rows(self, src_seqs: list[np.ndarray]) -> Iterator[tuple[Tensor | None, FusedKV | None]]:
+        """Each source's ``bridge_outputs(encode_sources([src]))``, in order.
+
+        Sources run ``INFERENCE_CHUNK`` at a time, with one encoder and bridge
+        pass per distinct length in a chunk, and each row is sliced out as a
+        batch of one. No row is padded, so each row's arithmetic is its
+        batch-1 arithmetic and every output keeps its bits; a padded pass
+        would not. Only the current chunk's passes are held.
+        """
+        for c0 in range(0, len(src_seqs), INFERENCE_CHUNK):
+            chunk = src_seqs[c0 : c0 + INFERENCE_CHUNK]
+            by_len: dict[int, list[int]] = {}
+            for i, src in enumerate(chunk):
+                by_len.setdefault(len(src), []).append(i)
+            rows: list = [None] * len(chunk)
+            for members in by_len.values():
+                i_map, fused = self.bridge_outputs(self.encode_sources([chunk[i] for i in members]))
+                for r, i in enumerate(members):
+                    rows[i] = (
+                        None if i_map is None else Tensor(i_map.data[r : r + 1]),
+                        None if fused is None else FusedKV(
+                            memories=[Tensor(mem.data[r : r + 1]) for mem in fused.memories],
+                            bias=fused.bias[r : r + 1],
+                        ),
+                    )
+            yield from rows
+
     def _pack(
         self,
         i_map: Tensor | None,
@@ -214,8 +245,8 @@ class BridgedModel:
 
         ``bridged`` is ``bridge_outputs(encode_sources(src_seqs))`` computed by
         the caller, used in place of running the encoder and bridge again.
-        ``analysis.build_report`` passes it so a row's two forwards share one
-        pass.
+        ``analysis.build_report`` passes each row's ``bridged_rows`` entry, so
+        the row's two forwards share its chunk's pass.
         """
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
@@ -232,9 +263,20 @@ class BridgedModel:
         flat = ad.reshape(logits, (batch * width, vocab))
         return ad.cross_entropy(flat, packed.labels.reshape(-1), packed.loss_mask.reshape(-1))
 
-    def generate_answer(self, stage: str, src_seq: np.ndarray, max_new_tokens: int) -> list[int]:
-        """Greedy answer tokens for one source sequence."""
+    def generate_answer(
+        self,
+        stage: str,
+        src_seq: np.ndarray,
+        max_new_tokens: int,
+        bridged: tuple[Tensor | None, FusedKV | None] | None = None,
+    ) -> list[int]:
+        """Greedy answer tokens for one source sequence.
+
+        ``bridged`` is as in ``forward_batch``: the source's
+        ``bridge_outputs(encode_sources([src_seq]))``, such as its
+        ``bridged_rows`` entry, which ``training.evaluate`` passes.
+        """
         src = [np.asarray(src_seq, dtype=np.int64)]
-        i_map, fused = self.bridge_outputs(self.encode_sources(src))
+        i_map, fused = self.bridge_outputs(self.encode_sources(src)) if bridged is None else bridged
         packed = self._pack(i_map, stage, src, None)
         return generate(self.decoder, packed.t0, fused, self.gates, max_new_tokens)

@@ -219,6 +219,10 @@ def evaluate(
 ) -> EvalReport:
     """Greedy-decode every example and score exact match per language.
 
+    Each example decodes alone, from its entry of ``model.bridged_rows``: the
+    encoder and bridge run once per length group of each chunk of sources,
+    with the same bits as a pass per example.
+
     Aggregates are unweighted means over languages: Avg over all languages
     present, Lrl/Hrl over languages mapped to that tier. A language missing
     from ``tiers`` counts toward Avg only.
@@ -227,9 +231,9 @@ def evaluate(
         raise ConfigError("evaluate needs a nonempty split")
     hits: dict[str, int] = {}
     totals: dict[str, int] = {}
-    for ex in examples:
-        src = vocab.encode(ex.source_text)
-        out_ids = model.generate_answer(ex.stage, src, max_new_tokens=max_new_tokens)
+    srcs = [vocab.encode(ex.source_text) for ex in examples]
+    for ex, src, bridged in zip(examples, srcs, model.bridged_rows(srcs)):
+        out_ids = model.generate_answer(ex.stage, src, max_new_tokens=max_new_tokens, bridged=bridged)
         try:
             pred = normalize_answer(vocab.decode(out_ids))
         except InputError:

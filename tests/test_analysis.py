@@ -5,6 +5,7 @@ emitter.
 
 import sys
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from layerbridge.data import SynthSpec, generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import Encoder, EncoderConfig
 from layerbridge.errors import ConfigError, ContractError, PairingError
-from layerbridge.model import AblationFlags, BridgedModel
+from layerbridge.model import INFERENCE_CHUNK, AblationFlags, BridgedModel
 
 EC = EncoderConfig(vocab_size=64, d_enc=16, n_layers=3, n_heads=2, d_ff=24, max_positions=16)
 DC = DecoderConfig(vocab_size=64, d_dec=16, n_layers=2, n_heads=2, d_ff=24, max_positions=32)
@@ -303,29 +304,46 @@ def gated_model():
     return m
 
 
-def test_build_report_encodes_each_row_once(monkeypatch, gated_model, corpus):
-    calls = {"encoder": 0, "forward_batch": 0}
-
-    def counted(cls, name, key):
-        fn = getattr(cls, name)
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counted(Encoder, "forward", "encoder")
-    counted(BridgedModel, "forward_batch", "forward_batch")
-    build_report(gated_model, corpus.eval_parallel, corpus.vocab)
-    n = len(corpus.eval_parallel)
-    assert calls == {"encoder": n, "forward_batch": 2 * n}
+@pytest.fixture(scope="module")
+def wide_corpus():
+    """36 parallel rows: one full chunk of 32 sources and a partial one."""
+    corpus = generate_synthetic_corpus(replace(SPEC, parallel_sentences=9), seed=2)
+    assert len(corpus.eval_parallel) == 36
+    return corpus
 
 
-def test_build_report_agrees_with_the_standalone_diagnostics(gated_model, corpus):
-    rows = corpus.eval_parallel
-    report = build_report(gated_model, rows[::-1], corpus.vocab)
-    reps = collect_pooled_reps(gated_model, rows, corpus.vocab)
+def test_build_report_encodes_each_row_once(monkeypatch, gated_model, wide_corpus):
+    """One encoder call per (chunk, source length) group, made as the row
+    walk reaches the chunk, and still two decoder forwards per row."""
+    rows = sorted(wide_corpus.eval_parallel, key=lambda r: (r["lang"], r["sid"]))
+    lengths = [len(wide_corpus.vocab.encode(row["src"])) for row in rows]
+    groups = [len(set(lengths[c0 : c0 + INFERENCE_CHUNK])) for c0 in range(0, len(rows), INFERENCE_CHUNK)]
+    assert len(groups) == 2 and min(groups) > 1
+    encoder_calls = []
+    encoded_by_forward = []
+    forward, forward_batch = Encoder.forward, BridgedModel.forward_batch
+
+    def counted_encoder(self, tokens, mask=None):
+        encoder_calls.append(tokens.shape[0])
+        return forward(self, tokens, mask)
+
+    def counted_forward_batch(*args, **kwargs):
+        encoded_by_forward.append(len(encoder_calls))
+        return forward_batch(*args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "forward", counted_encoder)
+    monkeypatch.setattr(BridgedModel, "forward_batch", counted_forward_batch)
+    build_report(gated_model, wide_corpus.eval_parallel, wide_corpus.vocab)
+    assert len(encoder_calls) == sum(groups)
+    assert sum(encoder_calls) == len(rows)
+    want = [sum(groups[: j // INFERENCE_CHUNK + 1]) for j in range(len(rows)) for _ in range(2)]
+    assert encoded_by_forward == want
+
+
+def test_build_report_agrees_with_the_standalone_diagnostics(monkeypatch, tmp_path, gated_model, wide_corpus):
+    rows, vocab = wide_corpus.eval_parallel, wide_corpus.vocab
+    report = build_report(gated_model, rows[::-1], vocab)
+    reps = collect_pooled_reps(gated_model, rows, vocab)
     for lang in ("lang1", "lang2", "lang3"):
         want = pooled_cosine(reps[lang], reps["base"])
         assert report.cosine[lang].per_pair == want.per_pair
@@ -334,13 +352,24 @@ def test_build_report_agrees_with_the_standalone_diagnostics(gated_model, corpus
     assert report.pca_labels == [(r.lang, r.sid) for r in flat]
     assert np.array_equal(report.pca.coords, pca_project(flat).coords)
     examples = [
-        ("translation", corpus.vocab.encode(row["src"]))
+        ("translation", vocab.encode(row["src"]))
         for row in sorted(rows, key=lambda r: (r["lang"], r["sid"]))
     ]
     profile = norm_ratio_profile(gated_model, examples)
     assert np.array_equal(report.norm_ratio.values, profile.values)
     assert np.array_equal(report.norm_ratio.skipped, profile.skipped)
     assert (profile.values > 0).all()
+    # the five CSVs, byte for byte, against a build that bridges row by row
+    grouped = write_report(tmp_path / "grouped", report)
+    monkeypatch.setattr(
+        gated_model,
+        "bridged_rows",
+        lambda srcs: (gated_model.bridge_outputs(gated_model.encode_sources([src])) for src in srcs),
+    )
+    per_row = write_report(tmp_path / "per_row", build_report(gated_model, rows, vocab))
+    assert [p.name for p in grouped] == [p.name for p in per_row]
+    for a, b in zip(grouped, per_row):
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 @pytest.fixture(scope="module")

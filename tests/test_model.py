@@ -194,6 +194,67 @@ def test_forward_on_a_given_bridge_pass_is_bitwise_equal(stage, tgts):
     assert packed.prompt_lens == want_packed.prompt_lens
 
 
+EC_LONG = EncoderConfig(vocab_size=32, d_enc=16, n_layers=3, n_heads=2, d_ff=24, max_positions=24)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        AblationFlags(),
+        AblationFlags(no_adapter=True),
+        AblationFlags(no_aligner=True),
+        AblationFlags(layer_subset="last_hidden"),
+        AblationFlags(layer_subset="average"),
+    ],
+    ids=["default", "no_adapter", "no_aligner", "last_hidden", "average"],
+)
+def test_bridged_rows_equal_batch_one_passes_bitwise(monkeypatch, flags):
+    m = BridgedModel(EC_LONG, DC, flags, seed=0)
+    rng = np.random.default_rng(5)
+    if m.aligner.mixing_logits is not None:
+        m.aligner.mixing_logits.data[...] = rng.normal(size=m.aligner.mixing_logits.shape)
+    lengths = [1, 23, 16, 1] + rng.integers(1, 24, size=46).tolist()
+    srcs = [rng.integers(4, EC_LONG.vocab_size, size=n) for n in lengths]
+    encoded = []
+    forward = m.encoder.forward
+
+    def counted(tokens, mask=None):
+        encoded.append(tokens.shape)
+        return forward(tokens, mask)
+
+    monkeypatch.setattr(m.encoder, "forward", counted)
+    rows = list(m.bridged_rows(srcs))
+    groups = len(set(lengths[:32])) + len(set(lengths[32:]))
+    assert len(encoded) == groups
+    assert sum(batch for batch, _ in encoded) == len(srcs) == len(rows)
+    for src, (i_map, fused) in zip(srcs, rows):
+        want_map, want_fused = m.bridge_outputs(m.encode_sources([src]))
+        if flags.no_adapter:
+            assert i_map is None and want_map is None
+        else:
+            assert i_map.shape == want_map.shape == (1, len(src), DC.d_dec)
+            assert np.array_equal(i_map.data, want_map.data)
+        if flags.no_aligner:
+            assert fused is None and want_fused is None
+            continue
+        assert fused.n_layers == want_fused.n_layers == DC.n_layers
+        for got, want in zip(fused.memories, want_fused.memories):
+            assert got.shape == want.shape == (1, len(src), DC.d_dec)
+            assert np.array_equal(got.data, want.data)
+        assert fused.bias.shape == want_fused.bias.shape
+        assert np.array_equal(fused.bias, want_fused.bias)
+
+
+def test_generate_answer_on_a_given_bridge_pass_is_bitwise_equal():
+    m = BridgedModel(EC, DC, seed=0)
+    for g in m.gates.values:
+        g.data[...] = 0.4
+    for src, bridged in zip(SRC, m.bridged_rows(SRC)):
+        for stage in ("translation", "task"):
+            want = m.generate_answer(stage, src, max_new_tokens=6)
+            assert m.generate_answer(stage, src, max_new_tokens=6, bridged=bridged) == want
+
+
 def test_encode_sources_masks_padding(model):
     stack = model.encode_sources(SRC)
     assert np.array_equal(stack.mask, np.array([[True, True, True], [True, False, False]]))

@@ -253,13 +253,20 @@ def test_trace_row_gate_columns(tmp_path):
 
 
 class StubModel:
-    """generate_answer keyed on the exact source ids; everything else missing."""
+    """generate_answer keyed on the exact source ids; each source's bridge
+    pass is a placeholder that generate_answer checks it is handed."""
 
     def __init__(self, answers):
         self.answers = answers
 
-    def generate_answer(self, stage, src, max_new_tokens=8):
-        return list(self.answers.get(tuple(int(t) for t in src), []))
+    def bridged_rows(self, srcs):
+        for src in srcs:
+            yield ("bridged", tuple(int(t) for t in src))
+
+    def generate_answer(self, stage, src, max_new_tokens=8, bridged=None):
+        key = tuple(int(t) for t in src)
+        assert bridged == ("bridged", key)
+        return list(self.answers.get(key, []))
 
 
 def _task_row(src, lang, tgt):
@@ -304,6 +311,35 @@ def test_evaluate_counts_undecodable_prediction_as_miss():
     stub = StubModel({(int(VOCAB.encode(W[0])[0]),): [4999]})
     report = evaluate(stub, rows, VOCAB, tiers={"A": "hrl"})
     assert report.per_lang == {"A": 0.0}
+
+
+def test_evaluate_matches_per_example_decoding(monkeypatch):
+    corpus = generate_synthetic_corpus(replace(TINY_SPEC, eval_per_lang=12), seed=1)
+    rows = corpus.eval_task
+    assert len(rows) % 32 and len(rows) > 32
+    model = BridgedModel(EC, DC, seed=2)
+    for g in model.gates.values:
+        g.data[...] = 0.5
+    want = [
+        model.generate_answer(ex.stage, corpus.vocab.encode(ex.source_text), max_new_tokens=8)
+        for ex in rows
+    ]
+    got = []
+    generate_answer = model.generate_answer
+
+    def recorded(*args, **kwargs):
+        assert kwargs["bridged"] is not None
+        got.append(generate_answer(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(model, "generate_answer", recorded)
+    report = evaluate(model, rows, corpus.vocab, corpus.tiers())
+    assert got == want
+    monkeypatch.setattr(model, "generate_answer", generate_answer)
+    monkeypatch.setattr(model, "bridged_rows", lambda srcs: [None] * len(srcs))
+    per_example = evaluate(model, rows, corpus.vocab, corpus.tiers())
+    assert report.per_lang == per_example.per_lang
+    assert report.aggregates == per_example.aggregates
 
 
 # ---------------------------------------------------------------------------
