@@ -26,6 +26,10 @@ from .errors import ConfigError, ContractError, PairingError
 from .files import write_atomic
 from .model import BridgedModel, PackedBatch
 
+# ``forward_batch``'s row selection for the forwards here, which read states
+# and no logits: the final norm and the head run on no row
+NO_ROWS = np.empty(0, dtype=np.int64)
+
 
 @dataclass
 class PooledRep:
@@ -63,7 +67,7 @@ def collect_pooled_reps(
     for row in sorted(parallel_rows, key=_row_order):
         src = vocab.encode(row["src"])
         tgt = vocab.encode(row["base"])
-        _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt])
+        _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt], rows=NO_ROWS)
         out.setdefault(row["lang"], []).append(_pooled_rep(row, state, packed, len(tgt)))
     return out
 
@@ -189,7 +193,7 @@ def norm_ratio_profile(
     sums = np.zeros(m)
     skipped = np.zeros(m, dtype=np.int64)
     for stage, src in examples:
-        _, state, _ = model.forward_batch(stage, [np.asarray(src, dtype=np.int64)], None)
+        _, state, _ = model.forward_batch(stage, [np.asarray(src, dtype=np.int64)], None, rows=NO_ROWS)
         ratios, skips = _row_norm_ratios(model, state)
         sums += ratios
         skipped += skips
@@ -235,9 +239,9 @@ def build_report(
     srcs = [vocab.encode(row["src"]) for row in rows]
     for row, src, bridged in zip(rows, srcs, model.bridged_rows(srcs)):
         tgt = vocab.encode(row["base"])
-        _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt], bridged=bridged)
+        _, state, packed = model.forward_batch(STAGE_TRANSLATION, [src], [tgt], bridged=bridged, rows=NO_ROWS)
         reps.setdefault(row["lang"], []).append(_pooled_rep(row, state, packed, len(tgt)))
-        _, state, _ = model.forward_batch(STAGE_TRANSLATION, [src], None, bridged=bridged)
+        _, state, _ = model.forward_batch(STAGE_TRANSLATION, [src], None, bridged=bridged, rows=NO_ROWS)
         ratios, skips = _row_norm_ratios(model, state)
         sums += ratios
         skipped += skips

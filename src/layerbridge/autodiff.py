@@ -203,6 +203,24 @@ def _weight_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, nx: bool, nw: boo
     return gx, gw
 
 
+def _flat_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a [B, S, n] ``x`` and a 2-d ``w``, as one GEMM over the
+    B * S flattened rows instead of numpy's GEMM per batch row.
+
+    For S > 1 it gives the per-row GEMM's bits, faster. A one-position row
+    (S = 1) takes another BLAS path in numpy's loop, which rounds
+    differently, and at B = 1 the reshapes only add cost, so ``_matmul_for``
+    keeps ``np.matmul`` for both.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def _matmul_for(x: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The product to use for ``x`` times a 2-d weight: ``_flat_matmul`` for a
+    3-d ``x`` of several multi-position rows, ``np.matmul`` otherwise."""
+    return _flat_matmul if x.ndim == 3 and x.shape[0] > 1 and x.shape[1] > 1 else np.matmul
+
+
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a @ b``, plus the row ``bias`` when one is given, as one tape entry."""
     if a.ndim < 2 or b.ndim < 2:
@@ -210,7 +228,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     a_data, b_data = a.data, b.data
-    out = np.matmul(a_data, b_data)
+    out = (_matmul_for(a_data) if b_data.ndim == 2 else np.matmul)(a_data, b_data)
     inputs = (a, b)
     na, nb, n_bias = a.requires_grad, b.requires_grad, False
     if bias is not None:
@@ -395,37 +413,45 @@ def layer_norm(x: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     """Mean next-token negative log-likelihood over masked-in positions.
 
-    ``logits`` is [T, V]; ``targets`` length-T integer indices; ``mask`` a
-    length-T boolean sequence selecting supervised positions. Log-sum-exp
-    stabilized. Raises EmptyLossError when nothing is masked in.
+    ``targets`` is length-T integer indices and ``mask`` a length-T boolean
+    sequence selecting the supervised positions; ``logits`` is [K, V], one
+    row per masked-in position, in order. Each row's NLL is placed in a
+    length-T array that is zero at every masked-out slot, and that array is
+    summed, so the loss has the bits of the same sum over all T positions'
+    logits. Log-sum-exp stabilized. Raises EmptyLossError when nothing is
+    masked in.
     """
     if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy expects [T, V] logits, got {logits.shape}")
-    t_len, vocab = logits.shape
+        raise ShapeError(f"cross_entropy expects [K, V] logits, got {logits.shape}")
     idx = np.asarray(targets, dtype=np.int64)
     keep = np.asarray(mask, dtype=bool)
-    if idx.shape != (t_len,) or keep.shape != (t_len,):
-        raise ShapeError(
-            f"targets/mask must be length {t_len}, got {idx.shape} and {keep.shape}"
-        )
+    if idx.ndim != 1 or keep.shape != idx.shape:
+        raise ShapeError(f"targets and mask must each be one length-T sequence, got {idx.shape}, {keep.shape}")
+    kept_rows, vocab = logits.shape
     if np.any((idx < 0) | (idx >= vocab)):
         bad = int(np.argmax((idx < 0) | (idx >= vocab)))
         raise ContractError(f"target index {idx[bad]} at position {bad} outside vocab of {vocab}")
     kept = int(keep.sum())
     if kept == 0:
         raise EmptyLossError("cross_entropy over a fully masked-out batch")
+    if kept_rows != kept:
+        raise ShapeError(f"cross_entropy needs a logits row per masked-in position, {kept}; got {kept_rows}")
+    rows, kept_idx = np.arange(kept), idx[keep]
     peak = np.max(logits.data, axis=-1, keepdims=True)
     # the backward reuses these exponentials and their row sums
     exp = np.exp(logits.data - peak)
     sums = np.sum(exp, axis=-1, keepdims=True)
     lse = np.log(sums[:, 0]) + peak[:, 0]
-    nll = lse - logits.data[np.arange(t_len), idx]
-    out = Tensor(np.asarray(np.sum(nll * keep) / kept, dtype=logits.data.dtype))
+    nll = np.zeros(idx.shape, dtype=logits.data.dtype)
+    nll[keep] = lse - logits.data[rows, kept_idx]
+    out = Tensor(np.asarray(np.sum(nll) / kept, dtype=logits.data.dtype))
 
     def rule(g):
         probs = exp / sums
-        probs[np.arange(t_len), idx] -= 1.0
-        probs *= (keep / kept)[:, None]
+        probs[rows, kept_idx] -= 1.0
+        # float64 weights, as ``mask / kept`` would be: with a Python float
+        # numpy would multiply in float32, with other bits
+        probs *= np.full((kept, 1), 1.0 / kept)
         return (probs * g,)
 
     return _record(out, (logits,), rule)

@@ -131,8 +131,16 @@ class Decoder(FrozenStack):
         fused: FusedKV | None,
         gates: GateVector | None,
         cache: DecodeCache | None = None,
+        rows: np.ndarray | None = None,
     ) -> tuple[Tensor, DecoderState]:
         """Run all layers and the output head. Returns (logits, state).
+
+        ``rows`` selects the flat [batch * length] positions whose logits are
+        wanted: the final norm and the head run on those rows alone, and the
+        logits are [len(rows), vocab]. By default every position gets them,
+        as [batch, length, vocab]. A row's logits have the same bits either
+        way, except in a one-row selection: a one-row head product can round
+        differently from the same row of a larger one.
 
         ``fused=None`` removes cross-attention entirely (self-attention-only
         decoder) and leaves ``gates`` unread; with ``fused`` present,
@@ -146,11 +154,7 @@ class Decoder(FrozenStack):
         values into the cache's buffers. The first call feeds the whole prompt
         causally; every later call feeds one position, which sees every
         cached key. The buffers are written in place, so no tape may record
-        a cached forward of a grad-requiring ``t0``. A cached call runs the
-        final norm and the head on its last two positions at most, so the
-        prompt call returns [1, 2, vocab] logits ([1, 1, vocab] for a
-        one-position prompt). Its last row keeps the bits of the uncached
-        forward's last row, which a one-row head product would not.
+        a cached forward of a grad-requiring ``t0``.
 
         Raises ``InputError`` when the positions run past ``max_positions``,
         and ``NumericError`` naming the first layer whose output holds a
@@ -190,10 +194,8 @@ class Decoder(FrozenStack):
             state.ca_outputs.append(ca)
         if cache is not None:
             cache.offset += dec_len
-            if dec_len > 2:
-                # two rows, not one: a one-row head product can round
-                # differently from the same row of a larger one
-                x = ad.narrow(x, 1, dec_len - 2, 2)
+        if rows is not None:
+            x = ad.embedding(ad.reshape(x, (batch * dec_len, d)), rows)
         return ad.matmul(ad.layer_norm(x), self.head), state
 
     def block(
@@ -245,9 +247,12 @@ def generate(
 
     Feeds the prompt once, then only each emitted token's embedding, through
     a ``DecodeCache`` that keeps every layer's self-attention keys and values
-    and its projected cross-attention memory. Stops at the end marker, at the
-    budget, or when the sequence length reaches ``max_positions``; the end
-    marker itself is not returned.
+    and its projected cross-attention memory. The head runs on at most the
+    prompt's last two positions, not its last one, so the last row keeps
+    the bits of the uncached forward's, and then on each step's one
+    position. Stops at the end marker, at the budget, or when the sequence
+    length reaches ``max_positions``; the end marker itself is not
+    returned.
     """
     if max_new_tokens < 1:
         raise ContractError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
@@ -260,8 +265,10 @@ def generate(
     for _ in range(max_new_tokens):
         if cache.offset + t0.shape[1] >= c.max_positions:
             break
-        logits, _ = decoder.forward(t0, fused, gates, cache=cache)
-        next_id = int(logits.data[0, -1].argmax())
+        n = t0.shape[1]
+        rows = None if n <= 2 else np.arange(n - 2, n)
+        logits, _ = decoder.forward(t0, fused, gates, cache=cache, rows=rows)
+        next_id = int(logits.data.reshape(-1, c.vocab_size)[-1].argmax())
         if next_id == EOS:
             break
         out.append(next_id)

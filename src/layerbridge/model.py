@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +240,7 @@ class BridgedModel:
         src_seqs: list[np.ndarray],
         tgt_seqs: list[np.ndarray] | None = None,
         bridged: tuple[Tensor | None, FusedKV | None] | None = None,
+        rows: np.ndarray | Callable[[PackedBatch], np.ndarray] | None = None,
     ) -> tuple[Tensor, DecoderState, PackedBatch]:
         """Logits over the packed batch; targets are teacher-forced when given.
 
@@ -247,21 +248,30 @@ class BridgedModel:
         the caller, used in place of running the encoder and bridge again.
         ``analysis.build_report`` passes each row's ``bridged_rows`` entry, so
         the row's two forwards share its chunk's pass.
+
+        ``rows`` is ``Decoder.forward``'s: the flat [batch * width] positions
+        that get logits, every one by default. It may be a function of the
+        packed batch, for a selection known only once the batch is laid
+        out, as ``loss_on_batch``'s supervised positions are.
         """
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
         i_map, fused = self.bridge_outputs(self.encode_sources(src_seqs)) if bridged is None else bridged
         packed = self._pack(i_map, stage, src_seqs, tgt_seqs)
-        logits, state = self.decoder.forward(packed.t0, fused, self.gates)
+        if callable(rows):
+            rows = rows(packed)
+        logits, state = self.decoder.forward(packed.t0, fused, self.gates, rows=rows)
         return logits, state, packed
 
     def loss_on_batch(self, stage: str, src_seqs: list[np.ndarray], tgt_seqs: list[np.ndarray]) -> Tensor:
+        """Mean next-token loss over the supervised positions; the final norm
+        and the head run on those positions only."""
         if tgt_seqs is None or any(len(t) == 0 for t in tgt_seqs):
             raise ContractError("every training example needs a nonempty target")
-        logits, _, packed = self.forward_batch(stage, src_seqs, tgt_seqs)
-        batch, width, vocab = logits.shape
-        flat = ad.reshape(logits, (batch * width, vocab))
-        return ad.cross_entropy(flat, packed.labels.reshape(-1), packed.loss_mask.reshape(-1))
+        logits, _, packed = self.forward_batch(
+            stage, src_seqs, tgt_seqs, rows=lambda packed: np.flatnonzero(packed.loss_mask)
+        )
+        return ad.cross_entropy(logits, packed.labels.reshape(-1), packed.loss_mask.reshape(-1))
 
     def generate_answer(
         self,

@@ -75,8 +75,15 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, bias: np.
     scores = scores * scale
     if bias is not None:
         scores = scores + np.asarray(bias, dtype=scores.dtype)
-    # the ufunc reductions np.max and np.sum dispatch to, called directly
-    exp = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    # the ufunc reductions np.max and np.sum dispatch to, called directly.
+    # Over the short key axis numpy's max is slow; over a contiguous copy
+    # with that axis first it is a few whole-array maxima, exact, so the
+    # bits hold. At batch 1 the copy costs more than it saves.
+    if batch > 1:
+        peak = np.maximum.reduce(np.ascontiguousarray(scores.transpose(3, 0, 1, 2)), axis=0)[..., None]
+    else:
+        peak = np.maximum.reduce(scores, axis=-1, keepdims=True)
+    exp = np.exp(scores - peak)
     y = exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
     def grad(g: np.ndarray, nq: bool, nk: bool, nv: bool):
@@ -213,23 +220,24 @@ def attention_sublayer(
     x_data = x.data
     normed, norm_grad = ad._normalize(x_data)
     wq, wk, wv, wo = layer["wq"].data, layer["wk"].data, layer["wv"].data, layer["wo"].data
-    q = np.matmul(normed, wq)
-    k = np.matmul(normed, wk)
-    v = np.matmul(normed, wv)
+    mm = ad._matmul_for(x_data)
+    q = mm(normed, wq)
+    k = mm(normed, wk)
+    v = mm(normed, wv)
     if kv is not None:
         end = offset + x.shape[1]
         kv[0][:, offset:end] = k
         kv[1][:, offset:end] = v
         k, v = kv[0][:, :end], kv[1][:, :end]
     sa_read, sa_grad = _attend(q, k, v, n_heads, bias)
-    sa = np.matmul(sa_read, wo)
+    sa = mm(sa_read, wo)
     nx = x.requires_grad
     if cross is None:
         out, ca, inputs = x_data + sa, None, (x,)
     else:
         mem_k, mem_v, gate, key_bias = cross
         ca_read, ca_grad = _attend(q, mem_k.data, mem_v.data, n_heads, key_bias)
-        ca = np.matmul(ca_read, wo)
+        ca = mm(ca_read, wo)
         gate_data = gate.data
         out, inputs = x_data + sa + ca * gate_data, (x, mem_k, mem_v, gate)
 
@@ -266,7 +274,8 @@ def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:
     weights are frozen constants."""
     normed, norm_grad = ad._normalize(x.data)
     w1, w2 = layer["ff1_w"].data, layer["ff2_w"].data
-    pre = np.matmul(normed, w1)
+    mm = ad._matmul_for(normed)
+    pre = mm(normed, w1)
     hidden = np.maximum(pre, 0)
 
     def rule(g):
@@ -274,4 +283,4 @@ def feed_forward(layer: dict[str, Tensor], x: Tensor) -> Tensor:
         g_normed = ad._weight_grads(g_hidden * (pre > 0), normed, w1, True, False)[0]
         return (g + norm_grad(g_normed),)
 
-    return ad._record(Tensor(x.data + np.matmul(hidden, w2)), (x,), rule)
+    return ad._record(Tensor(x.data + mm(hidden, w2)), (x,), rule)

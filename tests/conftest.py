@@ -16,7 +16,8 @@ from layerbridge import decoder as decoder_module
 from layerbridge import encoder as encoder_module
 from layerbridge import nn
 from layerbridge.autodiff import (
-    Tape, Tensor, add, backward, layer_norm, matmul, mul, relu, reshape, softmax, transpose,
+    Tape, Tensor, add, backward, cross_entropy, layer_norm, matmul, mul, relu, reshape, softmax, take,
+    transpose,
 )
 from layerbridge.data import SynthSpec
 
@@ -93,6 +94,18 @@ def chain_feed_forward(layer, x: Tensor) -> Tensor:
     for its bits."""
     hidden = relu(matmul(layer_norm(x), layer["ff1_w"]))
     return add(x, matmul(hidden, layer["ff2_w"]))
+
+
+def all_rows_loss_on_batch(model, stage: str, srcs, tgts) -> Tensor:
+    """``BridgedModel.loss_on_batch`` with the final norm and the head run on
+    every packed position and the supervised rows taken from those logits
+    afterwards: the reference for the bits of a head run on the supervised
+    positions alone."""
+    logits, _, packed = model.forward_batch(stage, srcs, tgts)
+    batch, width, vocab = logits.shape
+    mask = packed.loss_mask.reshape(-1)
+    kept = take(reshape(logits, (batch * width, vocab)), np.flatnonzero(mask), axis=0)
+    return cross_entropy(kept, packed.labels.reshape(-1), mask)
 
 
 def use_chain_sublayers(monkeypatch) -> collections.Counter:

@@ -383,7 +383,7 @@ def test_layer_norm_matches_identity_affine_bitwise(rng, shape):
 
 
 def test_cross_entropy_gradient(rng):
-    logits = _t(rng, 6, 5)
+    logits = _t(rng, 5, 5)  # one row per masked-in position
     targets = np.array([0, 1, 2, 3, 4, 0])
     mask = np.array([True, True, False, True, True, True])
     assert_grad_matches(lambda: cross_entropy(logits, targets, mask), [logits])
@@ -391,13 +391,14 @@ def test_cross_entropy_gradient(rng):
 
 @pytest.mark.parametrize("t_len", [13, 395])
 def test_cross_entropy_matches_two_exponential_form_bitwise(rng, t_len):
-    """The loss and gradient equal, bit for bit, the form that exponentiates
-    the shifted logits again in the backward: reusing the forward's
-    exponentials and row sums changes no value."""
+    """The loss and gradient from the masked-in rows' logits equal, bit for
+    bit, the form over all T rows' logits that exponentiates the shifted
+    logits again in the backward: taking the kept rows and reusing the
+    forward's exponentials and row sums change no value."""
     data = rng.normal(0.0, 2.0, size=(t_len, 512)).astype(np.float32)
     targets = rng.integers(0, 512, size=t_len)
     mask = rng.random(t_len) < 0.8
-    logits = Tensor(data, requires_grad=True)
+    logits = Tensor(data[mask], requires_grad=True)
     with Tape() as tape:
         loss = cross_entropy(logits, targets, mask)
     backward(tape, loss)
@@ -410,7 +411,7 @@ def test_cross_entropy_matches_two_exponential_form_bitwise(rng, t_len):
     probs /= np.sum(probs, axis=-1, keepdims=True)
     probs[np.arange(t_len), targets] -= 1.0
     probs *= (mask / mask.sum())[:, None]
-    np.testing.assert_array_equal(logits.grad, probs * np.ones_like(loss.data))
+    np.testing.assert_array_equal(logits.grad, (probs * np.ones_like(loss.data))[mask])
 
 
 def test_composite_mlp_gradient(rng):
@@ -461,7 +462,7 @@ def test_cross_entropy_matches_independent_log_softmax(rng):
     shifted = logits64 - logits64.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     want = -log_probs[np.arange(10), targets][mask].mean()
-    got = cross_entropy(Tensor(logits64), targets, mask)
+    got = cross_entropy(Tensor(logits64[mask]), targets, mask)
     assert abs(got.item() - want) < 1e-6
 
 
@@ -469,6 +470,11 @@ def test_cross_entropy_fully_masked_raises():
     logits = Tensor(np.zeros((2, 4)))
     with pytest.raises(EmptyLossError):
         cross_entropy(logits, np.array([0, 1]), np.zeros(2, dtype=bool))
+
+
+def test_cross_entropy_needs_one_row_per_masked_in_position():
+    with pytest.raises(ShapeError, match="a logits row per masked-in position"):
+        cross_entropy(Tensor(np.zeros((2, 4))), np.array([0, 1]), np.array([True, False]))
 
 
 def test_cross_entropy_target_out_of_range():

@@ -346,20 +346,34 @@ def test_cached_decode_allocates_its_buffers_once(decoder, rng):
 
 
 @pytest.mark.parametrize("bench_width", [False, True])
-def test_cached_prompt_call_keeps_the_last_position_logits_bitwise(decoder, rng, bench_width):
-    """The prompt call runs the final norm and the head on its last two
-    positions at most, and their last row has the bits of the uncached
+def test_cached_prompt_call_keeps_the_last_position_logits_bitwise(decoder, rng, bench_width, monkeypatch):
+    """``generate``'s prompt call runs the final norm and the head on its last
+    two positions at most, and their last row has the bits of the uncached
     forward's last row, at the fixture's widths and the benchmark's."""
     if bench_width:
         decoder = Decoder(DecoderConfig(), seed=3)
     fused, gates = _gate_sources(decoder, rng)[1]
-    for length in range(1, 12):
+    calls = []
+    forward = Decoder.forward
+
+    def recorded(self, t0, *args, **kwargs):
+        out = forward(self, t0, *args, **kwargs)
+        calls.append((t0.shape[1], out))
+        return out
+
+    for length in range(1, min(decoder.config.max_positions - 1, 20) + 1):
         prompt = _t0(rng, decoder, batch=1, length=length)
-        cached, state = decoder.forward(prompt, fused, gates, cache=DecodeCache())
+        calls.clear()
+        monkeypatch.setattr(Decoder, "forward", recorded)
+        generate(decoder, prompt, fused, gates, 1)
+        monkeypatch.setattr(Decoder, "forward", forward)
+        [(fed, (cached, state))] = calls
         full, _ = decoder.forward(prompt, fused, gates)
-        assert cached.shape == (1, min(length, 2), decoder.config.vocab_size)
+        last_rows = cached.data.reshape(-1, decoder.config.vocab_size)
+        assert fed == length
+        assert last_rows.shape == (min(length, 2), decoder.config.vocab_size)
         assert state.states[-1].shape == (1, length, decoder.config.d_dec)
-        np.testing.assert_array_equal(cached.data[0, -1], full.data[0, -1])
+        np.testing.assert_array_equal(last_rows[-1], full.data[0, -1])
 
 
 def test_cached_forward_takes_one_sequence_from_the_prompt_on(decoder, rng):
@@ -420,6 +434,33 @@ def test_generate_matches_full_recompute(decoder, rng):
                 step = decoder.embed_tokens(np.array([[int(np.argmax(full.data[0, -1]))]]))
                 t0 = concat([t0, step], axis=1)
             assert cache.offset == c.max_positions - 1
+
+
+def test_generate_keeps_its_pinned_ids():
+    """Greedy ids at the benchmark widths under open gates, pinned from the
+    decoder that ran the head on the prompt's last two positions by
+    narrowing, before the head took a row selection: prompts of 1, 2, 3 and
+    7 positions."""
+    decoder = Decoder(DecoderConfig(), seed=3)
+    c = decoder.config
+    rng = np.random.default_rng(31)
+    mask = np.ones((1, 5), dtype=bool)
+    mask[0, 3:] = False
+    memories = [Tensor(rng.normal(0, 1, size=(1, 5, c.d_dec)).astype(np.float32)) for _ in range(c.n_layers)]
+    fused = FusedKV(memories=memories, bias=padding_bias(mask))
+    gates = GateVector(c.n_layers)
+    for g in gates.values:
+        g.data[0] = rng.uniform(0.25, 0.75)
+    got = []
+    for length in (1, 2, 3, 7):
+        prompt = decoder.embed_tokens(rng.integers(4, c.vocab_size, size=(1, length)))
+        got.append(generate(decoder, prompt, fused, gates, 8))
+    assert got == [
+        [376, 17, 17, 17, 274, 304, 304, 304],
+        [4, 4, 366, 369, 179, 460, 35, 118],
+        [66, 66, 152, 349, 349, 35, 274, 163],
+        [384, 157, 157, 400, 157, 400, 157, 101],
+    ]
 
 
 def test_generate_is_deterministic(decoder, rng):

@@ -9,7 +9,7 @@ allowed to read, not just output shapes.
 import numpy as np
 import pytest
 
-from conftest import chain_attention, chain_matmul, total, use_chain_sublayers
+from conftest import all_rows_loss_on_batch, chain_attention, chain_matmul, total, use_chain_sublayers
 from layerbridge import autodiff as ad
 from layerbridge import nn
 from layerbridge.data import BOS, EOS, SEP
@@ -408,9 +408,11 @@ def test_bridge_seed_changes_trainable_init():
 
 def test_training_step_tape_length():
     """A batch-32 stage-1 step at the benchmark's depths (6 encoder, 4
-    decoder layers) records 36 tape entries: the aligner makes one pass for
+    decoder layers) records 37 tape entries: the aligner makes one pass for
     all four memories, each decoder layer adds its two memory projections
-    and one entry per sublayer, and the frozen encoder records nothing."""
+    and one entry per sublayer, the supervised positions are gathered
+    (a reshape and a row gather) before the final norm, the head and the
+    loss, and the frozen encoder records nothing."""
     enc = EncoderConfig(vocab_size=32, d_enc=16, n_layers=6, n_heads=2, d_ff=24, max_positions=16)
     dec = DecoderConfig(vocab_size=32, d_dec=16, n_layers=4, n_heads=2, d_ff=24, max_positions=24)
     model = BridgedModel(enc, dec, seed=0)
@@ -419,14 +421,15 @@ def test_training_step_tape_length():
     tgts = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
     with ad.Tape() as tape:
         model.loss_on_batch("translation", srcs, tgts)
-    assert len(tape.entries) == 36
+    assert len(tape.entries) == 37
 
 
 def test_fused_ops_keep_loss_and_gradients_bitwise(monkeypatch):
     """A batch-32 stage-1 and stage-2 step give the same loss and trainable
     gradients, bit for bit, as with both sublayers of every layer, attention
     and every biased projection run as the chains of single tape ops they
-    fuse."""
+    fuse, and the final norm and the head run on every position, not only
+    the supervised ones (``conftest.all_rows_loss_on_batch``)."""
     m = BridgedModel(EC, DC, seed=0)
     rng = np.random.default_rng(0)
     for name, p in m.trainable_params().items():
@@ -435,17 +438,17 @@ def test_fused_ops_keep_loss_and_gradients_bitwise(monkeypatch):
     srcs = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
     tgts = [rng.integers(4, 32, size=rng.integers(1, 6)) for _ in range(32)]
 
-    def step(stage):
+    def step(stage, loss_on_batch):
         with ad.Tape() as tape:
-            loss = m.loss_on_batch(stage, srcs, tgts)
+            loss = loss_on_batch(m, stage, srcs, tgts)
         ad.backward(tape, loss)
         return [loss.data] + [p.grad for p in m.trainable_params().values()]
 
-    fused = [step(stage) for stage in ("translation", "task")]
+    fused = [step(stage, BridgedModel.loss_on_batch) for stage in ("translation", "task")]
     monkeypatch.setattr(ad, "matmul", chain_matmul)
     monkeypatch.setattr(nn, "attention", chain_attention)
     calls = use_chain_sublayers(monkeypatch)
-    chained = [step(stage) for stage in ("translation", "task")]
+    chained = [step(stage, all_rows_loss_on_batch) for stage in ("translation", "task")]
     # two steps, each through 3 encoder and 2 decoder layers
     assert calls == {"attention": 10, "feed_forward": 10}
     for got, want in zip(fused, chained):

@@ -122,6 +122,27 @@ def test_feed_forward_matches_op_chain_bitwise(rng, batch):
         np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("s", [1, 2, 13])
+@pytest.mark.parametrize("form", ["decoder", "encoder"])
+def test_batched_sublayers_equal_batch_one_calls_bitwise(rng, form, s):
+    """At batch 4 both sublayers give, bit for bit, what four batch-1 calls
+    give, at the benchmark widths, with one position (S = 1, where a batch
+    keeps numpy's per-row product) and more."""
+    layer, inputs, kwargs = _case(rng, form, batch=4, s=s, d=128, dtype=np.float32)
+    got = _call(attention_sublayer, layer, inputs, kwargs, 4)
+    got_ff = feed_forward(layer, got[0])
+    for i in range(4):
+        row = {name: t if name == "gate" else Tensor(t.data[i : i + 1]) for name, t in inputs.items()}
+        # per-row key biases are sliced; the shared causal bias is not
+        row_kwargs = {k: b if b.shape[0] == 1 else b[i : i + 1] for k, b in kwargs.items()}
+        want = _call(attention_sublayer, layer, row, row_kwargs, 4)
+        for g, w in zip(got, want):
+            if g is not None:
+                np.testing.assert_array_equal(g.data[i : i + 1], w.data)
+        want_ff = feed_forward(layer, Tensor(got[0].data[i : i + 1]))
+        np.testing.assert_array_equal(got_ff.data[i : i + 1], want_ff.data)
+
+
 def test_each_sublayer_records_one_tape_entry(rng):
     layer, inputs, kwargs = _case(rng, "decoder")
     with Tape() as tape:
