@@ -1,9 +1,9 @@
 """Command-line entry point: gen-synth, train, eval, analyze, experiment.
 
-``experiment`` trains the benchmark arms (``training.ARMS``) on the benchmark
-corpus at each of several seeds, prints each seed's exact-match table and
-the worst low-resource margins against ``training.MARGINS``, and exits 1 when
-a margin falls short.
+``experiment`` trains the benchmark arms (``training.ARMS``) with
+``RunConfig()``'s recipe, on its corpus, at each of several seeds, prints
+each seed's exact-match table and the worst low-resource margins against
+``training.MARGINS``, and exits 1 when a margin falls short.
 
 Every command is deterministic given (config, seed, corpus bytes): outputs
 carry no timestamps, floats are written with repr, and every file, the
@@ -31,9 +31,8 @@ from .files import build, write_atomic
 from .training import (
     ARMS,
     MARGINS,
-    SYNTHETIC_STAGES,
+    REFERENCE_STAGES,
     EvalReport,
-    benchmark_spec,
     evaluate,
     train_arms,
     train_stage1,
@@ -77,14 +76,6 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def _reference_defaults() -> dict:
-    reference = RunConfig()
-    return {
-        "stage1": dataclasses.asdict(reference.stage1),
-        "stage2": dataclasses.asdict(reference.stage2),
-    }
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     stage = STAGE_NAMES[args.stage]
@@ -119,7 +110,9 @@ def cmd_train(args) -> int:
         "ablations": config.ablations.active(),
         "resumed": args.resume is not None,
         "plan": dataclasses.asdict(plan),
-        "reference_defaults": _reference_defaults(),
+        "reference_defaults": {
+            f"stage{i}": dataclasses.asdict(ref) for i, ref in enumerate(REFERENCE_STAGES, start=1)
+        },
         "steps": result.steps,
         "rejected_steps": result.rejected_steps,
         "final_loss": result.final_loss,
@@ -207,8 +200,9 @@ def cmd_experiment(args) -> int:
     worst = {arm: float("inf") for arm in judged}
     keys = ("Avg", "Lrl", "Hrl")
     for seed in seeds:
-        corpus = generate_synthetic_corpus(benchmark_spec(), seed)
-        outcomes = train_arms(corpus, seed, arms, SYNTHETIC_STAGES)
+        config = dataclasses.replace(RunConfig(), seed=seed)
+        corpus = generate_synthetic_corpus(config.data.synth, seed)
+        outcomes = train_arms(config, corpus, arms)
         langs = sorted(corpus.tiers())
         print(f"seed {seed}")
         print(f"{'arm':14s}" + "".join(f"{name:>10s}" for name in (*langs, *keys)))

@@ -23,7 +23,7 @@ from .encoder import EncoderConfig
 from .errors import ConfigError
 from .files import build, read_json_object
 from .model import AblationFlags, BridgedModel
-from .training import STAGE2_DEFAULT_LR, StageConfig
+from .training import StageConfig
 
 ENV_PREFIX = "LAYERBRIDGE_"
 
@@ -48,7 +48,13 @@ class RunConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     stage1: StageConfig = field(default_factory=StageConfig)
-    stage2: StageConfig = field(default_factory=lambda: StageConfig(learning_rate=STAGE2_DEFAULT_LR))
+    # Stage 2 runs at half the stage-1 rate. A bridge that already speaks the
+    # ciphers only needs to adapt to the task format, and the halved rate is
+    # enough for that; a bridge trained from scratch on task rows alone has
+    # to escape a much worse starting point, which the same rate is too slow
+    # to do in the epoch budget. That asymmetry is what the stage-comparison
+    # experiment measures.
+    stage2: StageConfig = field(default_factory=lambda: StageConfig(learning_rate=1e-2, epochs=6))
     data: DataConfig = field(default_factory=DataConfig)
     ablations: AblationFlags = field(default_factory=AblationFlags)
     diagnostics: DiagnosticsConfig = field(default_factory=DiagnosticsConfig)

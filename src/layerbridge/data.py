@@ -133,24 +133,31 @@ class SynthSpec:
     receive ``lrl_fraction`` of the high-resource stage-1 sample count. The
     base language is implicit: it is the target side everywhere and appears
     as the identity rendering in the parallel evaluation split.
+
+    The defaults are the calibrated benchmark corpus: two high-resource
+    cipher languages and one low-resource one, on the copy task. Tiering
+    applies to the translation stage only: the low-resource language gets
+    30% of the stage-1 sentence pairs but the same task split as everyone
+    else, so the benchmark arms differ only in what stage 1 taught them
+    about it.
     """
 
     vocab_size: int = 512
     languages: dict[str, str] = field(
         default_factory=lambda: {"lang1": "hrl", "lang2": "hrl", "lang3": "lrl"}
     )
-    stage1_per_hrl: int = 800
-    lrl_fraction: float = 0.10
-    stage2_per_lang: int = 260
-    eval_per_lang: int = 60
-    parallel_sentences: int = 40
-    tasks: tuple[str, ...] = ("arithmetic", "copy", "classification")
+    stage1_per_hrl: int = 16000
+    lrl_fraction: float = 0.30
+    stage2_per_lang: int = 1500
+    eval_per_lang: int = 100
+    parallel_sentences: int = 24
+    tasks: tuple[str, ...] = ("copy",)
     max_operand: int = 9
     copy_max_words: int = 3
     sentence_max_words: int = 5
     # sentences and tasks draw pseudo-words from a pool this large, so
     # stage-1 exposure can actually cover the working vocabulary
-    active_words: int = 120
+    active_words: int = 80
 
     def __post_init__(self):
         if len(self.languages) < 2:

@@ -76,6 +76,12 @@ def build(base, data: dict, path: str):
             or not all(isinstance(item, str) for item in items)
         ):
             raise ConfigError(f"{dotted}: expected {types[key]}, got {value!r}")
+        if types[key] == "float":
+            # a JSON integer in a float leaf is that float, digest included
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"{dotted}: {value} is too large for a float") from None
         kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return dataclasses.replace(base, **kwargs)

@@ -3,8 +3,9 @@
 Stage one aligns representations on translation pairs (ciphered sentence in,
 base sentence out); stage two tunes on task prompts. Both stages update only
 the bridge parameters the ablation flags leave trainable. ``StageConfig``'s
-defaults are the reference hyperparameters and are what run metadata reports;
-synthetic desk-scale runs use the calibrated ``SYNTHETIC_STAGES`` instead.
+defaults are the calibrated desk-scale stage 1 (``RunConfig`` sets stage 2
+from them); the paper's hyperparameters, which run metadata reports next to
+the plan a run used, are ``REFERENCE_STAGES``.
 """
 
 from __future__ import annotations
@@ -12,37 +13,37 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import STAGE_TASK, STAGE_TRANSLATION, STAGES, ParallelExample, SynthCorpus, SynthSpec, Vocabulary
-from .decoder import DecoderConfig
-from .encoder import EncoderConfig
+from .data import STAGE_TASK, STAGE_TRANSLATION, STAGES, ParallelExample, SynthCorpus, Vocabulary
 from .errors import ConfigError, IngestionError, InputError
 from .files import write_atomic
 from .model import AblationFlags, BridgedModel
 from .optim import AdamState, adam_step
 
-STAGE1_DEFAULT_LR = 4e-5
-STAGE2_DEFAULT_LR = 3e-5
-DEFAULT_BATCH = 128
-DEFAULT_EPOCHS = 3
-DEFAULT_WARMUP_RATIO = 0.05
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass(frozen=True)
 class StageConfig:
-    """Hyperparameters for one training stage.
+    """Hyperparameters for one training stage; the defaults are the
+    calibrated stage 1, and ``RunConfig.stage2`` the calibrated stage 2.
 
-    Defaults are the reference recipe for stage 1; the stage-2 reference
-    differs only in its learning rate, ``STAGE2_DEFAULT_LR``.
+    Smaller batches and far larger learning rates than the paper's
+    (``REFERENCE_STAGES``): the trainable bridge is tiny and randomly
+    initialized, not an adapter on a pretrained 7B model. The two stages are
+    calibrated together with ``SynthSpec``'s defaults and should change only
+    with a fresh three-seed check.
     """
 
-    learning_rate: float = STAGE1_DEFAULT_LR
-    epochs: int = DEFAULT_EPOCHS
-    batch_size: int = DEFAULT_BATCH
-    warmup_ratio: float = DEFAULT_WARMUP_RATIO
+    learning_rate: float = 2e-2
+    epochs: int = 3
+    batch_size: int = 32
+    warmup_ratio: float = 0.05
     trace_every: int = 10
 
     def __post_init__(self):
@@ -56,6 +57,11 @@ class StageConfig:
             raise ConfigError(f"trace_every must be >= 1, got {self.trace_every}")
         if not 0 <= self.warmup_ratio < 1:
             raise ConfigError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
+
+
+# The paper's (stage 1, stage 2) hyperparameters. No run trains with them;
+# run metadata records them next to the plan a run used.
+REFERENCE_STAGES = (StageConfig(4e-5, 3, 128, 0.05), StageConfig(3e-5, 3, 128, 0.05))
 
 
 @dataclass
@@ -260,20 +266,6 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-# Calibrated (stage 1, stage 2) hyperparameters for synthetic-corpus runs.
-# Smaller batches and far larger learning rates than the reference defaults:
-# the trainable bridge is tiny and randomly initialized, not a pretrained 7B
-# model.
-#
-# Stage 2 runs at half the stage-1 rate. A bridge that already speaks the
-# ciphers only needs to adapt to the task format, and the halved rate is
-# enough for that; a bridge trained from scratch on task rows alone has to
-# escape a much worse starting point, which the same rate is too slow to do
-# in the epoch budget. That asymmetry is what the stage-comparison experiment
-# measures, so these numbers are calibrated together with benchmark_spec and
-# should change only with a fresh three-seed check.
-SYNTHETIC_STAGES = (StageConfig(2e-2, 3, 32), StageConfig(1e-2, 6, 32))
-
 # The benchmark arms: name -> (ablations, the stages the arm trains).
 ARMS: dict[str, tuple[AblationFlags, tuple[str, ...]]] = {
     "full": (AblationFlags(), STAGES),
@@ -287,28 +279,6 @@ ARMS: dict[str, tuple[AblationFlags, tuple[str, ...]]] = {
 MARGINS = {"skip_stage1": 5.0, "no_aligner": 5.0, "untrained": 30.0}
 
 
-def benchmark_spec(**overrides) -> SynthSpec:
-    """The calibrated three-language benchmark corpus.
-
-    Two high-resource cipher languages and one low-resource one. Tiering
-    applies to the translation stage only: the low-resource language gets
-    30% of the stage-1 sentence pairs but the same task split as everyone
-    else, so the arms differ only in what stage 1 taught them about it.
-    """
-    fields = dict(
-        stage1_per_hrl=16000,
-        lrl_fraction=0.30,
-        stage2_per_lang=1500,
-        eval_per_lang=100,
-        parallel_sentences=24,
-        tasks=("copy",),
-        active_words=80,
-        copy_max_words=3,
-    )
-    fields.update(overrides)
-    return SynthSpec(**fields)
-
-
 @dataclass
 class ArmOutcome:
     model: BridgedModel
@@ -317,30 +287,24 @@ class ArmOutcome:
     digest_before: str
 
 
-def train_arms(
-    corpus: SynthCorpus,
-    seed: int,
-    arms: list[str],
-    stages: tuple[StageConfig, StageConfig],
-    enc_config=None,
-    dec_config=None,
-) -> dict[str, ArmOutcome]:
-    """Train each named arm on one corpus and evaluate it on the task split."""
+def train_arms(config: RunConfig, corpus: SynthCorpus, arms: list[str]) -> dict[str, ArmOutcome]:
+    """Train each named arm on one corpus and evaluate it on the task split.
+
+    Each arm builds ``config``'s backbones at its seed and trains its stages
+    with ``config``'s stage plans; the arm's own ablations stand in for
+    ``config.ablations``.
+    """
     out: dict[str, ArmOutcome] = {}
+    seed = config.seed
     for arm in arms:
         ablations, trained = ARMS[arm]
-        model = BridgedModel(
-            enc_config or EncoderConfig(),
-            dec_config or DecoderConfig(),
-            ablations=ablations,
-            seed=seed,
-        )
+        model = BridgedModel(config.encoder, config.decoder, ablations=ablations, seed=seed)
         digest_before = model.frozen_digest()
         results: list[TrainResult] = []
         if STAGE_TRANSLATION in trained:
-            results.append(train_stage1(model, stages[0], corpus.stage1, corpus.vocab, seed))
+            results.append(train_stage1(model, config.stage1, corpus.stage1, corpus.vocab, seed))
         if STAGE_TASK in trained:
-            results.append(train_stage2(model, stages[1], corpus.stage2, corpus.vocab, seed))
+            results.append(train_stage2(model, config.stage2, corpus.stage2, corpus.vocab, seed))
         out[arm] = ArmOutcome(
             model=model,
             report=evaluate(model, corpus.eval_task, corpus.vocab, corpus.tiers()),

@@ -32,6 +32,7 @@ TINY_SPEC = SynthSpec(
     active_words=12,
     sentence_max_words=4,
     copy_max_words=2,
+    tasks=("arithmetic", "copy", "classification"),
 )
 
 

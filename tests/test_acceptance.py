@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion. The synthetic experiment (criteria 3, 5, 6, and the trained half
-of 7) trains four arms on the calibrated benchmark corpus once per session;
+of 7) trains four arms with ``RunConfig()``'s recipe once per session;
 everything else uses small throwaway models.
 """
 
@@ -17,11 +17,12 @@ import pytest
 from layerbridge.analysis import PooledRep, collect_pooled_reps, norm_ratio_profile, pooled_cosine
 from layerbridge.bridge import aligner_weight_matrix
 from layerbridge.cli import main
+from layerbridge.config import RunConfig
 from layerbridge.data import generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig, LayerStack
 from layerbridge.model import AblationFlags, BridgedModel
-from layerbridge.training import ARMS, SYNTHETIC_STAGES, benchmark_spec, train_arms
+from layerbridge.training import ARMS, train_arms
 
 SEED = 0
 
@@ -62,9 +63,10 @@ def perturbed_stack(stack, layer, eps=0.5):
 
 @pytest.fixture(scope="module")
 def experiment():
-    corpus = generate_synthetic_corpus(benchmark_spec(), seed=SEED)
+    config = RunConfig(seed=SEED)
+    corpus = generate_synthetic_corpus(config.data.synth, seed=SEED)
     t0 = time.monotonic()
-    outcomes = train_arms(corpus, SEED, list(ARMS), SYNTHETIC_STAGES)
+    outcomes = train_arms(config, corpus, list(ARMS))
     elapsed = time.monotonic() - t0
     return corpus, outcomes, elapsed
 
@@ -273,7 +275,8 @@ ACCEPT_RUN_CONFIG = {
     "stage1": {"learning_rate": 0.01, "epochs": 1, "batch_size": 8},
     "data": {"synth": {"vocab_size": 64, "stage1_per_hrl": 12, "lrl_fraction": 0.25,
                        "stage2_per_lang": 6, "eval_per_lang": 4, "parallel_sentences": 4,
-                       "active_words": 12, "sentence_max_words": 4, "copy_max_words": 2}},
+                       "active_words": 12, "sentence_max_words": 4, "copy_max_words": 2,
+                       "tasks": ["arithmetic", "copy", "classification"]}},
 }
 
 

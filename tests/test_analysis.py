@@ -38,6 +38,7 @@ SPEC = SynthSpec(
     active_words=12,
     sentence_max_words=4,
     copy_max_words=2,
+    tasks=("arithmetic", "copy", "classification"),
 )
 
 

@@ -11,6 +11,7 @@ import pytest
 from layerbridge import cli, errors
 from layerbridge.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint
 from layerbridge.cli import main, write_eval_csv
+from layerbridge.config import DataConfig, RunConfig
 from layerbridge.training import EvalReport, StageConfig
 from conftest import TINY_SPEC, fail_file_writes
 
@@ -24,7 +25,8 @@ TINY = {
     "stage2": {"learning_rate": 0.01, "epochs": 1, "batch_size": 8},
     "data": {"synth": {"vocab_size": 64, "stage1_per_hrl": 12, "lrl_fraction": 0.25,
                        "stage2_per_lang": 6, "eval_per_lang": 4, "parallel_sentences": 4,
-                       "active_words": 12, "sentence_max_words": 4, "copy_max_words": 2}},
+                       "active_words": 12, "sentence_max_words": 4, "copy_max_words": 2,
+                       "tasks": ["arithmetic", "copy", "classification"]}},
 }
 
 
@@ -594,10 +596,25 @@ def test_experiment_refuses_bad_input_before_any_work(tmp_path, monkeypatch, cap
     assert not (tmp_path / "exp").exists()
 
 
+def test_experiment_trains_the_default_recipe(monkeypatch):
+    got = []
+
+    def record(config, corpus, arms):
+        got.append((config, corpus.spec, arms))
+        raise errors.ConfigError("recorded")
+
+    monkeypatch.setattr(cli, "train_arms", record)
+    assert main(["experiment", "--arms", "full"]) == 2
+    [(config, spec, arms)] = got
+    assert config == RunConfig()
+    assert spec == RunConfig().data.synth
+    assert arms == ["full"]
+
+
 def run_tiny_experiment(monkeypatch, capsys, *flags) -> tuple[int, str]:
     stage = StageConfig(learning_rate=1e-2, epochs=1, batch_size=8)
-    monkeypatch.setattr(cli, "benchmark_spec", lambda: TINY_SPEC)
-    monkeypatch.setattr(cli, "SYNTHETIC_STAGES", (stage, stage))
+    tiny = RunConfig(stage1=stage, stage2=stage, data=DataConfig(synth=TINY_SPEC))
+    monkeypatch.setattr(cli, "RunConfig", lambda: tiny)
     code = main(["experiment", *flags])
     return code, capsys.readouterr().out
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,25 +21,19 @@ from layerbridge.config import (
     run_config_from_dict,
 )
 from layerbridge import training
-from layerbridge.data import generate_synthetic_corpus
+from layerbridge.data import SynthSpec, generate_synthetic_corpus
 from layerbridge.errors import ConfigError, LayerBridgeError
-from layerbridge.training import (
-    DEFAULT_BATCH,
-    DEFAULT_EPOCHS,
-    DEFAULT_WARMUP_RATIO,
-    STAGE1_DEFAULT_LR,
-    STAGE2_DEFAULT_LR,
-)
 from conftest import JSON_VALUES
 
 
-def test_empty_dict_gives_reference_defaults():
+def test_empty_dict_gives_calibrated_defaults():
     cfg = run_config_from_dict({})
-    assert cfg.stage1.learning_rate == STAGE1_DEFAULT_LR == 4e-5
-    assert cfg.stage2.learning_rate == STAGE2_DEFAULT_LR == 3e-5
-    assert cfg.stage1.batch_size == cfg.stage2.batch_size == DEFAULT_BATCH == 128
-    assert cfg.stage1.epochs == cfg.stage2.epochs == DEFAULT_EPOCHS == 3
-    assert cfg.stage1.warmup_ratio == cfg.stage2.warmup_ratio == DEFAULT_WARMUP_RATIO == 0.05
+    assert cfg == RunConfig()
+    assert cfg.stage1 == StageConfig(learning_rate=2e-2, epochs=3, batch_size=32, warmup_ratio=0.05)
+    assert cfg.stage2 == StageConfig(learning_rate=1e-2, epochs=6, batch_size=32, warmup_ratio=0.05)
+    assert cfg.data.synth == SynthSpec(stage1_per_hrl=16000, lrl_fraction=0.30, stage2_per_lang=1500,
+                                       eval_per_lang=100, parallel_sentences=24, tasks=("copy",),
+                                       active_words=80, copy_max_words=3)
     assert cfg.seed == 0
     assert cfg.data.corpus_dir is None
 
@@ -49,16 +44,16 @@ def test_nested_fields_parse():
             "seed": 7,
             "encoder": {"d_enc": 32, "n_layers": 2, "n_heads": 2, "d_ff": 48},
             "stage2": {"learning_rate": 0.01, "epochs": 5},
-            "data": {"synth": {"vocab_size": 64, "tasks": ["copy"]}},
+            "data": {"synth": {"vocab_size": 64, "tasks": ["arithmetic", "copy"]}},
             "ablations": {"no_aligner": True},
         }
     )
     assert cfg.seed == 7
     assert cfg.encoder.d_enc == 32
     assert cfg.stage2.learning_rate == 0.01 and cfg.stage2.epochs == 5
-    assert cfg.stage1.learning_rate == STAGE1_DEFAULT_LR  # untouched
+    assert cfg.stage1 == RunConfig().stage1  # untouched
     assert cfg.data.synth.vocab_size == 64
-    assert cfg.data.synth.tasks == ("copy",)  # lists become tuples
+    assert cfg.data.synth.tasks == ("arithmetic", "copy")  # lists become tuples
     assert cfg.ablations.no_aligner is True
 
 
@@ -173,6 +168,19 @@ def test_env_override_wins_over_file_value():
     apply_env_overrides(data, environ={"LAYERBRIDGE_STAGE1__EPOCHS": "8"})
     assert data["stage1"]["epochs"] == 8
     assert data["seed"] == 1
+
+
+def test_integer_in_float_field_builds_that_float():
+    # the file form and the env form of 1 give the config, and digest, of 1.0
+    as_float = run_config_from_dict({"stage1": {"learning_rate": 1.0}, "data": {"synth": {"lrl_fraction": 1.0}}})
+    from_file = run_config_from_dict({"stage1": {"learning_rate": 1}, "data": {"synth": {"lrl_fraction": 1}}})
+    from_env = load_run_config(None, environ={"LAYERBRIDGE_STAGE1__LEARNING_RATE": "1",
+                                              "LAYERBRIDGE_DATA__SYNTH__LRL_FRACTION": "1"})
+    for cfg in (from_file, from_env):
+        assert type(cfg.stage1.learning_rate) is float and type(cfg.data.synth.lrl_fraction) is float
+        assert config_digest(cfg) == config_digest(as_float)
+    with pytest.raises(ConfigError, match="stage1.learning_rate: .* is too large for a float"):
+        load_run_config(None, environ={"LAYERBRIDGE_STAGE1__LEARNING_RATE": "1" + "0" * 400})
 
 
 def test_env_values_parse_as_json_literals():
@@ -300,20 +308,21 @@ def test_stage_sections_parse_to_stage_configs():
         {"seed": 2, "stage1": {"epochs": 4}, "stage2": {"learning_rate": 0.01, "warmup_ratio": 0.1}}
     )
     assert StageConfig is training.StageConfig
-    assert cfg.stage1 == StageConfig(epochs=4)
-    assert cfg.stage2 == StageConfig(learning_rate=0.01, warmup_ratio=0.1)
+    assert cfg.stage1 == replace(RunConfig().stage1, epochs=4)
+    assert cfg.stage2 == replace(RunConfig().stage2, learning_rate=0.01, warmup_ratio=0.1)
 
 
 def test_partial_stage2_section_keeps_run_config_default_rate():
     # stage 2's default rate comes from RunConfig's field, not StageConfig's class default
     cfg = run_config_from_dict({"stage2": {"epochs": 2}})
-    assert cfg.stage2 == StageConfig(learning_rate=STAGE2_DEFAULT_LR, epochs=2)
+    assert cfg.stage2 == replace(RunConfig().stage2, epochs=2)
     assert cfg.stage2.learning_rate == RunConfig().stage2.learning_rate != StageConfig().learning_rate
 
 
 def test_partial_stage2_env_override_keeps_run_config_default_rate():
     cfg = load_run_config(None, environ={"LAYERBRIDGE_STAGE2__EPOCHS": "2"})
-    assert cfg.stage2 == StageConfig(learning_rate=STAGE2_DEFAULT_LR, epochs=2)
+    assert cfg.stage2 == replace(RunConfig().stage2, epochs=2)
+    assert cfg.stage2.learning_rate != StageConfig().learning_rate
 
 
 def test_diagnostics_config_defaults():
@@ -330,9 +339,10 @@ def test_diagnostics_config_defaults():
 SMALL = {
     "encoder": {"vocab_size": 64, "d_enc": 8, "n_layers": 2, "n_heads": 2, "d_ff": 8, "max_positions": 16},
     "decoder": {"vocab_size": 64, "d_dec": 8, "n_layers": 2, "n_heads": 2, "d_ff": 8, "max_positions": 24},
-    "data": {"synth": {"vocab_size": 64, "stage1_per_hrl": 4, "stage2_per_lang": 3, "eval_per_lang": 2,
-                       "parallel_sentences": 2, "active_words": 12, "sentence_max_words": 4,
-                       "copy_max_words": 2}},
+    "data": {"synth": {"vocab_size": 64, "stage1_per_hrl": 4, "lrl_fraction": 0.10, "stage2_per_lang": 3,
+                       "eval_per_lang": 2, "parallel_sentences": 2, "active_words": 12,
+                       "sentence_max_words": 4, "copy_max_words": 2,
+                       "tasks": ["arithmetic", "copy", "classification"]}},
 }
 
 # override names the fuzz draws from, without the LAYERBRIDGE_ prefix; each is

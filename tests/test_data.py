@@ -44,6 +44,7 @@ SMALL_SPEC = SynthSpec(
     eval_per_lang=8,
     parallel_sentences=6,
     active_words=20,
+    tasks=("arithmetic", "copy", "classification"),
 )
 
 
@@ -317,6 +318,8 @@ def test_template_exhaustion_raises():
     # classification over a 5-word pool has only 5 distinct prompts per language
     spec = SynthSpec(
         vocab_size=64,
+        stage1_per_hrl=800,
+        lrl_fraction=0.10,
         tasks=("classification",),
         active_words=5,
         sentence_max_words=5,

@@ -1,6 +1,6 @@
-"""Two-stage trainer: stage config validation, reference defaults, optimization on a
-memorizable example, trace bookkeeping, exact-match evaluation, and the
-benchmark arm wiring.
+"""Two-stage trainer: stage config validation, calibrated and reference
+stage values, optimization on a memorizable example, trace bookkeeping,
+exact-match evaluation, and the benchmark arm wiring.
 
 The frozen random decoder head bounds how confident logits can get, so the
 loss floors sit well above zero even on a fully memorized example; tests
@@ -14,6 +14,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from layerbridge.config import DataConfig, RunConfig
 from layerbridge.data import ParallelExample, Vocabulary, generate_synthetic_corpus
 from layerbridge.decoder import DecoderConfig
 from layerbridge.encoder import EncoderConfig
@@ -21,12 +22,7 @@ from layerbridge.errors import ConfigError, IngestionError
 from layerbridge.model import BridgedModel
 from layerbridge.training import (
     ARMS,
-    DEFAULT_BATCH,
-    DEFAULT_EPOCHS,
-    DEFAULT_WARMUP_RATIO,
-    STAGE1_DEFAULT_LR,
-    STAGE2_DEFAULT_LR,
-    SYNTHETIC_STAGES,
+    REFERENCE_STAGES,
     StageConfig,
     TraceRow,
     evaluate,
@@ -59,21 +55,19 @@ def translation_example():
 
 
 def test_reference_defaults():
-    p1 = StageConfig()
-    p2 = StageConfig(learning_rate=STAGE2_DEFAULT_LR)
+    p1, p2 = REFERENCE_STAGES
     assert (p1.learning_rate, p2.learning_rate) == (4e-5, 3e-5)
     for plan in (p1, p2):
         assert plan.batch_size == 128
         assert plan.epochs == 3
         assert plan.warmup_ratio == 0.05
-    assert (STAGE1_DEFAULT_LR, STAGE2_DEFAULT_LR) == (4e-5, 3e-5)
-    assert (DEFAULT_BATCH, DEFAULT_EPOCHS, DEFAULT_WARMUP_RATIO) == (128, 3, 0.05)
+    assert StageConfig() not in REFERENCE_STAGES
 
 
 def test_default_plan_overrides():
-    plan = replace(StageConfig(learning_rate=STAGE2_DEFAULT_LR), epochs=7)
+    plan = replace(RunConfig().stage2, epochs=7)
     assert plan.epochs == 7
-    assert plan.learning_rate == STAGE2_DEFAULT_LR
+    assert plan.learning_rate == RunConfig().stage2.learning_rate
     with pytest.raises(FrozenInstanceError):
         plan.epochs = 3
 
@@ -96,11 +90,12 @@ def test_plan_validation(kwargs):
         StageConfig(**base)
 
 
-def test_synthetic_stages_hold_calibrated_values():
-    s1, s2 = SYNTHETIC_STAGES
+def test_default_stages_hold_calibrated_values():
+    s1, s2 = RunConfig().stage1, RunConfig().stage2
+    assert s1 == StageConfig()
     assert (s1.learning_rate, s1.epochs, s1.batch_size) == (2e-2, 3, 32)
     assert (s2.learning_rate, s2.epochs, s2.batch_size) == (1e-2, 6, 32)
-    assert s1.warmup_ratio == s2.warmup_ratio == DEFAULT_WARMUP_RATIO
+    assert s1.warmup_ratio == s2.warmup_ratio == 0.05
     assert s1.trace_every == s2.trace_every == 10
 
 
@@ -348,9 +343,10 @@ def test_evaluate_matches_per_example_decoding(monkeypatch):
 
 @pytest.fixture(scope="module")
 def tiny_benchmark():
-    corpus = generate_synthetic_corpus(TINY_SPEC, seed=1)
     stage = StageConfig(learning_rate=1e-2, epochs=1, batch_size=8)
-    return train_arms(corpus, 1, list(ARMS), (stage, stage), enc_config=EC, dec_config=DC)
+    config = RunConfig(seed=1, encoder=EC, decoder=DC, stage1=stage, stage2=stage,
+                       data=DataConfig(synth=TINY_SPEC))
+    return train_arms(config, generate_synthetic_corpus(config.data.synth, config.seed), list(ARMS))
 
 
 def test_benchmark_runs_expected_stages(tiny_benchmark):
