@@ -162,12 +162,17 @@ def _row_norm_ratios(model: BridgedModel, state: DecoderState) -> tuple[np.ndarr
     m = model.dec_config.n_layers
     ratios = np.zeros(m)
     skipped = np.zeros(m, dtype=np.int64)
+    # one norm call per kind over every layer's [P, d] output, stacked; each
+    # position's norm has the bits of a per-layer call's. Every layer reads
+    # a memory, or none does.
+    sa_norms = np.linalg.norm(np.stack([sa.data[0] for sa in state.sa_outputs]), axis=-1).astype(np.float64)
+    ca_norms = np.zeros_like(sa_norms)
+    if state.ca_outputs[0] is not None:
+        gates = np.stack([np.abs(g.data) for g in model.gates.values])
+        ca_norms = gates * np.linalg.norm(np.stack([ca.data[0] for ca in state.ca_outputs]), axis=-1)
+        ca_norms = ca_norms.astype(np.float64)
     for i in range(m):
-        sa = np.linalg.norm(state.sa_outputs[i].data, axis=-1)[0].astype(np.float64)
-        ca = np.zeros_like(sa)
-        if state.ca_outputs[i] is not None:
-            ca_norm = np.linalg.norm(state.ca_outputs[i].data, axis=-1, keepdims=True)
-            ca = (np.abs(model.gates.values[i].data) * ca_norm)[0, :, 0].astype(np.float64)
+        sa, ca = sa_norms[i], ca_norms[i]
         usable = sa > 0
         skipped[i] = int((sa == 0).sum())
         if usable.any():

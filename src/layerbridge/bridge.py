@@ -46,14 +46,30 @@ def adapt(adapter: Linear, stack: LayerStack) -> Tensor:
 class FusedKV:
     """Per-decoder-layer cross-attention inputs: m memories, each
     [batch, src_len, d_dec], plus the additive key bias that hides padded
-    source positions (``nn.padding_bias`` of the source mask)."""
+    source positions (``nn.padding_bias`` of the source mask).
+
+    ``kv`` holds each memory already projected through its decoder layer's
+    ``wk`` and ``wv`` (``Decoder.project``), so that inference projects a
+    group of rows once rather than per forward; ``None``, as in training,
+    has each forward project them on its tape.
+    """
 
     memories: list[Tensor]
     bias: np.ndarray
+    kv: list[tuple[Tensor, Tensor]] | None = None
 
     @property
     def n_layers(self) -> int:
         return len(self.memories)
+
+    def rows(self, start: int, stop: int) -> FusedKV:
+        """Batch rows ``start`` to ``stop``, as views."""
+
+        def cut(t: Tensor) -> Tensor:
+            return Tensor(t.data[start:stop])
+
+        kv = None if self.kv is None else [(cut(k), cut(v)) for k, v in self.kv]
+        return FusedKV([cut(m) for m in self.memories], self.bias[start:stop], kv)
 
 
 class LayerWiseAligner:

@@ -9,8 +9,10 @@ only the gates (and bridge parameters), never the decoder weights.
 
 Each layer is two tape entries, ``nn.attention_sublayer`` (x + SA + g * CA)
 and ``nn.feed_forward``, plus the two projections of its memory through
-``wk`` and ``wv``. Greedy decoding runs the same forward pass through a
-``DecodeCache``: the prompt once, then one position per emitted token.
+``wk`` and ``wv`` unless the ``FusedKV`` carries them (``Decoder.project``).
+Greedy decoding runs the same forward pass through a ``DecodeCache``: a
+``Prefill`` feeds groups of equal-length prompts a few rows per forward, and
+``generate`` then feeds one row's emitted tokens one position at a time.
 
 The decoder is an ``nn.FrozenStack`` plus an output head. The head's init
 scale ``HEAD_SCALE`` is a module constant (the embedding scales are
@@ -21,7 +23,9 @@ not experimental variables.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +37,10 @@ from .errors import ConfigError, ContractError, NumericError
 from .nn import FrozenStack, attention_sublayer, causal_bias, feed_forward, glorot
 from .nn import attention  # noqa: F401 -- the benchmark times attention under this name
 
+# rows per prefill forward: from 8 rows on, a prompt's share of the forward
+# stops falling (0.23 ms for 10 positions at the benchmark widths), while
+# the forward's transient arrays keep growing with its rows
+PREFILL_ROWS = 8
 # head columns need unit-order norms: after the final layer norm the
 # hidden state has norm ~sqrt(d_dec), and confident predictions need
 # peak logits well above log(vocab), which glorot columns cannot reach
@@ -90,22 +98,33 @@ class DecoderState:
 
 @dataclass
 class DecodeCache:
-    """What one greedy decode carries from step to step, keyed by 1-based layer.
+    """What greedy decoding carries from step to step, keyed by 1-based layer.
 
     ``self_kv`` holds each layer's self-attention key and value buffers,
-    [1, max_positions, d_dec] each, before the head split. The prompt call
-    allocates them; every call writes its positions' keys and values into
-    rows ``offset`` to ``offset + n`` in place, and attention reads rows
-    ``:offset + n`` as views, so a step copies only its own row.
-    ``cross_kv`` holds each layer's fused memory projected through ``wk`` and
-    ``wv``; it is filled on the first call and reused after, so every call
-    sharing a cache must pass the same ``FusedKV``. ``offset`` is the number
-    of positions fed so far.
+    [n, length, d_dec] each, before the head split; ``offset`` is the number
+    of positions fed so far. The offset-0 call feeds n prompts of one length
+    and allocates buffers exactly that long. Every later call feeds one
+    position of one row (n = 1) and writes its key and value into position
+    ``offset`` in place, so the buffers need room past the prompt: ``row``
+    gives one row its own. Attention reads positions ``:offset + 1`` as
+    views, so a step copies only its own position.
     """
 
     self_kv: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    cross_kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
     offset: int = 0
+
+    def row(self, r: int, length: int) -> DecodeCache:
+        """Row ``r`` alone, its positions so far copied into fresh batch-1
+        buffers ``length`` positions long."""
+        out = DecodeCache(offset=self.offset)
+        for i, pair in self.self_kv.items():
+            room = []
+            for buf in pair:
+                grown = np.empty((1, length, buf.shape[-1]), buf.dtype)
+                grown[0, : self.offset] = buf[r, : self.offset]
+                room.append(grown)
+            out.self_kv[i] = tuple(room)
+        return out
 
 
 class Decoder(FrozenStack):
@@ -124,6 +143,11 @@ class Decoder(FrozenStack):
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         return {**super().named_params(prefix), f"{prefix}.head.weight": self.head}
+
+    def project(self, fused: FusedKV) -> FusedKV:
+        """``fused`` with ``kv`` filled: each layer's memory projected through
+        that layer's ``wk`` and ``wv``, as the forward would project it."""
+        return dataclasses.replace(fused, kv=[_project(layer, h) for layer, h in zip(self.layers, fused.memories)])
 
     def forward(
         self,
@@ -149,12 +173,13 @@ class Decoder(FrozenStack):
         Self-attention is masked only causally: rows are right-padded, so no
         real query reaches a pad key.
 
-        With a ``cache``, ``t0`` continues the single sequence the cache holds:
-        positions start at ``cache.offset``, and the call writes its keys and
-        values into the cache's buffers. The first call feeds the whole prompt
-        causally; every later call feeds one position, which sees every
-        cached key. The buffers are written in place, so no tape may record
-        a cached forward of a grad-requiring ``t0``.
+        With a ``cache``, positions start at ``cache.offset`` and the call
+        writes its keys and values into the cache's buffers (see
+        ``DecodeCache``). The first call feeds n equal-length prompts
+        causally; every later call feeds one position of one sequence, which
+        sees every cached key. The buffers are written in place, so no tape
+        may record a cached forward of a grad-requiring ``t0``, and its state
+        records ``t0`` alone, so a prompt pass holds no per-layer records.
 
         Raises ``InputError`` when the positions run past ``max_positions``,
         and ``NumericError`` naming the first layer whose output holds a
@@ -167,15 +192,17 @@ class Decoder(FrozenStack):
             raise ConfigError(f"T_0 width {d} != d_dec {c.d_dec}")
         positions = self.positions(offset, dec_len)
         if cache is not None:
-            if batch != 1 or (offset and dec_len != 1):
+            if offset and (batch != 1 or dec_len != 1):
                 raise ContractError(f"a cached step feeds one position of one sequence, got {batch}x{dec_len}")
             if t0.requires_grad and ad.active_tape() is not None:
                 raise ContractError("a cached forward overwrites its buffers in place, so no tape may record it")
             if not offset:
-                shape = (1, c.max_positions, d)
+                shape = (batch, dec_len, d)
                 cache.self_kv = {
                     i: (np.empty(shape, t0.dtype), np.empty(shape, t0.dtype)) for i in range(1, c.n_layers + 1)
                 }
+            elif offset >= cache.self_kv[1][0].shape[1]:
+                raise ContractError(f"the cache's buffers hold {offset} positions; give the row room with row()")
         if fused is not None:
             if fused.n_layers != c.n_layers:
                 raise ConfigError(
@@ -189,9 +216,10 @@ class Decoder(FrozenStack):
         state = DecoderState(states=[t0])
         for i in range(1, c.n_layers + 1):
             x, sa, ca = self.block(i, x, sa_bias, fused, gates, cache)
-            state.states.append(x)
-            state.sa_outputs.append(sa)
-            state.ca_outputs.append(ca)
+            if cache is None:
+                state.states.append(x)
+                state.sa_outputs.append(sa)
+                state.ca_outputs.append(ca)
         if cache is not None:
             cache.offset += dec_len
         if rows is not None:
@@ -211,23 +239,19 @@ class Decoder(FrozenStack):
         as two tape entries (``nn.attention_sublayer``, ``nn.feed_forward``).
 
         Returns (block output, SA output, ungated CA output).
-        Cross-attention reads ``fused.memories[index - 1]``, projected here
-        through the layer's own ``wk`` and ``wv``, reusing the self-attention
-        queries, with ``fused.bias`` hiding padded keys; with ``fused=None``
-        the block is self-attention only and the CA output is ``None``. A
-        ``cache`` supplies and collects this layer's keys and values (see
+        Cross-attention reads ``fused.memories[index - 1]`` through the
+        layer's own ``wk`` and ``wv``, as ``fused.kv`` carries it projected or
+        else projected here, reusing the self-attention queries, with
+        ``fused.bias`` hiding padded keys; with ``fused=None`` the block is
+        self-attention only and the CA output is ``None``. A ``cache``
+        supplies and collects this layer's keys and values (see
         ``DecodeCache``).
         """
         layer = self.layers[index - 1]
         kv, offset = (None, 0) if cache is None else (cache.self_kv[index], cache.offset)
         cross = None
         if fused is not None:
-            memory = None if cache is None else cache.cross_kv.get(index)
-            if memory is None:
-                h = fused.memories[index - 1]
-                memory = (ad.matmul(h, layer["wk"]), ad.matmul(h, layer["wv"]))
-                if cache is not None:
-                    cache.cross_kv[index] = memory
+            memory = _project(layer, fused.memories[index - 1]) if fused.kv is None else fused.kv[index - 1]
             cross = (*memory, gates.values[index - 1], fused.bias)
         out, sa, ca = attention_sublayer(layer, x, self.config.n_heads, sa_bias, kv, offset, cross)
         out = feed_forward(layer, out)
@@ -236,43 +260,110 @@ class Decoder(FrozenStack):
         return out, sa, ca
 
 
+def _project(layer: dict[str, Tensor], memory: Tensor) -> tuple[Tensor, Tensor]:
+    return ad.matmul(memory, layer["wk"]), ad.matmul(memory, layer["wv"])
+
+
+class PromptRow(NamedTuple):
+    """One prompt queued in a ``Prefill``: its group and its row in it."""
+
+    prefill: Prefill
+    group: int
+    row: int
+
+
+class Prefill:
+    """Groups of equal-length prompts whose prompt pass runs as one batch,
+    when ``generate`` first takes one of their rows, so that row carries the
+    whole batch's prompt work.
+
+    ``add`` queues a group: n assembled prompts of one length, [n, P,
+    d_dec], with their ``FusedKV``, which should have been through
+    ``Decoder.project``, or ``generate``'s steps project its memories again
+    each. The pass feeds ``PREFILL_ROWS`` or fewer of a group's rows per
+    forward, in near-equal pieces, each through a fresh ``DecodeCache``.
+    No row is padded, so each row's arithmetic is its batch-1 arithmetic.
+    The head runs on each row's last two positions, never on one alone, so
+    the last one keeps the bits of the uncached forward's; a one-position
+    prompt, whose head row would stand alone, is refused in a group of more
+    than one. A row is taken once, and the batch then drops it, so a
+    piece's cache goes with its last row.
+    """
+
+    def __init__(self, decoder: Decoder, gates: GateVector | None):
+        self.decoder, self.gates = decoder, gates
+        self.queued: list[tuple[Tensor, FusedKV | None]] = []
+        self.fed: list[list[tuple[int, DecodeCache, int] | None]] = []
+
+    def add(self, prompts: Tensor, fused: FusedKV | None) -> list[PromptRow]:
+        n, p, _ = prompts.shape
+        if p < 2 and n > 1:
+            raise ContractError(f"a prompt group of {n} rows needs 2 or more positions, got {p}")
+        self.queued.append((prompts, fused))
+        group = len(self.fed) + len(self.queued) - 1
+        return [PromptRow(self, group, r) for r in range(n)]
+
+    def take(self, group: int, row: int, steps: int) -> tuple[int, DecodeCache]:
+        """The row's greedy id after its prompt, and its own batch-1 cache
+        with room for ``steps`` more positions, none at or past
+        ``max_positions``; the pass runs first if it has not."""
+        if self.queued:
+            self.fed += [self._feed(prompts, fused) for prompts, fused in self.queued]
+            self.queued = []
+        (next_id, cache, r), self.fed[group][row] = self.fed[group][row], None
+        return next_id, cache.row(r, min(cache.offset + steps, self.decoder.config.max_positions - 1))
+
+    def _feed(self, prompts: Tensor, fused: FusedKV | None) -> list[tuple[int, DecodeCache, int]]:
+        n, p, _ = prompts.shape
+        out = []
+        for piece in np.array_split(np.arange(n), -(-n // PREFILL_ROWS)):
+            a, b = int(piece[0]), int(piece[-1]) + 1
+            cache = DecodeCache()
+            rows = (np.arange(b - a)[:, None] * p + np.arange(max(p - 2, 0), p)).reshape(-1)
+            fused_rows = None if fused is None else fused.rows(a, b)
+            logits, _ = self.decoder.forward(Tensor(prompts.data[a:b]), fused_rows, self.gates, cache=cache, rows=rows)
+            last = logits.data.reshape(b - a, -1, self.decoder.config.vocab_size)[:, -1]
+            out += [(int(next_id), cache, r) for r, next_id in enumerate(last.argmax(axis=-1))]
+        return out
+
+
 def generate(
     decoder: Decoder,
-    prompt: Tensor,
+    prompt: Tensor | PromptRow,
     fused: FusedKV | None,
     gates: GateVector | None,
     max_new_tokens: int,
 ) -> list[int]:
-    """Greedy decoding from an assembled prompt [1, P, d_dec].
+    """Greedy decoding of one sequence: an assembled prompt [1, P, d_dec],
+    fed here as a group of one, or a ``PromptRow`` of a ``Prefill`` built
+    with the same ``gates`` and this row's ``fused``.
 
-    Feeds the prompt once, then only each emitted token's embedding, through
-    a ``DecodeCache`` that keeps every layer's self-attention keys and values
-    and its projected cross-attention memory. The head runs on at most the
-    prompt's last two positions, not its last one, so the last row keeps
-    the bits of the uncached forward's, and then on each step's one
-    position. Stops at the end marker, at the budget, or when the sequence
-    length reaches ``max_positions``; the end marker itself is not
-    returned.
+    The row gets its own ``DecodeCache``, sized to its prompt plus the
+    budget, and each emitted token but the last is then fed as one
+    position. Stops at the
+    end marker, at the budget, or when the sequence length reaches
+    ``max_positions``; the end marker itself is not returned.
     """
     if max_new_tokens < 1:
         raise ContractError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
-    if prompt.shape[0] != 1:
-        raise ContractError(f"generate works on a single sequence, got batch {prompt.shape[0]}")
     c = decoder.config
-    cache = DecodeCache()
+    if isinstance(prompt, Tensor):
+        if prompt.shape[0] != 1:
+            raise ContractError(f"generate works on a single sequence, got batch {prompt.shape[0]}")
+        if prompt.shape[1] >= c.max_positions:
+            return []
+        if fused is not None and fused.kv is None:
+            fused = decoder.project(fused)
+        [prompt] = Prefill(decoder, gates).add(prompt, fused)
+    # the steps feed every emitted token but the last
+    next_id, cache = prompt.prefill.take(prompt.group, prompt.row, max_new_tokens - 1)
     out: list[int] = []
-    t0 = prompt
-    for _ in range(max_new_tokens):
-        if cache.offset + t0.shape[1] >= c.max_positions:
-            break
-        n = t0.shape[1]
-        rows = None if n <= 2 else np.arange(n - 2, n)
-        logits, _ = decoder.forward(t0, fused, gates, cache=cache, rows=rows)
-        next_id = int(logits.data.reshape(-1, c.vocab_size)[-1].argmax())
-        if next_id == EOS:
-            break
+    while next_id != EOS:
         out.append(next_id)
+        if len(out) == max_new_tokens or cache.offset + 1 >= c.max_positions:
+            break
         # an argmax over the head's columns is a row of tok_emb, so the id
         # needs none of embed_tokens' checks
-        t0 = Tensor(decoder.tok_emb.data[next_id][None, None])
+        logits, _ = decoder.forward(Tensor(decoder.tok_emb.data[next_id][None, None]), fused, gates, cache=cache)
+        next_id = int(logits.data[0, -1].argmax())
     return out

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bridge import ALIGNER_MODES, FusedKV, LayerWiseAligner, adapt
 from .data import BOS, EOS, PAD, SEP, STAGE_TASK, STAGES
-from .decoder import Decoder, DecoderConfig, DecoderState, GateVector, generate
+from .decoder import Decoder, DecoderConfig, DecoderState, GateVector, Prefill, PromptRow, generate
 from .encoder import Encoder, EncoderConfig, LayerStack
 from .errors import ConfigError, ContractError
 from .nn import Linear
@@ -33,8 +33,8 @@ ENCODER_SEED = 7
 DECODER_SEED = 11
 # width of the aligner's fusion network between encoder and decoder width
 ALIGNER_HIDDEN = 96
-# sources per encoder-and-bridge chunk at inference (``bridged_rows``): the
-# synthetic stages' training batch size
+# sources per encoder, bridge and prefill chunk at inference
+# (``bridged_rows``): the synthetic stages' training batch size
 INFERENCE_CHUNK = 32
 
 
@@ -157,32 +157,60 @@ class BridgedModel:
         fused = None if self.ablations.no_aligner else self.aligner.fuse_all(stack)
         return i_map, fused
 
-    def bridged_rows(self, src_seqs: list[np.ndarray]) -> Iterator[tuple[Tensor | None, FusedKV | None]]:
-        """Each source's ``bridge_outputs(encode_sources([src]))``, in order.
+    def bridged_rows(
+        self, src_seqs: list[np.ndarray], stages: list[str] | None = None
+    ) -> Iterator[tuple[Tensor | None, FusedKV | None, PromptRow | None]]:
+        """Each source's ``bridge_outputs(encode_sources([src]))``, in order,
+        with its memories projected (``Decoder.project``) and, when
+        ``stages`` gives each source's stage, its prompt queued for the
+        decoder's prompt pass.
 
-        Sources run ``INFERENCE_CHUNK`` at a time, with one encoder and bridge
-        pass per distinct length in a chunk, and each row is sliced out as a
+        Sources run ``INFERENCE_CHUNK`` at a time, with one encoder, bridge
+        and projection pass per distinct (stage, length) in a chunk, whose
+        prompts form one group of the chunk's ``decoder.Prefill``: the first
+        row ``generate`` decodes feeds them all. Each row is sliced out as a
         batch of one. No row is padded, so each row's arithmetic is its
         batch-1 arithmetic and every output keeps its bits; a padded pass
-        would not. Only the current chunk's passes are held.
+        would not. A row yields (soft prompt, ``FusedKV``, ``PromptRow``, or
+        ``None`` without a stage or when the prompt leaves no position to
+        decode). Only the current chunk's passes are held, and a group's
+        only until its last row has been taken.
         """
         for c0 in range(0, len(src_seqs), INFERENCE_CHUNK):
             chunk = src_seqs[c0 : c0 + INFERENCE_CHUNK]
-            by_len: dict[int, list[int]] = {}
+            groups: dict[tuple[str | None, int], list[int]] = {}
             for i, src in enumerate(chunk):
-                by_len.setdefault(len(src), []).append(i)
+                groups.setdefault((None if stages is None else stages[c0 + i], len(src)), []).append(i)
             rows: list = [None] * len(chunk)
-            for members in by_len.values():
-                i_map, fused = self.bridge_outputs(self.encode_sources([chunk[i] for i in members]))
-                for r, i in enumerate(members):
-                    rows[i] = (
-                        None if i_map is None else Tensor(i_map.data[r : r + 1]),
-                        None if fused is None else FusedKV(
-                            memories=[Tensor(mem.data[r : r + 1]) for mem in fused.memories],
-                            bias=fused.bias[r : r + 1],
-                        ),
-                    )
-            yield from rows
+            prompts = Prefill(self.decoder, self.gates)
+            for (stage, _), members in groups.items():
+                for i, row in zip(members, self._bridged_group([chunk[i] for i in members], stage, prompts)):
+                    rows[i] = row
+            for i in range(len(rows)):
+                # drop the chunk's reference as the row goes, so a group's
+                # arrays go with its last row
+                row, rows[i] = rows[i], None
+                yield row
+
+    def _bridged_group(self, srcs: list[np.ndarray], stage: str | None, prompts: Prefill) -> list[tuple]:
+        """``bridged_rows``' entries for equal-length sources: one encoder,
+        bridge and projection pass, with their ``stage`` prompts queued in
+        ``prompts`` unless ``stage`` is None."""
+        i_map, fused = self.bridge_outputs(self.encode_sources(srcs))
+        fused = None if fused is None else self.decoder.project(fused)
+        starts = [None] * len(srcs)
+        if stage is not None:
+            t0 = self._pack(i_map, stage, srcs, None).t0
+            if t0.shape[1] < self.dec_config.max_positions:
+                starts = prompts.add(t0, fused)
+        return [
+            (
+                None if i_map is None else Tensor(i_map.data[r : r + 1]),
+                None if fused is None else fused.rows(r, r + 1),
+                start,
+            )
+            for r, start in enumerate(starts)
+        ]
 
     def _pack(
         self,
@@ -245,9 +273,10 @@ class BridgedModel:
         """Logits over the packed batch; targets are teacher-forced when given.
 
         ``bridged`` is ``bridge_outputs(encode_sources(src_seqs))`` computed by
-        the caller, used in place of running the encoder and bridge again.
+        the caller, used in place of running the encoder and bridge again;
+        anything after its first two items is ignored.
         ``analysis.build_report`` passes each row's ``bridged_rows`` entry, so
-        the row's two forwards share its chunk's pass.
+        the row's two forwards share its chunk's pass and projected memories.
 
         ``rows`` is ``Decoder.forward``'s: the flat [batch * width] positions
         that get logits, every one by default. It may be a function of the
@@ -256,7 +285,7 @@ class BridgedModel:
         """
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
-        i_map, fused = self.bridge_outputs(self.encode_sources(src_seqs)) if bridged is None else bridged
+        i_map, fused = self.bridge_outputs(self.encode_sources(src_seqs)) if bridged is None else bridged[:2]
         packed = self._pack(i_map, stage, src_seqs, tgt_seqs)
         if callable(rows):
             rows = rows(packed)
@@ -278,15 +307,17 @@ class BridgedModel:
         stage: str,
         src_seq: np.ndarray,
         max_new_tokens: int,
-        bridged: tuple[Tensor | None, FusedKV | None] | None = None,
+        bridged: tuple[Tensor | None, FusedKV | None, PromptRow | None] | None = None,
     ) -> list[int]:
         """Greedy answer tokens for one source sequence.
 
-        ``bridged`` is as in ``forward_batch``: the source's
-        ``bridge_outputs(encode_sources([src_seq]))``, such as its
-        ``bridged_rows`` entry, which ``training.evaluate`` passes.
+        ``bridged`` is the source's ``bridged_rows`` entry, which
+        ``training.evaluate`` passes; by default it is computed here, as a
+        group of one. An entry's queued prompt, which must be this
+        ``stage``'s, is decoded from; an entry without one has its prompt
+        fed here.
         """
         src = [np.asarray(src_seq, dtype=np.int64)]
-        i_map, fused = self.bridge_outputs(self.encode_sources(src)) if bridged is None else bridged
-        packed = self._pack(i_map, stage, src, None)
-        return generate(self.decoder, packed.t0, fused, self.gates, max_new_tokens)
+        i_map, fused, start = next(self.bridged_rows(src, [stage])) if bridged is None else bridged
+        prompt = self._pack(i_map, stage, src, None).t0 if start is None else start
+        return generate(self.decoder, prompt, fused, self.gates, max_new_tokens)

@@ -20,6 +20,7 @@ variable.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -120,10 +121,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return ad._record(Tensor(out), (q, k, v), lambda g: grad(g, *needs))
 
 
+@functools.cache
 def causal_bias(s: int) -> np.ndarray:
-    """[1, 1, S, S] additive mask hiding future positions."""
+    """[1, 1, S, S] additive mask hiding future positions, built once per
+    length and returned read-only."""
     mask = np.triu(np.ones((s, s), dtype=bool), k=1)
-    return np.where(mask, np.asarray(-1e9, dtype=np.float32), np.asarray(0.0, dtype=np.float32))[None, None]
+    bias = np.where(mask, np.asarray(-1e9, dtype=np.float32), np.asarray(0.0, dtype=np.float32))[None, None]
+    bias.flags.writeable = False
+    return bias
 
 
 def padding_bias(valid: np.ndarray) -> np.ndarray:

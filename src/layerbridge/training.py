@@ -225,9 +225,12 @@ def evaluate(
 ) -> EvalReport:
     """Greedy-decode every example and score exact match per language.
 
-    Each example decodes alone, from its entry of ``model.bridged_rows``: the
-    encoder and bridge run once per length group of each chunk of sources,
-    with the same bits as a pass per example.
+    Each example decodes alone from its entry of ``model.bridged_rows``:
+    the encoder and the bridge run once per (stage, length) group of each
+    chunk of sources, and the decoder's prompt pass once per group, a few
+    rows per forward, inside the chunk's first answer; then each row's
+    emitted tokens are fed one at a time. Every answer has the bits of a
+    pass per example.
 
     Aggregates are unweighted means over languages: Avg over all languages
     present, Lrl/Hrl over languages mapped to that tier. A language missing
@@ -238,7 +241,7 @@ def evaluate(
     hits: dict[str, int] = {}
     totals: dict[str, int] = {}
     srcs = [vocab.encode(ex.source_text) for ex in examples]
-    for ex, src, bridged in zip(examples, srcs, model.bridged_rows(srcs)):
+    for ex, src, bridged in zip(examples, srcs, model.bridged_rows(srcs, [ex.stage for ex in examples])):
         out_ids = model.generate_answer(ex.stage, src, max_new_tokens=max_new_tokens, bridged=bridged)
         try:
             pred = normalize_answer(vocab.decode(out_ids))

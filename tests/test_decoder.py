@@ -332,17 +332,27 @@ def test_cached_step_takes_one_position(decoder, rng):
 
 
 def test_cached_decode_allocates_its_buffers_once(decoder, rng):
+    """The prompt call allocates buffers exactly as long as its prompts; a
+    row given room by ``row`` then steps in its own buffers, in place, and
+    refuses a step past them."""
     c = decoder.config
     cache = DecodeCache()
-    decoder.forward(_t0(rng, decoder, batch=1, length=3), None, None, cache=cache)
-    buffers = {i: tuple(kv) for i, kv in cache.self_kv.items()}
-    assert sorted(buffers) == list(range(1, c.n_layers + 1))
-    assert all(b.shape == (1, c.max_positions, c.d_dec) for kv in buffers.values() for b in kv)
+    decoder.forward(_t0(rng, decoder, batch=2, length=3), None, None, cache=cache)
+    assert sorted(cache.self_kv) == list(range(1, c.n_layers + 1))
+    assert all(b.shape == (2, 3, c.d_dec) for kv in cache.self_kv.values() for b in kv)
+    row = cache.row(1, 7)
+    buffers = {i: tuple(kv) for i, kv in row.self_kv.items()}
+    assert all(b.shape == (1, 7, c.d_dec) for kv in buffers.values() for b in kv)
+    for i, (k, v) in row.self_kv.items():
+        assert np.array_equal(k[0, :3], cache.self_kv[i][0][1])
+        assert np.array_equal(v[0, :3], cache.self_kv[i][1][1])
     for _ in range(4):
-        decoder.forward(_t0(rng, decoder, batch=1, length=1), None, None, cache=cache)
-    assert cache.offset == 7
-    for i, (k, v) in cache.self_kv.items():
+        decoder.forward(_t0(rng, decoder, batch=1, length=1), None, None, cache=row)
+    assert row.offset == 7
+    for i, (k, v) in row.self_kv.items():
         assert k is buffers[i][0] and v is buffers[i][1]
+    with pytest.raises(ContractError, match="hold 7 positions"):
+        decoder.forward(_t0(rng, decoder, batch=1, length=1), None, None, cache=row)
 
 
 @pytest.mark.parametrize("bench_width", [False, True])
@@ -372,13 +382,19 @@ def test_cached_prompt_call_keeps_the_last_position_logits_bitwise(decoder, rng,
         last_rows = cached.data.reshape(-1, decoder.config.vocab_size)
         assert fed == length
         assert last_rows.shape == (min(length, 2), decoder.config.vocab_size)
-        assert state.states[-1].shape == (1, length, decoder.config.d_dec)
+        # a cached forward records its input and no layer
+        assert [t.shape for t in state.states] == [(1, length, decoder.config.d_dec)]
+        assert state.sa_outputs == state.ca_outputs == []
         np.testing.assert_array_equal(last_rows[-1], full.data[0, -1])
 
 
 def test_cached_forward_takes_one_sequence_from_the_prompt_on(decoder, rng):
+    """The prompt call may feed several equal-length prompts; every later
+    call feeds one position of one sequence."""
+    cache = DecodeCache()
+    decoder.forward(_t0(rng, decoder, batch=2, length=3), None, None, cache=cache)
     with pytest.raises(ContractError, match="one sequence"):
-        decoder.forward(_t0(rng, decoder, batch=2, length=3), None, None, cache=DecodeCache())
+        decoder.forward(_t0(rng, decoder, batch=2, length=1), None, None, cache=cache)
 
 
 def test_cached_forward_refuses_a_tape_over_a_grad_requiring_input(decoder, rng):
@@ -428,6 +444,8 @@ def test_generate_matches_full_recompute(decoder, rng):
             # step by step: each cached step's last row is the full forward's last row
             cache, t0, step = DecodeCache(), prompt, prompt
             while t0.shape[1] < c.max_positions:
+                if cache.offset:
+                    cache = cache.row(0, c.max_positions)
                 cached, _ = decoder.forward(step, fused, gates, cache=cache)
                 full, _ = decoder.forward(t0, fused, gates)
                 np.testing.assert_allclose(cached.data[0, -1], full.data[0, -1], rtol=0, atol=1e-5)

@@ -227,7 +227,8 @@ def test_bridged_rows_equal_batch_one_passes_bitwise(monkeypatch, flags):
     groups = len(set(lengths[:32])) + len(set(lengths[32:]))
     assert len(encoded) == groups
     assert sum(batch for batch, _ in encoded) == len(srcs) == len(rows)
-    for src, (i_map, fused) in zip(srcs, rows):
+    for src, (i_map, fused, start) in zip(srcs, rows):
+        assert start is None
         want_map, want_fused = m.bridge_outputs(m.encode_sources([src]))
         if flags.no_adapter:
             assert i_map is None and want_map is None
@@ -241,6 +242,10 @@ def test_bridged_rows_equal_batch_one_passes_bitwise(monkeypatch, flags):
         for got, want in zip(fused.memories, want_fused.memories):
             assert got.shape == want.shape == (1, len(src), DC.d_dec)
             assert np.array_equal(got.data, want.data)
+        for got, want in zip(fused.kv, m.decoder.project(want_fused).kv):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (1, len(src), DC.d_dec)
+                assert np.array_equal(g.data, w.data)
         assert fused.bias.shape == want_fused.bias.shape
         assert np.array_equal(fused.bias, want_fused.bias)
 

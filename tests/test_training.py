@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from layerbridge.config import DataConfig, RunConfig
-from layerbridge.data import ParallelExample, Vocabulary, generate_synthetic_corpus
-from layerbridge.decoder import DecoderConfig
+from layerbridge.data import (
+    EOS, STAGE_TASK, STAGE_TRANSLATION, ParallelExample, Vocabulary, generate_synthetic_corpus,
+)
+from layerbridge.decoder import PREFILL_ROWS, Decoder, DecoderConfig
 from layerbridge.encoder import EncoderConfig
 from layerbridge.errors import ConfigError, IngestionError
-from layerbridge.model import BridgedModel
+from layerbridge.model import INFERENCE_CHUNK, AblationFlags, BridgedModel
 from layerbridge.training import (
     ARMS,
     REFERENCE_STAGES,
@@ -254,7 +256,8 @@ class StubModel:
     def __init__(self, answers):
         self.answers = answers
 
-    def bridged_rows(self, srcs):
+    def bridged_rows(self, srcs, stages):
+        assert len(stages) == len(srcs)
         for src in srcs:
             yield ("bridged", tuple(int(t) for t in src))
 
@@ -331,10 +334,131 @@ def test_evaluate_matches_per_example_decoding(monkeypatch):
     report = evaluate(model, rows, corpus.vocab, corpus.tiers())
     assert got == want
     monkeypatch.setattr(model, "generate_answer", generate_answer)
-    monkeypatch.setattr(model, "bridged_rows", lambda srcs: [None] * len(srcs))
+    bridged_rows = model.bridged_rows
+    monkeypatch.setattr(
+        model,
+        "bridged_rows",
+        lambda srcs, stages: (next(bridged_rows([src], [stage])) for src, stage in zip(srcs, stages)),
+    )
     per_example = evaluate(model, rows, corpus.vocab, corpus.tiers())
     assert report.per_lang == per_example.per_lang
     assert report.aggregates == per_example.aggregates
+
+
+def _mixed_split() -> list[ParallelExample]:
+    """44 rows, one full chunk and a partial one, both stages mixed. Sources
+    run 1 to 11 words: a 1-word source, a length that occurs once in the
+    first chunk (7 words), task prompts that leave fewer positions than the
+    budget before ``max_positions`` (9 words: 20 positions of 24), and, with
+    an adapter, a task prompt that fills them all (11 words)."""
+    rng = np.random.default_rng(3)
+    lengths = rng.choice([1, 2, 3, 9, 11], size=44)
+    lengths[[0, 5]] = 1
+    lengths[[6, 40]] = 9
+    lengths[[7, 41]] = 11
+    lengths[12] = 7
+    stages = rng.choice([STAGE_TRANSLATION, STAGE_TASK], size=44)
+    stages[[6, 7, 40, 41]] = STAGE_TASK
+    words = VOCAB.words[4:]
+    return [
+        ParallelExample(
+            source_text=" ".join(rng.choice(words, size=n)), source_lang="x", target_text=W[0], stage=str(stage)
+        )
+        for n, stage in zip(lengths, stages)
+    ]
+
+
+ARM_FLAGS = {
+    "full": AblationFlags(),
+    "no_adapter": AblationFlags(no_adapter=True),
+    "no_aligner": AblationFlags(no_aligner=True),
+    "last_hidden": AblationFlags(layer_subset="last_hidden"),
+    "average": AblationFlags(layer_subset="average"),
+}
+
+
+@pytest.mark.parametrize("arm", list(ARM_FLAGS))
+def test_evaluate_answers_equal_batch_one_decoding_bitwise(monkeypatch, arm):
+    """Every answer ``evaluate`` decodes from its chunk's prefill equals,
+    token for token, ``generate_answer`` with no given bridge pass, which
+    encodes, bridges and prefills the row alone. The head's ``<eos>`` column
+    is the column of the token most answers start with, so those rows end
+    at once (a tie goes to the lower id, ``<eos>``)."""
+    rows = _mixed_split()
+    model = BridgedModel(EC, DC, ARM_FLAGS[arm], seed=2)
+    rng = np.random.default_rng(4)
+    for g in model.gates.values:
+        g.data[...] = rng.uniform(0.25, 0.75)
+    if model.aligner.mixing_logits is not None:
+        model.aligner.mixing_logits.data[...] = rng.normal(size=model.aligner.mixing_logits.shape)
+    srcs = [VOCAB.encode(ex.source_text) for ex in rows]
+
+    def per_example():
+        return [model.generate_answer(ex.stage, src, max_new_tokens=8) for ex, src in zip(rows, srcs)]
+
+    firsts = [a[0] for a in per_example() if a]
+    head = model.decoder.head.data
+    head[:, EOS] = head[:, max(set(firsts), key=firsts.count)]
+    want = per_example()
+    assert any(a == [] for a in want) and any(len(a) >= 2 for a in want)
+    if not ARM_FLAGS[arm].no_adapter:
+        # a 9-word task prompt leaves 4 positions, an 11-word one none
+        assert [len(want[i]) for i in (6, 40)] == [4, 4]
+        assert want[7] == want[41] == []
+    got = []
+    generate_answer = model.generate_answer
+
+    def recorded(*args, **kwargs):
+        assert kwargs["bridged"] is not None
+        got.append(generate_answer(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(model, "generate_answer", recorded)
+    evaluate(model, rows, VOCAB, tiers={})
+    assert got == want
+
+
+def test_evaluate_feeds_each_chunk_groups_prompts_in_its_first_answer(monkeypatch):
+    """The decoder's prompt pass runs once per piece of at most
+    ``PREFILL_ROWS`` rows of each (chunk, stage, source length) group whose
+    prompt leaves a position to decode, all of a chunk's inside the chunk's
+    first answer; every other decoder call is one row's step."""
+    rows = _mixed_split()
+    model = BridgedModel(EC, DC, seed=2)
+    events = []
+    forward, generate_answer = Decoder.forward, model.generate_answer
+
+    def counted(self, t0, fused, gates, cache=None, rows=None):
+        assert cache is not None
+        events.append(("prompt" if cache.offset == 0 else "step", t0.shape[0]))
+        return forward(self, t0, fused, gates, cache, rows)
+
+    def answered(*args, **kwargs):
+        events.append(("answer", 1))
+        return generate_answer(*args, **kwargs)
+
+    monkeypatch.setattr(Decoder, "forward", counted)
+    monkeypatch.setattr(model, "generate_answer", answered)
+    evaluate(model, rows, VOCAB, tiers={})
+    assert {batch for kind, batch in events if kind != "prompt"} == {1}
+    answers = [j for j, (kind, _) in enumerate(events) if kind == "answer"] + [len(events)]
+    assert len(answers) == len(rows) + 1
+    pieces = 0
+    for c0 in range(0, len(rows), INFERENCE_CHUNK):
+        groups = {}
+        for ex in rows[c0 : c0 + INFERENCE_CHUNK]:
+            groups.setdefault((ex.stage, len(ex.source_text.split())), []).append(ex)
+        # a prompt is <bos>, the soft prompt, <sep> and, at the task stage,
+        # the source tokens
+        want = sorted(
+            len(piece)
+            for (stage, n), members in groups.items()
+            if 2 + n * (1 + (stage == STAGE_TASK)) < DC.max_positions
+            for piece in np.array_split(members, -(-len(members) // PREFILL_ROWS))
+        )
+        assert sorted(batch for kind, batch in events[answers[c0] : answers[c0 + 1]] if kind == "prompt") == want
+        pieces += len(want)
+    assert sum(kind == "prompt" for kind, _ in events) == pieces
 
 
 # ---------------------------------------------------------------------------
