@@ -324,13 +324,20 @@ def _write_png(plt, fig, path: Path) -> Path:
     return write_atomic(path, buf.getvalue())
 
 
-def _render_plots(out_dir: Path, report: DiagnosticsReport) -> list[Path]:
+def import_pyplot():
+    """``matplotlib.pyplot`` on the Agg backend; raises ``ConfigError`` when
+    matplotlib is unavailable."""
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError as err:
         raise ConfigError("plot rendering requested but matplotlib is unavailable") from err
+    return plt
+
+
+def _render_plots(out_dir: Path, report: DiagnosticsReport) -> list[Path]:
+    plt = import_pyplot()
     paths = []
 
     fig, ax = plt.subplots(figsize=(5, 3.2))

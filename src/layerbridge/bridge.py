@@ -48,10 +48,12 @@ class FusedKV:
     [batch, src_len, d_dec], plus the additive key bias that hides padded
     source positions (``nn.padding_bias`` of the source mask).
 
-    ``kv`` holds each memory already projected through its decoder layer's
-    ``wk`` and ``wv`` (``Decoder.project``), so that inference projects a
-    group of rows once rather than per forward; ``None``, as in training,
-    has each forward project them on its tape.
+    ``kv`` holds each memory projected through its decoder layer's ``wk``
+    and ``wv``. The aligner leaves it ``None``, since the projections are
+    the decoder's, and ``Decoder.project`` fills it, on the tape in
+    training, so that every forward and decoding step reads each memory's
+    keys and values without projecting it again. The decoder refuses a
+    ``FusedKV`` without them.
     """
 
     memories: list[Tensor]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import build_report, write_report
+from .analysis import build_report, import_pyplot, write_report
 from .checkpoint import checkpoint_from_params, load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig, build_model, config_digest, load_run_config
 from .data import STAGE_TRANSLATION, STAGES, generate_synthetic_corpus, load_corpus_dir, write_corpus_dir
@@ -160,6 +160,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _load_config(args)
+    if config.diagnostics.plots:
+        import_pyplot()  # refuse before the analysis runs and any file is written
     corpus = _load_corpus(config)
     model = _restore_for_inference(config, args.checkpoint, args.force)
     report = build_report(model, corpus.eval_parallel, corpus.vocab)

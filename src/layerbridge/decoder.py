@@ -8,11 +8,11 @@ untrained model is indistinguishable from the plain decoder; training moves
 only the gates (and bridge parameters), never the decoder weights.
 
 Each layer is two tape entries, ``nn.attention_sublayer`` (x + SA + g * CA)
-and ``nn.feed_forward``, plus the two projections of its memory through
-``wk`` and ``wv`` unless the ``FusedKV`` carries them (``Decoder.project``).
-Greedy decoding runs the same forward pass through a ``DecodeCache``: a
-``Prefill`` feeds groups of equal-length prompts a few rows per forward, and
-``generate`` then feeds one row's emitted tokens one position at a time.
+and ``nn.feed_forward``; its memory arrives already projected through its
+``wk`` and ``wv`` (``Decoder.project``). Greedy decoding runs the same
+forward pass through a ``DecodeCache``: a ``Prefill`` feeds groups of
+equal-length prompts a few rows per forward, and ``generate`` then feeds one
+queued row's emitted tokens one position at a time.
 
 The decoder is an ``nn.FrozenStack`` plus an output head. The head's init
 scale ``HEAD_SCALE`` is a module constant (the embedding scales are
@@ -146,8 +146,9 @@ class Decoder(FrozenStack):
 
     def project(self, fused: FusedKV) -> FusedKV:
         """``fused`` with ``kv`` filled: each layer's memory projected through
-        that layer's ``wk`` and ``wv``, as the forward would project it."""
-        return dataclasses.replace(fused, kv=[_project(layer, h) for layer, h in zip(self.layers, fused.memories)])
+        that layer's ``wk`` and ``wv``, two tape entries per layer."""
+        kv = [(ad.matmul(h, layer["wk"]), ad.matmul(h, layer["wv"])) for layer, h in zip(self.layers, fused.memories)]
+        return dataclasses.replace(fused, kv=kv)
 
     def forward(
         self,
@@ -167,8 +168,9 @@ class Decoder(FrozenStack):
         differently from the same row of a larger one.
 
         ``fused=None`` removes cross-attention entirely (self-attention-only
-        decoder) and leaves ``gates`` unread; with ``fused`` present,
-        ``gates`` scales each layer's CA read.
+        decoder) and leaves ``gates`` unread; with ``fused`` present, it must
+        have been through ``project``, and ``gates`` scales each layer's CA
+        read.
 
         Self-attention is masked only causally: rows are right-padded, so no
         real query reaches a pad key.
@@ -210,6 +212,8 @@ class Decoder(FrozenStack):
                 )
             if gates is None:
                 raise ConfigError("fused K/V needs a gate source")
+            if fused.kv is None:
+                raise ContractError("fused K/V needs its memories projected by Decoder.project")
         sa_bias = None if offset else causal_bias(dec_len)
 
         x = ad.add(t0, Tensor(positions))
@@ -239,29 +243,21 @@ class Decoder(FrozenStack):
         as two tape entries (``nn.attention_sublayer``, ``nn.feed_forward``).
 
         Returns (block output, SA output, ungated CA output).
-        Cross-attention reads ``fused.memories[index - 1]`` through the
-        layer's own ``wk`` and ``wv``, as ``fused.kv`` carries it projected or
-        else projected here, reusing the self-attention queries, with
-        ``fused.bias`` hiding padded keys; with ``fused=None`` the block is
-        self-attention only and the CA output is ``None``. A ``cache``
-        supplies and collects this layer's keys and values (see
-        ``DecodeCache``).
+        Cross-attention reads ``fused.kv[index - 1]``, this layer's memory
+        projected through its own ``wk`` and ``wv``, with the self-attention
+        queries and with ``fused.bias`` hiding padded keys; with
+        ``fused=None`` the block is self-attention only and the CA output is
+        ``None``. A ``cache`` supplies and collects this layer's keys and
+        values (see ``DecodeCache``).
         """
         layer = self.layers[index - 1]
         kv, offset = (None, 0) if cache is None else (cache.self_kv[index], cache.offset)
-        cross = None
-        if fused is not None:
-            memory = _project(layer, fused.memories[index - 1]) if fused.kv is None else fused.kv[index - 1]
-            cross = (*memory, gates.values[index - 1], fused.bias)
+        cross = None if fused is None else (*fused.kv[index - 1], gates.values[index - 1], fused.bias)
         out, sa, ca = attention_sublayer(layer, x, self.config.n_heads, sa_bias, kv, offset, cross)
         out = feed_forward(layer, out)
         if not np.isfinite(out.data).all():
             raise NumericError(f"non-finite activations leaving decoder layer {index}")
         return out, sa, ca
-
-
-def _project(layer: dict[str, Tensor], memory: Tensor) -> tuple[Tensor, Tensor]:
-    return ad.matmul(memory, layer["wk"]), ad.matmul(memory, layer["wv"])
 
 
 class PromptRow(NamedTuple):
@@ -278,40 +274,48 @@ class Prefill:
     whole batch's prompt work.
 
     ``add`` queues a group: n assembled prompts of one length, [n, P,
-    d_dec], with their ``FusedKV``, which should have been through
-    ``Decoder.project``, or ``generate``'s steps project its memories again
-    each. The pass feeds ``PREFILL_ROWS`` or fewer of a group's rows per
-    forward, in near-equal pieces, each through a fresh ``DecodeCache``.
-    No row is padded, so each row's arithmetic is its batch-1 arithmetic.
-    The head runs on each row's last two positions, never on one alone, so
-    the last one keeps the bits of the uncached forward's; a one-position
-    prompt, whose head row would stand alone, is refused in a group of more
-    than one. A row is taken once, and the batch then drops it, so a
-    piece's cache goes with its last row.
+    d_dec], with their ``FusedKV``, projected by ``Decoder.project``. The
+    pass feeds ``PREFILL_ROWS`` or fewer of a group's rows per forward, in
+    near-equal pieces, each through a fresh ``DecodeCache``. No row is
+    padded, so each row's arithmetic is its batch-1 arithmetic. The head
+    runs on each row's last two positions, never on one alone, so the last
+    one keeps the bits of the uncached forward's; a one-position prompt,
+    whose head row would stand alone, is refused in a group of more than
+    one. A row is taken once, and the batch then drops it, so a piece's
+    cache goes with its last row.
     """
 
     def __init__(self, decoder: Decoder, gates: GateVector | None):
         self.decoder, self.gates = decoder, gates
         self.queued: list[tuple[Tensor, FusedKV | None]] = []
-        self.fed: list[list[tuple[int, DecodeCache, int] | None]] = []
+        self.fed: list[tuple[list[tuple[int, DecodeCache, int] | None], FusedKV | None]] = []
 
-    def add(self, prompts: Tensor, fused: FusedKV | None) -> list[PromptRow]:
+    def add(self, prompts: Tensor, fused: FusedKV | None) -> list[PromptRow | None]:
+        """The group's rows, in order, or ``None`` for every row when the
+        prompts fill ``max_positions`` and leave no position to decode."""
         n, p, _ = prompts.shape
+        if p >= self.decoder.config.max_positions:
+            return [None] * n
         if p < 2 and n > 1:
             raise ContractError(f"a prompt group of {n} rows needs 2 or more positions, got {p}")
         self.queued.append((prompts, fused))
         group = len(self.fed) + len(self.queued) - 1
         return [PromptRow(self, group, r) for r in range(n)]
 
-    def take(self, group: int, row: int, steps: int) -> tuple[int, DecodeCache]:
-        """The row's greedy id after its prompt, and its own batch-1 cache
-        with room for ``steps`` more positions, none at or past
-        ``max_positions``; the pass runs first if it has not."""
+    def take(self, group: int, row: int, steps: int) -> tuple[int, DecodeCache, FusedKV | None]:
+        """The row's greedy id after its prompt, its own batch-1 cache with
+        room for ``steps`` more positions, none at or past ``max_positions``,
+        and its slice of the group's ``FusedKV``; the pass runs first if it
+        has not. Raises ``ContractError`` for a row already taken."""
         if self.queued:
-            self.fed += [self._feed(prompts, fused) for prompts, fused in self.queued]
+            self.fed += [(self._feed(prompts, fused), fused) for prompts, fused in self.queued]
             self.queued = []
-        (next_id, cache, r), self.fed[group][row] = self.fed[group][row], None
-        return next_id, cache.row(r, min(cache.offset + steps, self.decoder.config.max_positions - 1))
+        fed, fused = self.fed[group]
+        if fed[row] is None:
+            raise ContractError(f"row {row} of prompt group {group} was already decoded")
+        (next_id, cache, r), fed[row] = fed[row], None
+        room = min(cache.offset + steps, self.decoder.config.max_positions - 1)
+        return next_id, cache.row(r, room), None if fused is None else fused.rows(row, row + 1)
 
     def _feed(self, prompts: Tensor, fused: FusedKV | None) -> list[tuple[int, DecodeCache, int]]:
         n, p, _ = prompts.shape
@@ -327,40 +331,25 @@ class Prefill:
         return out
 
 
-def generate(
-    decoder: Decoder,
-    prompt: Tensor | PromptRow,
-    fused: FusedKV | None,
-    gates: GateVector | None,
-    max_new_tokens: int,
-) -> list[int]:
-    """Greedy decoding of one sequence: an assembled prompt [1, P, d_dec],
-    fed here as a group of one, or a ``PromptRow`` of a ``Prefill`` built
-    with the same ``gates`` and this row's ``fused``.
+def generate(prompt: PromptRow, max_new_tokens: int) -> list[int]:
+    """Greedy decoding of one prompt queued in a ``Prefill``, with that
+    prefill's decoder and gates.
 
     The row gets its own ``DecodeCache``, sized to its prompt plus the
     budget, and each emitted token but the last is then fed as one
-    position. Stops at the
-    end marker, at the budget, or when the sequence length reaches
-    ``max_positions``; the end marker itself is not returned.
+    position. Stops at the end marker, at the budget, or when the sequence
+    length reaches ``max_positions``; the end marker itself is not returned.
     """
     if max_new_tokens < 1:
         raise ContractError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
-    c = decoder.config
-    if isinstance(prompt, Tensor):
-        if prompt.shape[0] != 1:
-            raise ContractError(f"generate works on a single sequence, got batch {prompt.shape[0]}")
-        if prompt.shape[1] >= c.max_positions:
-            return []
-        if fused is not None and fused.kv is None:
-            fused = decoder.project(fused)
-        [prompt] = Prefill(decoder, gates).add(prompt, fused)
+    prefill = prompt.prefill
+    decoder, gates = prefill.decoder, prefill.gates
     # the steps feed every emitted token but the last
-    next_id, cache = prompt.prefill.take(prompt.group, prompt.row, max_new_tokens - 1)
+    next_id, cache, fused = prefill.take(prompt.group, prompt.row, max_new_tokens - 1)
     out: list[int] = []
     while next_id != EOS:
         out.append(next_id)
-        if len(out) == max_new_tokens or cache.offset + 1 >= c.max_positions:
+        if len(out) == max_new_tokens or cache.offset + 1 >= decoder.config.max_positions:
             break
         # an argmax over the head's columns is a row of tok_emb, so the id
         # needs none of embed_tokens' checks

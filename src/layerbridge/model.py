@@ -153,28 +153,28 @@ class BridgedModel:
         return self.encoder.forward(tokens, mask)
 
     def bridge_outputs(self, stack: LayerStack) -> tuple[Tensor | None, FusedKV | None]:
+        """The soft prompt and the fused memories, projected for the decoder
+        (``Decoder.project``); ``None`` for an ablated component."""
         i_map = None if self.ablations.no_adapter else adapt(self.adapter, stack)
-        fused = None if self.ablations.no_aligner else self.aligner.fuse_all(stack)
+        fused = None if self.ablations.no_aligner else self.decoder.project(self.aligner.fuse_all(stack))
         return i_map, fused
 
     def bridged_rows(
         self, src_seqs: list[np.ndarray], stages: list[str] | None = None
     ) -> Iterator[tuple[Tensor | None, FusedKV | None, PromptRow | None]]:
         """Each source's ``bridge_outputs(encode_sources([src]))``, in order,
-        with its memories projected (``Decoder.project``) and, when
-        ``stages`` gives each source's stage, its prompt queued for the
-        decoder's prompt pass.
+        and, when ``stages`` gives each source's stage, its prompt queued for
+        the decoder's prompt pass.
 
-        Sources run ``INFERENCE_CHUNK`` at a time, with one encoder, bridge
-        and projection pass per distinct (stage, length) in a chunk, whose
+        Sources run ``INFERENCE_CHUNK`` at a time, with one encoder and
+        bridge pass per distinct (stage, length) in a chunk, whose
         prompts form one group of the chunk's ``decoder.Prefill``: the first
         row ``generate`` decodes feeds them all. Each row is sliced out as a
         batch of one. No row is padded, so each row's arithmetic is its
         batch-1 arithmetic and every output keeps its bits; a padded pass
         would not. A row yields (soft prompt, ``FusedKV``, ``PromptRow``, or
         ``None`` without a stage or when the prompt leaves no position to
-        decode). Only the current chunk's passes are held, and a group's
-        only until its last row has been taken.
+        decode). Only the current chunk's passes are held.
         """
         for c0 in range(0, len(src_seqs), INFERENCE_CHUNK):
             chunk = src_seqs[c0 : c0 + INFERENCE_CHUNK]
@@ -193,16 +193,13 @@ class BridgedModel:
                 yield row
 
     def _bridged_group(self, srcs: list[np.ndarray], stage: str | None, prompts: Prefill) -> list[tuple]:
-        """``bridged_rows``' entries for equal-length sources: one encoder,
-        bridge and projection pass, with their ``stage`` prompts queued in
-        ``prompts`` unless ``stage`` is None."""
+        """``bridged_rows``' entries for equal-length sources: one encoder and
+        bridge pass, with their ``stage`` prompts queued in ``prompts``
+        unless ``stage`` is None."""
         i_map, fused = self.bridge_outputs(self.encode_sources(srcs))
-        fused = None if fused is None else self.decoder.project(fused)
         starts = [None] * len(srcs)
         if stage is not None:
-            t0 = self._pack(i_map, stage, srcs, None).t0
-            if t0.shape[1] < self.dec_config.max_positions:
-                starts = prompts.add(t0, fused)
+            starts = prompts.add(self._pack(i_map, stage, srcs, None).t0, fused)
         return [
             (
                 None if i_map is None else Tensor(i_map.data[r : r + 1]),
@@ -311,13 +308,13 @@ class BridgedModel:
     ) -> list[int]:
         """Greedy answer tokens for one source sequence.
 
-        ``bridged`` is the source's ``bridged_rows`` entry, which
-        ``training.evaluate`` passes; by default it is computed here, as a
-        group of one. An entry's queued prompt, which must be this
-        ``stage``'s, is decoded from; an entry without one has its prompt
-        fed here.
+        ``bridged`` is the source's ``bridged_rows`` entry, given this
+        ``stage``, which ``training.evaluate`` passes; by default it is
+        computed here, as a group of one. Its queued prompt is decoded from;
+        an entry with none, whose prompt fills ``max_positions``, answers
+        ``[]``.
         """
-        src = [np.asarray(src_seq, dtype=np.int64)]
-        i_map, fused, start = next(self.bridged_rows(src, [stage])) if bridged is None else bridged
-        prompt = self._pack(i_map, stage, src, None).t0 if start is None else start
-        return generate(self.decoder, prompt, fused, self.gates, max_new_tokens)
+        if bridged is None:
+            bridged = next(self.bridged_rows([np.asarray(src_seq, dtype=np.int64)], [stage]))
+        prompt = bridged[2]
+        return [] if prompt is None else generate(prompt, max_new_tokens)

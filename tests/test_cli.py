@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,19 @@ def test_analyze_untrained_gates_zero_norm_ratio(tmp_path):
     gates = np.genfromtxt(tmp_path / "run" / "report" / "gates.csv",
                           delimiter=",", skip_header=1)
     assert np.all(gates[:, 1] == 0.0)
+
+
+def test_analyze_with_plots_and_no_matplotlib_refuses_before_writing(stage1_run, tmp_path, monkeypatch, capsys):
+    tmp, _ = stage1_run
+    ckpt = str(tmp / "run" / "checkpoint.bin")
+    cfg = write_config(tmp_path, diagnostics={"plots": True})
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    built = []
+    monkeypatch.setattr(cli, "build_report", lambda *args: built.append(args))
+    assert main(["analyze", ckpt, "--config", cfg, "--force"]) == 2
+    assert "matplotlib is unavailable" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

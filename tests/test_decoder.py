@@ -13,6 +13,7 @@ from layerbridge.decoder import (
     Decoder,
     DecoderConfig,
     GateVector,
+    Prefill,
     generate,
 )
 from layerbridge.errors import ConfigError, ContractError, InputError, NumericError
@@ -42,14 +43,14 @@ def _fused(rng, decoder, batch=2, src_len=3, zero=False):
             memories.append(Tensor(np.zeros((batch, src_len, d), dtype=np.float32)))
         else:
             memories.append(Tensor(rng.normal(0, 1, size=(batch, src_len, d)).astype(np.float32)))
-    return FusedKV(memories=memories, bias=padding_bias(np.ones((batch, src_len), dtype=bool)))
+    return decoder.project(FusedKV(memories=memories, bias=padding_bias(np.ones((batch, src_len), dtype=bool))))
 
 
 def _block(decoder, t_prev, h, gates):
     """Decoder layer 1 alone, reading one memory whose positions are all valid."""
     batch, src_len, _ = h.shape
     bias = padding_bias(np.ones((batch, src_len), dtype=bool))
-    fused = FusedKV(memories=[h] * decoder.config.n_layers, bias=bias)
+    fused = decoder.project(FusedKV(memories=[h] * decoder.config.n_layers, bias=bias))
     out, *_ = decoder.block(1, t_prev, causal_bias(t_prev.shape[1]), fused, gates)
     return out
 
@@ -58,6 +59,12 @@ def _gates(decoder, first):
     gates = GateVector(decoder.config.n_layers)
     gates.values[0].data[0] = first
     return gates
+
+
+def _generate(decoder, prompt, fused, gates, max_new_tokens):
+    """Greedy decode of one prompt [1, P, d_dec], queued alone in a ``Prefill``."""
+    [row] = Prefill(decoder, gates).add(prompt, fused)
+    return generate(row, max_new_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +115,10 @@ def test_zero_valued_kv_is_inert_even_with_open_gates(decoder, rng):
 def test_perturbing_fused_inputs_respects_gates(decoder, rng):
     t0 = _t0(rng, decoder)
     fused = _fused(rng, decoder)
-    bumped = FusedKV(
+    bumped = decoder.project(FusedKV(
         memories=[Tensor(h.data + 3.0) for h in fused.memories],
         bias=fused.bias,
-    )
+    ))
     zero_gates = GateVector(decoder.config.n_layers)
     a, _ = decoder.forward(t0, fused, zero_gates)
     b, _ = decoder.forward(t0, bumped, zero_gates)
@@ -264,7 +271,7 @@ def test_gate_doubling_doubles_recorded_ca_norm(decoder, rng):
 
 def test_generate_budget_one_returns_one_token(decoder, rng):
     prompt = _t0(rng, decoder, batch=1, length=3)
-    out = generate(decoder, prompt, None, None, max_new_tokens=1)
+    out = _generate(decoder, prompt, None, None, max_new_tokens=1)
     assert len(out) <= 1
 
 
@@ -287,34 +294,46 @@ def _rigged(config, winner):
 def test_generate_stops_at_end_marker_without_returning_it(config, rng):
     rigged = _rigged(config, EOS)  # eos always wins
     prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, 3)))
-    out = generate(rigged, prompt, None, None, max_new_tokens=5)
+    out = _generate(rigged, prompt, None, None, max_new_tokens=5)
     assert out == []
 
 
 def test_generate_respects_budget(config, rng):
     rigged = _rigged(config, 7)  # never eos
     prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, 3)))
-    out = generate(rigged, prompt, None, None, max_new_tokens=4)
+    out = _generate(rigged, prompt, None, None, max_new_tokens=4)
     assert out == [7, 7, 7, 7]
 
 
 def test_generate_rejects_zero_budget(decoder, rng):
     prompt = _t0(rng, decoder, batch=1, length=2)
     with pytest.raises(ContractError):
-        generate(decoder, prompt, None, None, max_new_tokens=0)
-
-
-def test_generate_rejects_batched_prompt(decoder, rng):
-    prompt = _t0(rng, decoder, batch=2, length=2)
-    with pytest.raises(ContractError):
-        generate(decoder, prompt, None, None, max_new_tokens=1)
+        _generate(decoder, prompt, None, None, max_new_tokens=0)
 
 
 def test_generate_stops_at_max_positions(config, rng):
+    """A prompt two positions short of ``max_positions`` answers two tokens;
+    prompts that fill it are not queued, so they get no row to decode."""
     rigged = _rigged(config, 7)  # never eos
-    for length, expected in ((config.max_positions - 2, [7, 7]), (config.max_positions, [])):
-        prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, length)))
-        assert generate(rigged, prompt, None, None, max_new_tokens=5) == expected
+    prompt = rigged.embed_tokens(rng.integers(4, 32, size=(1, config.max_positions - 2)))
+    assert _generate(rigged, prompt, None, None, max_new_tokens=5) == [7, 7]
+    full = rigged.embed_tokens(rng.integers(4, 32, size=(3, config.max_positions)))
+    prefill = Prefill(rigged, None)
+    assert prefill.add(full, None) == [None, None, None]
+    assert prefill.queued == []
+
+
+def test_a_prompt_row_is_decoded_once(decoder, rng):
+    prefill = Prefill(decoder, None)
+    rows = prefill.add(_t0(rng, decoder, batch=2, length=3), None)
+    rows += prefill.add(_t0(rng, decoder, batch=1, length=4), None)
+    generate(rows[1], 2)
+    generate(rows[2], 2)
+    with pytest.raises(ContractError, match="row 1 of prompt group 0 was already decoded"):
+        generate(rows[1], 2)
+    with pytest.raises(ContractError, match="row 0 of prompt group 1 was already decoded"):
+        generate(rows[2], 2)
+    generate(rows[0], 2)
 
 
 def test_cached_forward_checks_offset_plus_length(decoder, rng):
@@ -375,7 +394,7 @@ def test_cached_prompt_call_keeps_the_last_position_logits_bitwise(decoder, rng,
         prompt = _t0(rng, decoder, batch=1, length=length)
         calls.clear()
         monkeypatch.setattr(Decoder, "forward", recorded)
-        generate(decoder, prompt, fused, gates, 1)
+        _generate(decoder, prompt, fused, gates, 1)
         monkeypatch.setattr(Decoder, "forward", forward)
         [(fed, (cached, state))] = calls
         full, _ = decoder.forward(prompt, fused, gates)
@@ -439,7 +458,7 @@ def test_generate_matches_full_recompute(decoder, rng):
         for _ in range(4):
             prompt = _t0(rng, decoder, batch=1, length=int(rng.integers(2, 6)))
             expected = _recompute_generate(decoder, prompt, fused, gates, c.max_positions)
-            assert generate(decoder, prompt, fused, gates, c.max_positions) == expected
+            assert _generate(decoder, prompt, fused, gates, c.max_positions) == expected
 
             # step by step: each cached step's last row is the full forward's last row
             cache, t0, step = DecodeCache(), prompt, prompt
@@ -465,14 +484,14 @@ def test_generate_keeps_its_pinned_ids():
     mask = np.ones((1, 5), dtype=bool)
     mask[0, 3:] = False
     memories = [Tensor(rng.normal(0, 1, size=(1, 5, c.d_dec)).astype(np.float32)) for _ in range(c.n_layers)]
-    fused = FusedKV(memories=memories, bias=padding_bias(mask))
+    fused = decoder.project(FusedKV(memories=memories, bias=padding_bias(mask)))
     gates = GateVector(c.n_layers)
     for g in gates.values:
         g.data[0] = rng.uniform(0.25, 0.75)
     got = []
     for length in (1, 2, 3, 7):
         prompt = decoder.embed_tokens(rng.integers(4, c.vocab_size, size=(1, length)))
-        got.append(generate(decoder, prompt, fused, gates, 8))
+        got.append(_generate(decoder, prompt, fused, gates, 8))
     assert got == [
         [376, 17, 17, 17, 274, 304, 304, 304],
         [4, 4, 366, 369, 179, 460, 35, 118],
@@ -483,8 +502,8 @@ def test_generate_keeps_its_pinned_ids():
 
 def test_generate_is_deterministic(decoder, rng):
     prompt_tokens = rng.integers(4, 32, size=(1, 3))
-    a = generate(decoder, decoder.embed_tokens(prompt_tokens), None, None, max_new_tokens=6)
-    b = generate(decoder, decoder.embed_tokens(prompt_tokens), None, None, max_new_tokens=6)
+    a = _generate(decoder, decoder.embed_tokens(prompt_tokens), None, None, max_new_tokens=6)
+    b = _generate(decoder, decoder.embed_tokens(prompt_tokens), None, None, max_new_tokens=6)
     assert a == b
 
 
@@ -514,3 +533,10 @@ def test_fused_kv_needs_a_gate_source(decoder, rng):
     t0 = _t0(rng, decoder)
     with pytest.raises(ConfigError, match="needs a gate source"):
         decoder.forward(t0, _fused(rng, decoder), None)
+
+
+def test_fused_kv_needs_its_memories_projected(decoder, rng):
+    t0 = _t0(rng, decoder)
+    unprojected = dataclasses.replace(_fused(rng, decoder), kv=None)
+    with pytest.raises(ContractError, match="Decoder.project"):
+        decoder.forward(t0, unprojected, GateVector(decoder.config.n_layers))

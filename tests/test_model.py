@@ -254,10 +254,30 @@ def test_generate_answer_on_a_given_bridge_pass_is_bitwise_equal():
     m = BridgedModel(EC, DC, seed=0)
     for g in m.gates.values:
         g.data[...] = 0.4
-    for src, bridged in zip(SRC, m.bridged_rows(SRC)):
-        for stage in ("translation", "task"):
+    for stage in ("translation", "task"):
+        for src, bridged in zip(SRC, m.bridged_rows(SRC, [stage] * len(SRC))):
             want = m.generate_answer(stage, src, max_new_tokens=6)
             assert m.generate_answer(stage, src, max_new_tokens=6, bridged=bridged) == want
+
+
+def test_generate_answer_is_empty_for_a_prompt_that_fills_max_positions():
+    """A task prompt is bos, the soft prompt, sep and the user tokens: a
+    source of 11 fills the decoder's 24 positions and leaves none to decode."""
+    m = BridgedModel(EC, DC, seed=0)
+    src = np.arange(4, 15)
+    [(_, _, start)] = m.bridged_rows([src], ["task"])
+    assert start is None
+    assert m.generate_answer("task", src, max_new_tokens=6) == []
+    [(_, _, start)] = m.bridged_rows([src], ["translation"])
+    assert start is not None
+
+
+def test_a_bridged_row_answers_once():
+    m = BridgedModel(EC, DC, seed=0)
+    bridged = next(m.bridged_rows(SRC, ["task"] * len(SRC)))
+    m.generate_answer("task", SRC[0], max_new_tokens=6, bridged=bridged)
+    with pytest.raises(ContractError, match="row 0 of prompt group 0 was already decoded"):
+        m.generate_answer("task", SRC[0], max_new_tokens=6, bridged=bridged)
 
 
 def test_encode_sources_masks_padding(model):

@@ -181,7 +181,7 @@ def _bridge(rng, decoder, batch, src_len=7):
     gates = GateVector(decoder.config.n_layers)
     for g in gates.values:
         g.data[0] = rng.uniform(0.25, 0.75)
-    return FusedKV(memories=memories, bias=padding_bias(valid)), gates
+    return decoder.project(FusedKV(memories=memories, bias=padding_bias(valid))), gates
 
 
 def _forward_bits(logits, state) -> list[np.ndarray]:
